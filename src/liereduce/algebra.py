@@ -44,7 +44,6 @@ def _monomial_map(e: Expr) -> dict[tuple, Fraction]:
 def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Reduced row-echelon form over exact rationals; returns nonzero rows."""
     rows = [list(r) for r in rows]
-    out = []
     ncols = len(rows[0]) if rows else 0
     lead = 0
     for col in range(ncols):
@@ -61,38 +60,18 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         lead += 1
         if lead == len(rows):
             break
-    for r in rows[:lead]:
-        if any(x != 0 for x in r):
-            out.append(r)
-    return out
+    return rows[:lead]
 
 
-def _solve_rational(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    n = len(A[0]) if A else 0
-    aug = [row + [rhs] for row, rhs in zip(A, b)]
-    aug = [list(r) for r in aug]
-    pivots = []
-    lead = 0
-    for col in range(n):
-        piv = next((i for i in range(lead, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[lead], aug[piv] = aug[piv], aug[lead]
-        pv = aug[lead][col]
-        aug[lead] = [x / pv for x in aug[lead]]
-        for i in range(len(aug)):
-            if i != lead and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[lead])]
-        pivots.append(col)
-        lead += 1
-    for i in range(lead, len(aug)):
-        if aug[i][n] != 0:
-            return None
+def _solve_rational(aug: list[list[Fraction]], n: int) -> list[Fraction] | None:
+    """One exact solution of A x = b from the augmented rows [A | b], or None
+    when inconsistent, that is when a pivot lands in the b column."""
     x = [Fraction(0)] * n
-    for row_i, col in enumerate(pivots):
-        x[col] = aug[row_i][n]
+    for row in _rref(aug):
+        col = next(k for k, c in enumerate(row) if c != 0)
+        if col == n:
+            return None
+        x[col] = row[n]
     return x
 
 
@@ -143,15 +122,15 @@ class AlgebraTable:
                             return False
         return True
 
-    def describe_entry(self, i: int, j: int) -> str:
+    def describe_entry(self, i: int, j: int, names: Sequence[str]) -> str:
+        """[X_i, X_j] as 'c*Xk + ...' over the generator names, or 'not in span'."""
         v = self.coords(i, j)
         if v is None:
             return "not in span"
         bits = []
-        for k, c in enumerate(v):
+        for c, name in zip(v, names):
             if c == 0:
                 continue
-            name = f"X{k + 1}"
             if c == 1:
                 bits.append(name)
             elif c == -1:
@@ -178,15 +157,15 @@ def structure_constants(gens: Sequence[VectorField]) -> AlgebraTable:
         for j in range(i + 1, q):
             Z = commutator(gens[i], gens[j])
             zmap = {v: _monomial_map(Z.coeff(v)) for v in space.base_names}
-            rows, rhs = [], []
+            aug = []
             for v in space.base_names:
                 keys = set(zmap[v])
                 for d in decomp:
                     keys |= set(d[v])
                 for key in sorted(keys):
-                    rows.append([d[v].get(key, Fraction(0)) for d in decomp])
-                    rhs.append(zmap[v].get(key, Fraction(0)))
-            sol = _solve_rational(rows, rhs) if rows else [Fraction(0)] * q
+                    aug.append([d[v].get(key, Fraction(0)) for d in decomp]
+                               + [zmap[v].get(key, Fraction(0))])
+            sol = _solve_rational(aug, q)
             if sol is None:
                 entries[(i, j)] = None
                 residuals[(i, j)] = Z

@@ -11,16 +11,15 @@ import argparse
 import json
 import sys
 
-from .algebra import commutator, is_solvable, structure_constants
+from .algebra import commutator, is_solvable
 from .charts import pushforward_field, transform_de, verify_canonical
 from .classify import classify_pushforward, lift_test
-from .corpus import corpus_dir, reports_json, run_corpus, _combo_str
+from .corpus import corpus_dir, reports_json, run_corpus
 from .equiv import DEFAULT_CONFIG, SampleConfig
 from .expr import ExprError, render
 from .jets import prolong
-from .parse import ParseError
-from .problem import ProblemError, load_problem
-from .reduction import lie_reduce, reduce_ode, reduce_pde
+from .problem import load_problem
+from .reduction import lie_reduce, reduce_system
 from .systems import check_point_symmetry
 
 
@@ -40,12 +39,8 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
-def _load(args):
-    return load_problem(args.problem)
-
-
 def cmd_prolong(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     X = pf.fields[args.field]
     order = args.order or pf.space.order
     P = prolong(X, order)
@@ -57,7 +52,7 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_check_symmetry(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     rep = check_point_symmetry(pf.system, pf.fields[args.field], _config(args))
     _emit(args, {"operation": "check-symmetry", "field": args.field,
                  "verdict": rep.verdict,
@@ -69,7 +64,7 @@ def cmd_check_symmetry(args) -> int:
 
 
 def cmd_canonical_verify(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     ok = verify_canonical(pf.fields[args.field], pf.charts[args.chart], _config(args))
     _emit(args, {"operation": "canonical-verify", "field": args.field,
                  "chart": args.chart, "verdict": ok},
@@ -78,7 +73,7 @@ def cmd_canonical_verify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     out = transform_de(pf.system, pf.charts[args.chart], _config(args))
     eqs = [render(e) for e in out.equations]
     _emit(args, {"operation": "transform", "chart": args.chart, "equations": eqs},
@@ -86,19 +81,10 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_reduce_ode(args) -> int:
-    pf = _load(args)
-    red = reduce_ode(pf.system, args.target, args.aux[0] if args.aux else "alpha")
-    return _print_reduction(args, red)
-
-
-def cmd_reduce_pde(args) -> int:
-    pf = _load(args)
-    red = reduce_pde(pf.system, args.target, args.aux or None)
-    return _print_reduction(args, red)
-
-
-def _print_reduction(args, red) -> int:
+def cmd_reduce(args) -> int:
+    pf = load_problem(args.problem)
+    red = reduce_system(pf.system, args.command.removeprefix("reduce-"),
+                        args.target, args.aux)
     eqs = [render(e) for e in red.system.equations]
     conn = red.connection
     _emit(args, {"operation": "reduce", "equations": eqs,
@@ -112,7 +98,7 @@ def _print_reduction(args, red) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     out = pushforward_field(pf.fields[args.field], pf.charts[args.chart],
                             None, _config(args))
     coeffs = {n: render(out.coeff(n)) for n in out.coords}
@@ -129,10 +115,10 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     T = pf.charts[args.chart]
     cfg = _config(args)
-    red = lie_reduce(pf.system, T, [n for n, _ in T.aux] or None, cfg)
+    red = lie_reduce(pf.system, T, config=cfg)
     got = classify_pushforward(pf.fields[args.field], T, None, red, cfg)
     _emit(args, {"operation": "classify", "field": args.field, "chart": args.chart,
                  "verdict": got.verdict, "witness": got.witness,
@@ -142,7 +128,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lift_test(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     got = lift_test(pf.fields[args.field], pf.reduced_view(), _config(args))
     _emit(args, {"operation": "lift-test", "field": args.field,
                  "verdict": got.verdict, "witness": got.witness,
@@ -152,17 +138,15 @@ def cmd_lift_test(args) -> int:
 
 
 def cmd_commutator(args) -> int:
-    pf = _load(args)
+    pf = load_problem(args.problem)
     names = [n.strip() for n in args.fields.split(",")]
     if len(names) != 2:
         print("commutator needs exactly two field names", file=sys.stderr)
         return 2
     Z = commutator(pf.fields[names[0]], pf.fields[names[1]])
-    all_names = sorted(pf.fields)
-    tab = structure_constants([pf.fields[n] for n in all_names])
-    i, j = all_names.index(names[0]), all_names.index(names[1])
-    coords = tab.coords(i, j)
-    span = "not in span" if coords is None else _combo_str(coords, all_names)
+    all_names, tab = pf.algebra_table()
+    span = tab.describe_entry(all_names.index(names[0]), all_names.index(names[1]),
+                              all_names)
     _emit(args, {"operation": "commutator", "fields": names,
                  "bracket": Z.describe(), "in_span": span},
           f"[{names[0]},{names[1]}] = {span}  ({Z.describe()})")
@@ -170,16 +154,11 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    pf = _load(args)
-    names = ([n.strip() for n in args.fields.split(",")] if args.fields
-             else sorted(pf.fields))
-    tab = structure_constants([pf.fields[n] for n in names])
-    lines = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            c = tab.coords(i, j)
-            lines.append(f"[{names[i]},{names[j]}] = " +
-                         ("not in span" if c is None else _combo_str(c, names)))
+    pf = load_problem(args.problem)
+    names = [n.strip() for n in args.fields.split(",")] if args.fields else None
+    names, tab = pf.algebra_table(names)
+    lines = [f"[{names[i]},{names[j]}] = {tab.describe_entry(i, j, names)}"
+             for i in range(len(names)) for j in range(i + 1, len(names))]
     rec = {"operation": "algebra", "fields": names, "closed": tab.closed,
            "brackets": lines}
     if tab.closed:
@@ -215,13 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetry-based order reduction for ODEs and PDEs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, chart=False, field=False, fields=False):
+    def common(p, chart=False, field=False):
         p.add_argument("--problem", required=True, help="problem file")
         if field:
             p.add_argument("--field", required=True, help="generator name")
-        if fields:
-            p.add_argument("--fields", required=False, default=None,
-                           help="comma-separated generator names")
         if chart:
             p.add_argument("--chart", required=True, help="chart name")
         p.add_argument("--json", action="store_true")
@@ -245,17 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, chart=True)
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("reduce-ode", help="reduce order via the slope variable")
-    common(p)
-    p.add_argument("--target", default=None)
-    p.add_argument("--aux", nargs="*", default=None)
-    p.set_defaults(fn=cmd_reduce_ode)
-
-    p = sub.add_parser("reduce-pde", help="gradient reduction with curl conditions")
-    common(p)
-    p.add_argument("--target", default=None)
-    p.add_argument("--aux", nargs="*", default=None)
-    p.set_defaults(fn=cmd_reduce_pde)
+    for name, what in (("reduce-ode", "reduce order via the slope variable"),
+                       ("reduce-pde", "gradient reduction with curl conditions")):
+        p = sub.add_parser(name, help=what)
+        common(p)
+        p.add_argument("--target", default=None)
+        p.add_argument("--aux", nargs="*", default=None)
+        p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("pushforward", help="push a generator through a chart")
     common(p, field=True, chart=True)
@@ -270,11 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lift_test)
 
     p = sub.add_parser("commutator", help="bracket of two generators")
-    common(p, fields=True)
+    common(p)
+    p.add_argument("--fields", required=True, help="two comma-separated generator names")
     p.set_defaults(fn=cmd_commutator)
 
     p = sub.add_parser("algebra", help="structure constants and solvability")
-    common(p, fields=True)
+    common(p)
+    p.add_argument("--fields", default=None, help="comma-separated generator names")
     p.set_defaults(fn=cmd_algebra)
 
     p = sub.add_parser("run-corpus", help="run every expected result in a directory")
@@ -295,9 +269,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ProblemError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

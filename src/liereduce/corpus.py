@@ -17,17 +17,16 @@ from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
-from .algebra import (AlgebraError, commutator, is_solvable,
-                      reduction_order_advice, structure_constants)
+from .algebra import is_solvable, reduction_order_advice
 from .charts import pushforward_field, transform_de, verify_canonical
 from .classify import classify_pushforward, lift_test
 from .equiv import DEFAULT_CONFIG, SampleConfig, equiv, sampled_nonzero
-from .expr import Expr, ExprError, ZERO, add, diff, free_vars, mul, render, substitute
+from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitute
 from .jets import prolong
-from .parse import ParseError, parse_expr
+from .parse import parse_expr
 from .problem import Expect, ProblemError, ProblemFile, load_problem
-from .reduction import lie_reduce, reduce_ode, reduce_pde, verify_connection
-from .systems import DESystem, check_point_symmetry, verify_solution
+from .reduction import lie_reduce, reduce_system, verify_connection
+from .systems import DESystem, _parse_equation, check_point_symmetry, verify_solution
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,10 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
             piece = piece[1:]
         if "*" in piece:
             num, piece = piece.split("*", 1)
-            coeff *= Fraction(num)
+            try:
+                coeff *= Fraction(num)
+            except ValueError:
+                return None
         if piece not in names:
             return None
         out[names.index(piece)] += coeff
@@ -131,20 +133,13 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
 # Executors: each returns (ok, computed, expected)
 
 
-def _reduction_for(pf: ProblemFile, exp: Expect, config: SampleConfig):
+def _reduction_for(pf: ProblemFile, exp: Expect):
     """Build a reduction named by an expect body: 'reduce = ode|pde [target]'."""
-    spec = exp.one("reduce")
-    aux = (exp.one("aux") or "").split() or None
-    if spec is None:
+    words = exp.one("reduce", "").split()
+    if not words:
         raise ProblemError(f"{pf.id}: expect {exp.label} needs 'reduce = ode|pde [target]'")
-    words = spec.split()
-    if words[0] == "ode":
-        target = words[1] if len(words) > 1 else None
-        return reduce_ode(pf.system, target, (aux or ["alpha"])[0])
-    if words[0] == "pde":
-        target = words[1] if len(words) > 1 else None
-        return reduce_pde(pf.system, target, aux)
-    raise ProblemError(f"{pf.id}: unknown reduction kind {words[0]!r}")
+    target = words[1] if len(words) > 1 else None
+    return reduce_system(pf.system, words[0], target, exp.one("aux", "").split())
 
 
 def _ex_prolong(pf: ProblemFile, exp: Expect, config):
@@ -185,14 +180,7 @@ def _ex_canonical(pf: ProblemFile, exp: Expect, config):
 
 
 def _expected_equations(exp: Expect, space) -> list[Expr]:
-    out = []
-    for line in exp.many("equation"):
-        if "=" in line:
-            lhs, rhs = line.split("=", 1)
-            out.append(add(parse_expr(lhs, space), mul(-1, parse_expr(rhs, space))))
-        else:
-            out.append(parse_expr(line, space))
-    return out
+    return [_parse_equation(space, line) for line in exp.many("equation")]
 
 
 def _ex_transform(pf: ProblemFile, exp: Expect, config):
@@ -204,25 +192,11 @@ def _ex_transform(pf: ProblemFile, exp: Expect, config):
         "; ".join(render(e) for e in expected)
 
 
-def _reduced_vocab(red):
-    class _V:
-        def __init__(self, space):
-            self.space = space
-
-        def resolve(self, name):
-            return self.space.resolve(name)
-    return _V(red.system.space)
-
-
 def _ex_reduce(pf: ProblemFile, exp: Expect, config):
-    aux = (exp.one("aux") or "").split() or None
     target = exp.args[0] if exp.args else None
-    if exp.op == "reduce-ode":
-        red = reduce_ode(pf.system, target, (aux or ["alpha"])[0])
-    else:
-        red = reduce_pde(pf.system, target, aux)
-    space = red.system.space
-    expected = _expected_equations(exp, space)
+    red = reduce_system(pf.system, exp.op.removeprefix("reduce-"), target,
+                        exp.one("aux", "").split())
+    expected = _expected_equations(exp, red.system.space)
     ok = systems_match(red.system, expected, config) if expected else True
     count = exp.one("integrability")
     if count is not None:
@@ -237,8 +211,7 @@ def _ex_reduce(pf: ProblemFile, exp: Expect, config):
 
 def _ex_lie_reduce(pf: ProblemFile, exp: Expect, config):
     T = pf.charts[exp.args[0]]
-    aux = (exp.one("aux") or "").split() or None
-    red = lie_reduce(pf.system, T, aux, config)
+    red = lie_reduce(pf.system, T, exp.one("aux", "").split(), config)
     expected = _expected_equations(exp, red.system.space)
     ok = systems_match(red.system, expected, config)
     return ok, "; ".join(render(e) for e in red.system.equations), \
@@ -264,8 +237,7 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect, config):
 def _ex_classify(pf: ProblemFile, exp: Expect, config):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
-    aux = [n for n, _ in T.aux] or None
-    red = lie_reduce(pf.system, T, aux, config)
+    red = lie_reduce(pf.system, T, config=config)
     got = classify_pushforward(X, T, None, red, config)
     want = exp.one("verdict") or "point"
     ok = got.verdict == want
@@ -284,40 +256,19 @@ def _ex_lift(pf: ProblemFile, exp: Expect, config):
 
 
 def _ex_commutator(pf: ProblemFile, exp: Expect, config):
-    names = list(exp.args)
-    Z = commutator(pf.fields[names[0]], pf.fields[names[1]])
-    all_names = sorted(pf.fields)
-    tab = structure_constants([pf.fields[n] for n in all_names])
-    i, j = all_names.index(names[0]), all_names.index(names[1])
-    got = tab.coords(min(i, j), max(i, j))
-    if (i, j) != (min(i, j), max(i, j)):
-        got = None if got is None else tuple(-c for c in got)
+    names, tab = pf.algebra_table()
+    i, j = names.index(exp.args[0]), names.index(exp.args[1])
+    got = tab.coords(i, j)
     want_text = exp.one("result")
-    want = _parse_combo(want_text, all_names) if want_text else None
+    want = _parse_combo(want_text, names) if want_text else None
     if want is None:
         raise ProblemError(f"{pf.id}: cannot parse expected combination {want_text!r}")
     ok = got is not None and list(got) == want
-    shown = "not in span" if got is None else _combo_str(got, all_names)
-    return ok, shown, want_text
-
-
-def _combo_str(coords, names) -> str:
-    bits = []
-    for c, n in zip(coords, names):
-        if c == 0:
-            continue
-        if c == 1:
-            bits.append(n)
-        elif c == -1:
-            bits.append(f"-{n}")
-        else:
-            bits.append(f"{c}*{n}")
-    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+    return ok, tab.describe_entry(i, j, names), want_text
 
 
 def _ex_algebra(pf: ProblemFile, exp: Expect, config):
-    names = (exp.one("fields") or " ".join(sorted(pf.fields))).split()
-    tab = structure_constants([pf.fields[n] for n in names])
+    names, tab = pf.algebra_table(exp.one("fields", "").split())
     oks, shown, want = [], [], []
     closed_want = exp.one("closed")
     if closed_want is not None:
@@ -326,10 +277,11 @@ def _ex_algebra(pf: ProblemFile, exp: Expect, config):
         want.append(f"closed={closed_want}")
     for head, text in exp.prefixed("bracket"):
         a, b = head.split()
-        got = tab.coords(names.index(a), names.index(b))
+        i, j = names.index(a), names.index(b)
+        got = tab.coords(i, j)
         expect_v = _parse_combo(text.strip(), names)
         oks.append(got is not None and expect_v is not None and list(got) == expect_v)
-        shown.append(f"[{a},{b}]={_combo_str(got, names) if got else 'not in span'}")
+        shown.append(f"[{a},{b}]={tab.describe_entry(i, j, names)}")
         want.append(f"[{a},{b}]={text.strip()}")
     solv_want = exp.one("solvable")
     series_want = exp.one("series")
@@ -352,23 +304,21 @@ def _ex_algebra(pf: ProblemFile, exp: Expect, config):
 
 
 def _ex_advice(pf: ProblemFile, exp: Expect, config):
-    names = list(exp.args)
-    all_names = sorted(pf.fields)
-    tab = structure_constants([pf.fields[n] for n in all_names])
-    adv = reduction_order_advice(tab, all_names.index(names[0]), all_names.index(names[1]))
+    names, tab = pf.algebra_table()
+    adv = reduction_order_advice(tab, names.index(exp.args[0]), names.index(exp.args[1]))
     want_first = exp.one("first")
     if want_first == "either":
         ok = adv.either
-        shown = "either" if adv.either else f"first={all_names[adv.first]}"
+        shown = "either" if adv.either else f"first={names[adv.first]}"
     else:
-        ok = (not adv.either) and all_names[adv.first] == want_first
-        shown = adv.describe(all_names)
+        ok = (not adv.either) and names[adv.first] == want_first
+        shown = adv.describe(names)
     return ok, shown, f"first={want_first}"
 
 
 def _ex_connection(pf: ProblemFile, exp: Expect, config):
     sol = pf.solutions[exp.args[0]]
-    red = _reduction_for(pf, exp, config)
+    red = _reduction_for(pf, exp)
     if sol.kind == "parent":
         got = verify_connection(pf.system, red, parent_solution=sol.values,
                                 config=config)
@@ -416,8 +366,9 @@ def run_expect(pf: ProblemFile, exp: Expect,
             verdict = "inconclusive"
         else:
             verdict = "fail"
-    except (ExprError, ParseError, AlgebraError, KeyError) as exc:
-        verdict, computed, expected = "fail", f"error: {exc}", exp.one("verdict") or ""
+    except Exception as exc:  # a malformed check must not end the run
+        why = exc if isinstance(exc, (ExprError, KeyError)) else f"{type(exc).__name__}: {exc}"
+        verdict, computed, expected = "fail", f"error: {why}", exp.one("verdict") or ""
     ms = (time.perf_counter() - t0) * 1000.0
     if exp.one("stated") and verdict == "discrepancy-documented":
         expected = f"{expected} (stated: {exp.one('stated')}; {exp.note})"
@@ -440,8 +391,9 @@ def run_corpus(directory=None, filter: str | None = None,
             continue
         try:
             pf = load_problem(path)
-        except ProblemError as exc:
-            records.append(Report(path.stem, "load", "load", "fail", str(exc), "valid file"))
+        except Exception as exc:  # a malformed file must not end the run
+            why = str(exc) if isinstance(exc, ProblemError) else f"{type(exc).__name__}: {exc}"
+            records.append(Report(path.stem, "load", "load", "fail", why, "valid file"))
             failed = True
             continue
         for exp in pf.expects:

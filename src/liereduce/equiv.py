@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .expr import (DomainError, Expr, ExprError, ZERO, clear_denominators,
@@ -33,10 +33,7 @@ class SampleConfig:
     max_attempts: int = 80
 
     def with_(self, **kw) -> "SampleConfig":
-        d = dict(tolerance=self.tolerance, samples=self.samples,
-                 seed=self.seed, max_attempts=self.max_attempts)
-        d.update(kw)
-        return SampleConfig(**d)
+        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = SampleConfig()
@@ -52,30 +49,6 @@ def _draw(rng: random.Random, positive: bool) -> Fraction:
     if not positive and rng.random() < 0.5:
         v = -v
     return v
-
-
-def sample_points(e: Expr, config: SampleConfig = DEFAULT_CONFIG,
-                  extra_vars=()) -> list[dict[str, Fraction]]:
-    """Deterministic rational sample points inside the safe domain of e."""
-    rng = _rng_for(e, config)
-    names = sorted(set(free_vars(e)) | set(extra_vars))
-    constraints = positivity_constraints(e)
-    positive = bool(constraints)
-    points = []
-    attempts = 0
-    while len(points) < config.samples:
-        attempts += 1
-        if attempts > config.max_attempts + config.samples:
-            raise SamplingDomainError(
-                f"sampling domain empty for {render(e)!r}")
-        pt = {n: _draw(rng, positive) for n in names}
-        try:
-            ok = all(eval_numeric(c, pt) > 1e-6 for c in constraints)
-        except (DomainError, OverflowError):
-            ok = False
-        if ok:
-            points.append(pt)
-    return points
 
 
 def equiv(a: Expr, b: Expr, config: SampleConfig = DEFAULT_CONFIG) -> bool:

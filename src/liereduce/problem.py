@@ -15,8 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
+from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
 from .parse import ParseError, parse_expr
@@ -105,6 +106,13 @@ class ProblemFile:
         conn = Connection(ps, self.parent.target, defs)
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations), conn)
 
+    def algebra_table(self, names: Sequence[str] | None = None
+                      ) -> tuple[list[str], AlgebraTable]:
+        """Structure constants of the named fields; no or empty names mean
+        every field, sorted by name.  Returns the names with the table."""
+        names = list(names) if names else sorted(self.fields)
+        return names, structure_constants([self.fields[n] for n in names])
+
 
 _HEADER = re.compile(r"^\[(.+)\]$")
 
@@ -156,10 +164,17 @@ def _require(kv: dict[str, list[str]], key: str, where: str) -> str:
     return v
 
 
+def _order(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemError(f"{where}: order must be an integer, got {text!r}") from None
+
+
 def _space_from(kv: dict[str, list[str]], where: str) -> JetSpace:
     indep = tuple(_require(kv, "independent", where).split())
     dep = tuple(_require(kv, "dependent", where).split())
-    order = int(_require(kv, "order", where))
+    order = _order(_require(kv, "order", where), where)
     params = tuple((_single(kv, "parameters", where, "") or "").split())
     return JetSpace(indep, dep, order, params)
 
@@ -309,9 +324,12 @@ def _validate_references(pf: ProblemFile):
     """Every expect must reference declared fields/charts/solutions."""
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
+        if e.op in ("commutator", "advice") and len(e.args) != 2:
+            raise ProblemError(f"{w}: {e.op} needs exactly two field names")
+        if e.op == "prolong" and e.one("order"):
+            _order(e.one("order"), w)
         for a in e.args:
-            if e.op in ("prolong", "symmetry", "lift") or \
-                    (e.op in ("commutator", "advice") and True):
+            if e.op in ("prolong", "symmetry", "lift", "commutator", "advice"):
                 if a not in pf.fields:
                     raise ProblemError(f"{w}: unknown field {a!r}")
             elif e.op in ("transform", "lie-reduce"):
@@ -324,7 +342,7 @@ def _validate_references(pf: ProblemFile):
                 if a not in pf.solutions:
                     raise ProblemError(f"{w}: unknown solution {a!r}")
         if e.op == "algebra":
-            for name in (e.one("fields") or " ".join(sorted(pf.fields))).split():
+            for name in e.one("fields", "").split():
                 if name not in pf.fields:
                     raise ProblemError(f"{w}: unknown field {name!r}")
         if e.op == "lift" and pf.parent is None:

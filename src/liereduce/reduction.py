@@ -168,6 +168,19 @@ def reduce_pde(sys: DESystem, target: str | None = None,
     return ReducedSystem(reduced, tuple(roles), conn)
 
 
+def reduce_system(sys: DESystem, kind: str, target: str | None = None,
+                  aux_names: Sequence[str] | None = None) -> ReducedSystem:
+    """Slope reduction (kind ``ode``, first auxiliary name) or gradient
+    reduction (kind ``pde``); no or empty auxiliary names mean the defaults."""
+    if kind == "ode":
+        if aux_names:
+            return reduce_ode(sys, target, aux_names[0])
+        return reduce_ode(sys, target)
+    if kind == "pde":
+        return reduce_pde(sys, target, aux_names or None)
+    raise ReductionError(f"unknown reduction kind {kind!r}")
+
+
 def lie_reduce(sys: DESystem, T: PointTransformation,
                aux_names: Sequence[str] | None = None,
                config: SampleConfig = DEFAULT_CONFIG) -> ReducedSystem:
@@ -179,12 +192,10 @@ def lie_reduce(sys: DESystem, T: PointTransformation,
     if T.canonical not in dep_names:
         raise ReductionError("the canonical coordinate must be a target dependent variable")
     transformed = transform_de(sys, T, config)
-    if aux_names is None and T.aux:
+    if not aux_names:
         aux_names = [n for n, _ in T.aux]
-    if transformed.space.p == 1:
-        name = aux_names[0] if aux_names else "alpha"
-        return reduce_ode(transformed, target=T.canonical, aux_name=name)
-    return reduce_pde(transformed, target=T.canonical, aux_names=aux_names)
+    return reduce_system(transformed, "ode" if transformed.space.p == 1 else "pde",
+                         T.canonical, aux_names)
 
 
 def verify_connection(parent: DESystem, reduced: ReducedSystem,

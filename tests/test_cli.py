@@ -43,15 +43,20 @@ class TestSubcommands:
         assert "s''" in capsys.readouterr().out
 
     def test_reduce_ode(self, capsys):
-        rc = main(["reduce-ode", "--problem", prob("bernoulli.prob")])
-        out = capsys.readouterr().out
-        assert rc == 0 and "alpha = y'" in out and "quadrature" in out
+        for aux, conn, eq in (([], "alpha = y'", "alpha'"),
+                              (["--aux", "beta"], "beta = y'",
+                               "-beta + beta' - beta^2 - beta^2*x = 0  [reduced]")):
+            rc = main(["reduce-ode", "--problem", prob("bernoulli.prob")] + aux)
+            out = capsys.readouterr().out
+            assert rc == 0 and conn in out and eq in out and "quadrature" in out
 
     def test_reduce_pde(self, capsys):
-        rc = main(["reduce-pde", "--problem", prob("power-diffusion.prob"),
-                   "--target", "u"])
-        out = capsys.readouterr().out
-        assert rc == 0 and "integrability" in out
+        for aux, conn in (([], "alpha = u_1, beta = u_2"),
+                          (["--aux", "a", "b"], "a = u_1, b = u_2")):
+            rc = main(["reduce-pde", "--problem", prob("power-diffusion.prob"),
+                       "--target", "u"] + aux)
+            out = capsys.readouterr().out
+            assert rc == 0 and "integrability" in out and conn in out
 
     def test_pushforward(self, capsys):
         rc = main(["pushforward", "--problem", prob("two-scalings.prob"),
@@ -60,10 +65,14 @@ class TestSubcommands:
         assert rc == 0 and "-1/2*r" in out and "rescale suggestion: -2" in out
 
     def test_classify(self, capsys):
-        rc = main(["classify", "--problem", prob("two-scalings.prob"),
-                   "--field", "X1", "--chart", "chart2", "--json"])
-        rec = json.loads(capsys.readouterr().out)
-        assert rc == 0 and rec["verdict"] == "nonlocal" and rec["witness"] == "s"
+        # two-scalings-reduced's chart names its auxiliary omega, not alpha.
+        for name, field, chart, verdict, witness in (
+                ("two-scalings.prob", "X1", "chart2", "nonlocal", "s"),
+                ("two-scalings-reduced.prob", "X2r", "further", "point", "")):
+            rc = main(["classify", "--problem", prob(name),
+                       "--field", field, "--chart", chart, "--json"])
+            rec = json.loads(capsys.readouterr().out)
+            assert rc == 0 and rec["verdict"] == verdict and rec["witness"] == witness
 
     def test_lift_test(self, capsys):
         rc = main(["lift-test", "--problem", prob("bernoulli-reduced.prob"),
@@ -77,10 +86,27 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert rc == 0 and "[X1,X2] = -X1" in out
 
+    def test_commutator_reversed_json(self, capsys):
+        rc = main(["commutator", "--problem", prob("blasius-translated.prob"),
+                   "--fields", "X2,X1", "--json"])
+        rec = json.loads(capsys.readouterr().out)
+        assert rc == 0 and rec == {"operation": "commutator", "fields": ["X2", "X1"],
+                                   "bracket": "(1) d/dy", "in_span": "X1"}
+
     def test_algebra(self, capsys):
         rc = main(["algebra", "--problem", prob("power-diffusion.prob")])
         out = capsys.readouterr().out
         assert rc == 0 and "solvable: True" in out and "5 -> 3 -> 0" in out
+
+    def test_algebra_subset_json(self, capsys):
+        rc = main(["algebra", "--problem", prob("power-diffusion.prob"),
+                   "--fields", "X1,X3,X5", "--json"])
+        rec = json.loads(capsys.readouterr().out)
+        assert rc == 0 and rec == {
+            "operation": "algebra", "fields": ["X1", "X3", "X5"], "closed": True,
+            "brackets": ["[X1,X3] = 0", "[X1,X5] = -X1", "[X3,X5] = 2*X3",
+                         "solvable: True; derived series 3 -> 2 -> 0"],
+            "solvable": True, "series": [3, 2, 0], "jacobi": True}
 
     def test_unknown_field_is_error(self, capsys):
         rc = main(["check-symmetry", "--problem", prob("bernoulli.prob"),
@@ -96,9 +122,41 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_missing_required_flag_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["prolong"])
-        assert exc.value.code == 2
+        for argv in (["prolong"],
+                     ["commutator", "--problem", prob("blasius-translated.prob")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
+BASE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
+        "[equations]\ny' = y\n[field T]\nx = 1\n[solution s]\ny = exp(x)\n")
+GOOD_CHECK = "[expect symmetry T]\ntag = oracle\nverdict = symmetry\n"
+DEEP = "sin(" * 400 + "y" + ")" * 400
+# Each malformed file, the check that reports it ("load" when the file is
+# rejected) and the start of the reported text: the loader's own errors name
+# the file and section, other exceptions their type.
+MALFORMED = {
+    "algebra-unknown-bracket-field":
+        (BASE + "[expect algebra]\ntag = oracle\nbracket T Q = 0\n",
+         "algebra", "error: ValueError: "),
+    "commutator-one-argument":
+        (BASE + "[expect commutator T]\ntag = oracle\nresult = 0\n",
+         "load", "bad.prob [expect commutator T]: "),
+    "commutator-bad-coefficient":
+        (BASE + "[expect commutator T T]\ntag = oracle\nresult = abc*T\n",
+         "commutator T T", "error: bad: cannot parse expected combination"),
+    "prolong-order-not-integer":
+        (BASE + "[expect prolong T]\ntag = oracle\norder = two\ncoeff y' = 0\n",
+         "load", "bad.prob [expect prolong T]: "),
+    "space-order-not-integer":
+        (BASE.replace("order = 1", "order = two"), "load", "bad.prob [space]: "),
+    "connection-empty-reduce":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce =\n",
+         "connection s", "error: bad: expect connection s needs"),
+    "equation-nested-400-deep":
+        (BASE.replace("y' = y", f"y' = {DEEP}"), "load", "RecursionError: "),
+}
 
 
 class TestRunCorpus:
@@ -148,3 +206,18 @@ class TestRunCorpus:
         assert rc == 1
         assert "[FAIL] broken: load" in out
         assert "[PASS] ok: symmetry T" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_fails_alone(self, tmp_path, capsys, case):
+        text, check, computed = MALFORMED[case]
+        (tmp_path / "bad.prob").write_text(text + GOOD_CHECK)
+        (tmp_path / "ok.prob").write_text(BASE + GOOD_CHECK)
+        rc = main(["run-corpus", str(tmp_path), "--json"])
+        recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert rc == 1
+        bad = [r for r in recs if r["problem"] == "bad"]
+        assert bad[0]["check"] == check and bad[0]["verdict"] == "fail"
+        assert bad[0]["computed"].startswith(computed)
+        # The next check of the same file still runs unless the file is rejected.
+        assert [r["verdict"] for r in bad] == (["fail"] if check == "load" else ["fail", "pass"])
+        assert [r["verdict"] for r in recs if r["problem"] == "ok"] == ["pass"]
