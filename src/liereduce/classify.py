@@ -113,33 +113,15 @@ def classify_pushforward(X: VectorField, T: PointTransformation,
                           criterion="local coefficients but residual does not vanish")
 
 
-def _is_ode_chart(reduced: ReducedSystem) -> bool:
-    conn = reduced.connection
-    if conn.parent_space.p != 1 or len(conn.aux_defs) != 1:
-        return False
-    (_, d), = conn.aux_defs
-    want = conn.parent_space.jet_name(conn.eliminated, (1,))
-    return hasattr(d, "name") and d.name == want
-
-
-def _is_identity_gradient_chart(reduced: ReducedSystem) -> bool:
-    conn = reduced.connection
-    p = conn.parent_space.p
-    if p < 2 or len(conn.aux_defs) != p:
-        return False
-    for i, (_, d) in enumerate(conn.aux_defs, start=1):
-        want = conn.parent_space.jet_name(conn.eliminated, (i,))
-        if not (hasattr(d, "name") and d.name == want):
-            return False
-    return True
-
-
 def lift_test(Y: VectorField, reduced: ReducedSystem,
               config: SampleConfig = DEFAULT_CONFIG) -> Classification:
     """Does a point symmetry of the reduced system lift to the parent?
 
-    The candidate parent generator's prolongation must reproduce Y's
-    coefficients with the gradient variables standing for the eliminated
+    The connection must be the gradient reduction's: one auxiliary variable
+    per independent variable, each the first derivative of the eliminated
+    variable (with one independent variable, the slope of Lie's reduction of
+    order).  The candidate parent generator's prolongation must reproduce
+    Y's coefficients with the gradient variables standing for the eliminated
     variable's derivatives; the resulting conditions on the parent
     coefficients are solved degree by degree.
     """
@@ -151,98 +133,71 @@ def lift_test(Y: VectorField, reduced: ReducedSystem,
             f"{'; '.join(render(r) for r in rep.residuals)})")
     conn = reduced.connection
     pspace = conn.parent_space
-    aux_names = tuple(n for n, _ in conn.aux_defs)
+    p = pspace.p
     indep = pspace.independent
+    aux_names = tuple(n for n, _ in conn.aux_defs)
+    if len(aux_names) != p or any(
+            getattr(d, "name", None) != pspace.jet_name(conn.eliminated, (i,))
+            for i, (_, d) in enumerate(conn.aux_defs, start=1)):
+        return Classification("inconclusive",
+                              criterion="unsupported connection shape for lift matching")
 
-    if _is_ode_chart(reduced):
-        x = indep[0]
-        a = Y.coeff(x)
-        if set(free_vars(a)) & set(aux_names):
+    a = [Y.coeff(xj) for xj in indep]
+    for xj, aj in zip(indep, a):
+        if set(free_vars(aj)) & set(aux_names):
             return Classification(
-                "nonlocal", witness=x,
+                "nonlocal", witness=xj,
                 criterion="base component depends on a gradient variable")
-        b = Y.coeff(aux_names[0])
-        poly = gradient_poly(b, aux_names)
+    polys = []
+    for an in aux_names:
+        poly = gradient_poly(Y.coeff(an), aux_names)
         if poly is None:
             return Classification(
-                "nonlocal", witness=aux_names[0],
+                "nonlocal", witness=an,
                 criterion="non-polynomial gradient dependence; prolonged "
                           "coefficients are polynomial in gradient variables")
+        polys.append(poly)
+    unit = lambda j: tuple(1 if k == j else 0 for k in range(p))
+    zero_deg = (0,) * p
+    d_candidates = []
+    for i in range(p):
+        poly = polys[i]
         for degs, c in poly.items():
-            if degs[0] >= 2 and not is_zero(c, config):
+            if sum(degs) >= 2 and not is_zero(c, config):
+                monomial = "*".join(n if k == 1 else f"{n}^{k}"
+                                    for n, k in zip(aux_names, degs) if k)
                 return Classification(
-                    "nonlocal", witness=f"{render(c)}*{aux_names[0]}^{degs[0]}",
+                    "nonlocal", witness=f"{render(c)}*{monomial}",
                     criterion="matching system inconsistent: quadratic row unmatched")
-        c1 = poly.get((1,), ZERO)
-        d1 = add(c1, diff(a, x))
-        if not is_zero(diff(d1, x), config):
-            return Classification(
-                "nonlocal", witness=render(d1),
-                criterion="matching system inconsistent: mixed derivative condition fails")
-        return Classification(
-            "point",
-            witness=f"xi = {render(a)}, d(eta)/d{conn.eliminated} = {render(d1)}",
-            criterion="degree matching consistent")
-
-    if _is_identity_gradient_chart(reduced):
-        p = pspace.p
-        a = [Y.coeff(xj) for xj in indep]
-        for xj, aj in zip(indep, a):
-            if set(free_vars(aj)) & set(aux_names):
-                return Classification(
-                    "nonlocal", witness=xj,
-                    criterion="base component depends on a gradient variable")
-        polys = []
-        for i, an in enumerate(aux_names):
-            poly = gradient_poly(Y.coeff(an), aux_names)
-            if poly is None:
-                return Classification(
-                    "nonlocal", witness=an,
-                    criterion="non-polynomial gradient dependence; prolonged "
-                              "coefficients are polynomial in gradient variables")
-            polys.append(poly)
-        unit = lambda j: tuple(1 if k == j else 0 for k in range(p))
-        zero_deg = (0,) * p
-        d_candidates = []
-        for i in range(p):
-            poly = polys[i]
-            for degs, c in poly.items():
-                if sum(degs) >= 2 and not is_zero(c, config):
+        for j in range(p):
+            cij = poly.get(unit(j), ZERO)
+            if j == i:
+                d_candidates.append(add(cij, diff(a[i], indep[i])))
+            else:
+                if not is_zero(add(cij, diff(a[j], indep[i])), config):
                     return Classification(
                         "nonlocal", witness=aux_names[i],
-                        criterion="matching system inconsistent: quadratic row unmatched")
-            for j in range(p):
-                cij = poly.get(unit(j), ZERO)
-                if j == i:
-                    d_candidates.append(add(cij, diff(a[i], indep[i])))
-                else:
-                    if not is_zero(add(cij, diff(a[j], indep[i])), config):
-                        return Classification(
-                            "nonlocal", witness=aux_names[i],
-                            criterion="matching system inconsistent: cross term unmatched")
-        d = d_candidates[0]
-        for other in d_candidates[1:]:
-            if not is_zero(add(d, mul(-1, other)), config):
+                        criterion="matching system inconsistent: cross term unmatched")
+    d = d_candidates[0]
+    for other in d_candidates[1:]:
+        if not is_zero(add(d, mul(-1, other)), config):
+            return Classification(
+                "nonlocal", witness=render(other),
+                criterion="matching system inconsistent: unequal diagonal terms")
+    for xj in indep:
+        if not is_zero(diff(d, xj), config):
+            return Classification(
+                "nonlocal", witness=render(d),
+                criterion="matching system inconsistent: mixed derivative condition fails")
+    c0 = [polys[i].get(zero_deg, ZERO) for i in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            curl = add(diff(c0[i], indep[j]), mul(-1, diff(c0[j], indep[i])))
+            if not is_zero(curl, config):
                 return Classification(
-                    "nonlocal", witness=render(other),
-                    criterion="matching system inconsistent: unequal diagonal terms")
-        for xj in indep:
-            if not is_zero(diff(d, xj), config):
-                return Classification(
-                    "nonlocal", witness=render(d),
-                    criterion="matching system inconsistent: mixed derivative condition fails")
-        c0 = [polys[i].get(zero_deg, ZERO) for i in range(p)]
-        for i in range(p):
-            for j in range(i + 1, p):
-                curl = add(diff(c0[i], indep[j]), mul(-1, diff(c0[j], indep[i])))
-                if not is_zero(curl, config):
-                    return Classification(
-                        "nonlocal", witness=f"({aux_names[i]},{aux_names[j]})",
-                        criterion="matching system inconsistent: curl condition fails")
-        return Classification(
-            "point",
-            witness="xi = (" + ", ".join(render(x) for x in a) + f"), d(eta)/d{conn.eliminated} = {render(d)}",
-            criterion="degree matching consistent")
-
-    return Classification("inconclusive",
-                          criterion="unsupported connection shape for lift matching")
+                    "nonlocal", witness=f"({aux_names[i]},{aux_names[j]})",
+                    criterion="matching system inconsistent: curl condition fails")
+    xi = render(a[0]) if p == 1 else "(" + ", ".join(render(x) for x in a) + ")"
+    return Classification(
+        "point", witness=f"xi = {xi}, d(eta)/d{conn.eliminated} = {render(d)}",
+        criterion="degree matching consistent")

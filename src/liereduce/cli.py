@@ -160,7 +160,7 @@ def cmd_algebra(args) -> int:
     lines = [f"[{names[i]},{names[j]}] = {tab.describe_entry(i, j, names)}"
              for i in range(len(names)) for j in range(i + 1, len(names))]
     rec = {"operation": "algebra", "fields": names, "closed": tab.closed,
-           "brackets": lines}
+           "brackets": list(lines)}
     if tab.closed:
         solvable, dims = is_solvable(tab)
         rec.update({"solvable": solvable, "series": list(dims),

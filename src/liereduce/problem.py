@@ -73,7 +73,6 @@ class Expect:
 @dataclass(frozen=True)
 class ParentSpec:
     space: JetSpace
-    kind: str  # "ode" | "pde"
     target: str
     aux: tuple[str, ...]
 
@@ -96,13 +95,8 @@ class ProblemFile:
         if self.parent is None:
             raise ProblemError(f"{self.id}: no [parent] section declared")
         ps = self.parent.space
-        if self.parent.kind == "ode":
-            defs = ((self.parent.aux[0],
-                     parse_expr(ps.jet_name(self.parent.target, (1,)), ps)),)
-        else:
-            defs = tuple(
-                (a, parse_expr(ps.jet_name(self.parent.target, (i,)), ps))
-                for i, a in enumerate(self.parent.aux, start=1))
+        defs = tuple((a, parse_expr(ps.jet_name(self.parent.target, (i,)), ps))
+                     for i, a in enumerate(self.parent.aux, start=1))
         conn = Connection(ps, self.parent.target, defs)
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations), conn)
 
@@ -164,17 +158,17 @@ def _require(kv: dict[str, list[str]], key: str, where: str) -> str:
     return v
 
 
-def _order(text: str, where: str) -> int:
+def _integer(text: str, where: str, key: str = "order") -> int:
     try:
         return int(text)
     except ValueError:
-        raise ProblemError(f"{where}: order must be an integer, got {text!r}") from None
+        raise ProblemError(f"{where}: {key} must be an integer, got {text!r}") from None
 
 
 def _space_from(kv: dict[str, list[str]], where: str) -> JetSpace:
     indep = tuple(_require(kv, "independent", where).split())
     dep = tuple(_require(kv, "dependent", where).split())
-    order = _order(_require(kv, "order", where), where)
+    order = _integer(_require(kv, "order", where), where)
     params = tuple((_single(kv, "parameters", where, "") or "").split())
     return JetSpace(indep, dep, order, params)
 
@@ -211,14 +205,22 @@ def load_problem(path) -> ProblemFile:
         elif kind == "space":
             space = _space_from(_kv(lines, f"{where} [space]"), f"{where} [space]")
         elif kind == "parent":
-            kv = _kv(lines, f"{where} [parent]")
-            pspace = _space_from(kv, f"{where} [parent]")
-            pkind = _require(kv, "kind", f"{where} [parent]")
+            w = f"{where} [parent]"
+            kv = _kv(lines, w)
+            pspace = _space_from(kv, w)
+            pkind = _require(kv, "kind", w)
             if pkind not in ("ode", "pde"):
-                raise ProblemError(f"{where} [parent]: kind must be ode or pde")
-            target = _require(kv, "target", f"{where} [parent]")
-            aux = tuple(_require(kv, "aux", f"{where} [parent]").split())
-            parent = ParentSpec(pspace, pkind, target, aux)
+                raise ProblemError(f"{w}: kind must be ode or pde")
+            if (pkind == "ode") != (pspace.p == 1):
+                raise ProblemError(
+                    f"{w}: kind {pkind} does not match {pspace.p} independent variables")
+            target = _require(kv, "target", w)
+            if target not in pspace.dependent:
+                raise ProblemError(f"{w}: target {target!r} is not a dependent variable")
+            aux = tuple(_require(kv, "aux", w).split())
+            if len(aux) != pspace.p:
+                raise ProblemError(f"{w}: need {pspace.p} auxiliary names, got {len(aux)}")
+            parent = ParentSpec(pspace, target, aux)
         elif kind == "equations":
             equations.extend(lines)
         elif kind == "field":
@@ -321,13 +323,21 @@ def load_problem(path) -> ProblemFile:
 
 
 def _validate_references(pf: ProblemFile):
-    """Every expect must reference declared fields/charts/solutions."""
+    """Every expect must reference declared fields/charts/solutions, and its
+    integer and reduction-kind values must parse."""
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
         if e.op in ("commutator", "advice") and len(e.args) != 2:
             raise ProblemError(f"{w}: {e.op} needs exactly two field names")
         if e.op == "prolong" and e.one("order"):
-            _order(e.one("order"), w)
+            _integer(e.one("order"), w)
+        if e.one("integrability") is not None:
+            _integer(e.one("integrability"), w, "integrability")
+        for n in (e.one("series") or "").split():
+            _integer(n, w, "series")
+        reduce = e.one("reduce", "").split()
+        if reduce and reduce[0] not in ("ode", "pde"):
+            raise ProblemError(f"{w}: reduce must be ode or pde, got {reduce[0]!r}")
         for a in e.args:
             if e.op in ("prolong", "symmetry", "lift", "commutator", "advice"):
                 if a not in pf.fields:
@@ -342,8 +352,13 @@ def _validate_references(pf: ProblemFile):
                 if a not in pf.solutions:
                     raise ProblemError(f"{w}: unknown solution {a!r}")
         if e.op == "algebra":
-            for name in e.one("fields", "").split():
+            names = e.one("fields", "").split()
+            for name in names:
                 if name not in pf.fields:
                     raise ProblemError(f"{w}: unknown field {name!r}")
+            for head, _ in e.prefixed("bracket"):
+                pair = head.split()
+                if len(pair) != 2 or not set(pair) <= set(names or pf.fields):
+                    raise ProblemError(f"{w}: bracket {head!r} needs two fields from the list")
         if e.op == "lift" and pf.parent is None:
             raise ProblemError(f"{w}: lift needs a [parent] section")

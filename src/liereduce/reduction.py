@@ -1,11 +1,14 @@
 """Construction of nonlocally related reduced systems.
 
 For a system invariant under translation of one dependent variable, the first
-derivatives of that variable become new dependent variables.  An ODE drops
-one order; a PDE gains the cross-derivative (curl) conditions that make the
-new variables a gradient.  The connection record keeps the definitions of the
-new variables and the symbolic quadrature constant linking solutions back to
-the parent; the quadrature itself is never computed, only differentiated.
+derivatives of that variable become new dependent variables: the gradient
+reduction.  With p independent variables it appends the p(p-1)/2
+cross-derivative (curl) conditions that make the new variables a gradient.
+With one independent variable there are none, and the gradient reduction is
+Lie's reduction of order for ODEs: the slope replaces the variable and the
+order drops by one.  The connection record keeps the definitions of the new
+variables and the symbolic quadrature constant linking solutions back to the
+parent; the quadrature itself is never computed, only differentiated.
 """
 
 from __future__ import annotations
@@ -73,62 +76,42 @@ def _pick_target(sys: DESystem, target: str | None) -> str:
     raise ReductionError("several dependent variables; name the reduction target")
 
 
+def _default_aux_names(p: int) -> tuple[str, ...]:
+    """Names of the gradient components when the caller gives none."""
+    if p == 1:
+        return ("alpha",)
+    if p == 2:
+        return ("alpha", "beta")
+    return tuple(f"alpha{i}" for i in range(1, p + 1))
+
+
 def reduce_ode(sys: DESystem, target: str | None = None,
-               aux_name: str = "alpha") -> ReducedSystem:
-    """Replace every derivative of the target by derivatives of its slope."""
-    space = sys.space
-    if space.p != 1:
-        raise ReductionError("reduce_ode needs exactly one independent variable")
-    target = _pick_target(sys, target)
-    _check_only_differentiated(sys, target)
-    n = sys.order
-    if n < 1:
-        raise ReductionError("nothing to reduce: system has order zero")
-    if aux_name in space.base_names or aux_name in space.params:
-        raise ReductionError(f"auxiliary name {aux_name!r} collides with a coordinate")
-    new_deps = tuple(aux_name if d == target else d for d in space.dependent)
-    subs: dict[str, Expr] = {}
-    new_names: dict[str, tuple[str, tuple[int, ...]]] = {}
-    for k in range(1, n + 1):
-        old = space.jet_name(target, (1,) * k)
-        new_names[old] = (aux_name, (1,) * (k - 1))
-    eqs = []
-    for eq in sys.equations:
-        m = {}
-        for v in free_vars(eq):
-            if v in new_names:
-                dep, idx = new_names[v]
-                m[v] = sym(dep + "'" * len(idx))
-        eqs.append(substitute(eq, m))
-    new_order = max((JetSpace((space.independent[0],), new_deps, max(n - 1, 0),
-                     space.params).jet_order(e) for e in eqs), default=0)
-    new_space = JetSpace(space.independent, new_deps, new_order, space.params)
-    reduced = DESystem.build(new_space, eqs) if new_order > 0 else \
-        DESystem(new_space, tuple(eqs), ("",) * len(eqs), (ZERO,) * len(eqs))
-    conn = Connection(space, target,
-                      ((aux_name, sym(space.jet_name(target, (1,)))),))
-    return ReducedSystem(reduced, ("reduced",) * len(eqs), conn)
+               aux_name: str | None = None) -> ReducedSystem:
+    """Lie's reduction of order: the gradient reduction of a system with one
+    independent variable, whose slope replaces the target."""
+    return reduce_system(sys, "ode", target, [aux_name] if aux_name else None)
 
 
 def reduce_pde(sys: DESystem, target: str | None = None,
                aux_names: Sequence[str] | None = None) -> ReducedSystem:
-    """Gradient reduction with cross-derivative (integrability) conditions.
+    """Gradient reduction: the first derivatives of the target become new
+    dependent variables, one per independent variable.
 
-    Mixed higher derivatives of the target are rewritten through the
-    lexicographically smallest gradient component; the appended conditions
+    Higher derivatives of the target are rewritten through the gradient
+    component of their smallest index; the appended conditions
     d(alpha_i)/dx_j = d(alpha_j)/dx_i for i < j make all rewritings agree on
-    solutions.  Other dependent variables pass through untouched.
+    solutions.  With one independent variable there are none, and this is
+    Lie's reduction of order, down to algebraic equations.  Other dependent
+    variables pass through untouched; no or empty auxiliary names mean the
+    defaults.
     """
     space = sys.space
     p = space.p
-    if p < 2:
-        raise ReductionError("reduce_pde needs at least two independent variables")
     target = _pick_target(sys, target)
     _check_only_differentiated(sys, target)
-    n = sys.order
-    if aux_names is None:
-        aux_names = ("alpha", "beta") if p == 2 else tuple(f"alpha{i}" for i in range(1, p + 1))
-    aux_names = tuple(aux_names)
+    if sys.order < 1:
+        raise ReductionError("nothing to reduce: system has order zero")
+    aux_names = tuple(aux_names or _default_aux_names(p))
     if len(aux_names) != p:
         raise ReductionError(f"need {p} auxiliary names, got {len(aux_names)}")
     for a in aux_names:
@@ -140,62 +123,61 @@ def reduce_pde(sys: DESystem, target: str | None = None,
             new_deps.extend(aux_names)
         else:
             new_deps.append(d)
-    new_order = max(n - 1, 1)
-    new_space = JetSpace(space.independent, tuple(new_deps), new_order, space.params)
+    names = JetSpace(space.independent, tuple(new_deps), 0, space.params)
     eqs = []
     for eq in sys.equations:
         m = {}
         for v in free_vars(eq):
             info = space.jet_info(v)
-            if info is None or info[0] != target:
-                continue
-            idx = info[1]
-            if len(idx) == 1:
-                m[v] = sym(aux_names[idx[0] - 1])
-            else:
-                m[v] = sym(new_space.jet_name(aux_names[idx[0] - 1], idx[1:]))
+            if info is not None and info[0] == target:
+                idx = info[1]
+                m[v] = sym(names.jet_name(aux_names[idx[0] - 1], idx[1:]))
         eqs.append(substitute(eq, m))
     roles = ["reduced"] * len(eqs)
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
-            eqs.append(add(sym(new_space.jet_name(aux_names[i - 1], (j,))),
-                           mul(-1, sym(new_space.jet_name(aux_names[j - 1], (i,))))))
+            eqs.append(add(sym(names.jet_name(aux_names[i - 1], (j,))),
+                           mul(-1, sym(names.jet_name(aux_names[j - 1], (i,))))))
             roles.append("integrability")
-    reduced = DESystem.build(new_space, eqs)
+    new_space = names.with_order(max(names.jet_order(e) for e in eqs))
+    reduced = DESystem.build(new_space, eqs) if new_space.order > 0 else \
+        DESystem(new_space, tuple(eqs), ("",) * len(eqs), (ZERO,) * len(eqs))
     conn = Connection(space, target,
-                      tuple((aux_names[i - 1], sym(space.jet_name(target, (i,))))
-                            for i in range(1, p + 1)))
+                      tuple((a, sym(space.jet_name(target, (i,))))
+                            for i, a in enumerate(aux_names, start=1)))
     return ReducedSystem(reduced, tuple(roles), conn)
 
 
 def reduce_system(sys: DESystem, kind: str, target: str | None = None,
                   aux_names: Sequence[str] | None = None) -> ReducedSystem:
-    """Slope reduction (kind ``ode``, first auxiliary name) or gradient
-    reduction (kind ``pde``); no or empty auxiliary names mean the defaults."""
+    """The gradient reduction, for a system whose independent variables
+    match ``kind``: one for ``ode``, two or more for ``pde``."""
+    p = sys.space.p
     if kind == "ode":
-        if aux_names:
-            return reduce_ode(sys, target, aux_names[0])
-        return reduce_ode(sys, target)
-    if kind == "pde":
-        return reduce_pde(sys, target, aux_names or None)
-    raise ReductionError(f"unknown reduction kind {kind!r}")
+        if p != 1:
+            raise ReductionError("reduce_ode needs exactly one independent variable")
+    elif kind == "pde":
+        if p < 2:
+            raise ReductionError("reduce_pde needs at least two independent variables")
+    else:
+        raise ReductionError(f"unknown reduction kind {kind!r}")
+    return reduce_pde(sys, target, aux_names)
 
 
 def lie_reduce(sys: DESystem, T: PointTransformation,
                aux_names: Sequence[str] | None = None,
                config: SampleConfig = DEFAULT_CONFIG) -> ReducedSystem:
     """Full reduction step: rewrite in canonical coordinates, then reduce with
-    respect to the translated variable."""
+    respect to the translated variable.  No or empty auxiliary names mean
+    the chart's, else the defaults."""
     if T.canonical is None:
         raise ReductionError("chart has no designated canonical coordinate")
     dep_names = [n for n, _ in T.target_dependent]
     if T.canonical not in dep_names:
         raise ReductionError("the canonical coordinate must be a target dependent variable")
     transformed = transform_de(sys, T, config)
-    if not aux_names:
-        aux_names = [n for n, _ in T.aux]
-    return reduce_system(transformed, "ode" if transformed.space.p == 1 else "pde",
-                         T.canonical, aux_names)
+    return reduce_pde(transformed, T.canonical,
+                      aux_names or [n for n, _ in T.aux])
 
 
 def verify_connection(parent: DESystem, reduced: ReducedSystem,

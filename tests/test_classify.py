@@ -78,12 +78,16 @@ class TestClassifyPushforward:
 
 class TestLiftTest:
     def test_quadratic_row_blocks_lift(self):
-        parent = DESystem.build(ODE, ["y'' = (1+x)*y'^2 + y'"])
-        red = reduce_ode(parent)
-        Y = VectorField.parse(red.system.space, {"alpha": "alpha*(1+x*alpha)"})
-        got = lift_test(Y, red)
-        assert got.verdict == "nonlocal"
-        assert "quadratic" in got.criterion
+        # The witness is the unmatched monomial, for p = 1 and p = 2 alike.
+        for red, coeffs, witness in (
+                (reduce_ode(DESystem.build(ODE, ["y'' = (1+x)*y'^2 + y'"])),
+                 {"alpha": "alpha*(1+x*alpha)"}, "x*alpha^2"),
+                (reduce_pde(DESystem.build(PDE, ["u_12 = 0"]), "u"),
+                 {"alpha": "alpha^2"}, "1*alpha^2")):
+            got = lift_test(VectorField.parse(red.system.space, coeffs), red)
+            assert got.verdict == "nonlocal"
+            assert "quadratic" in got.criterion
+            assert got.witness == witness
 
     def test_shared_translation_lifts(self):
         parent = DESystem.build(ODE, ["y'' = y'^2"])

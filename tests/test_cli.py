@@ -58,6 +58,20 @@ class TestSubcommands:
             out = capsys.readouterr().out
             assert rc == 0 and "integrability" in out and conn in out
 
+    def test_reduce_rejected(self, capsys):
+        # The kind must match the number of independent variables, and
+        # reduce-ode takes exactly one auxiliary name.
+        for cmd, name, aux, err in (
+                ("reduce-pde", "bernoulli.prob", [],
+                 "reduce_pde needs at least two independent variables"),
+                ("reduce-ode", "power-diffusion.prob", [],
+                 "reduce_ode needs exactly one independent variable"),
+                ("reduce-ode", "bernoulli.prob", ["--aux", "a", "b"],
+                 "need 1 auxiliary names, got 2")):
+            rc = main([cmd, "--problem", prob(name)] + aux)
+            out, got = capsys.readouterr()
+            assert (rc, out, got) == (1, "", f"error: {err}\n")
+
     def test_pushforward(self, capsys):
         rc = main(["pushforward", "--problem", prob("two-scalings.prob"),
                    "--field", "X2", "--chart", "chart1"])
@@ -104,8 +118,7 @@ class TestSubcommands:
         rec = json.loads(capsys.readouterr().out)
         assert rc == 0 and rec == {
             "operation": "algebra", "fields": ["X1", "X3", "X5"], "closed": True,
-            "brackets": ["[X1,X3] = 0", "[X1,X5] = -X1", "[X3,X5] = 2*X3",
-                         "solvable: True; derived series 3 -> 2 -> 0"],
+            "brackets": ["[X1,X3] = 0", "[X1,X5] = -X1", "[X3,X5] = 2*X3"],
             "solvable": True, "series": [3, 2, 0], "jacobi": True}
 
     def test_unknown_field_is_error(self, capsys):
@@ -139,7 +152,32 @@ DEEP = "sin(" * 400 + "y" + ")" * 400
 MALFORMED = {
     "algebra-unknown-bracket-field":
         (BASE + "[expect algebra]\ntag = oracle\nbracket T Q = 0\n",
-         "algebra", "error: ValueError: "),
+         "load", "bad.prob [expect algebra]: bracket 'T Q' needs two fields"),
+    "algebra-series-not-integer":
+        (BASE + "[expect algebra]\ntag = oracle\nseries = 1 x\n",
+         "load", "bad.prob [expect algebra]: series must be an integer"),
+    "reduce-integrability-not-integer":
+        (BASE + "[expect reduce-ode]\ntag = oracle\nintegrability = none\n",
+         "load", "bad.prob [expect reduce-ode]: integrability must be an integer"),
+    "reduce-ode-two-aux-names":
+        (BASE.replace("y' = y", "y' = 1") +
+         "[expect reduce-ode]\ntag = oracle\naux = a b\n",
+         "reduce-ode", "error: need 1 auxiliary names, got 2"),
+    "connection-unknown-reduce-kind":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce = sde\n",
+         "load", "bad.prob [expect connection s]: reduce must be ode or pde"),
+    "parent-kind-mismatch":
+        (BASE + "[parent]\nindependent = x1 x2\ndependent = u\norder = 2\n"
+         "kind = ode\ntarget = u\naux = a b\n",
+         "load", "bad.prob [parent]: kind ode does not match 2 independent"),
+    "parent-aux-count":
+        (BASE + "[parent]\nindependent = x\ndependent = u\norder = 2\n"
+         "kind = ode\ntarget = u\naux = a b\n",
+         "load", "bad.prob [parent]: need 1 auxiliary names, got 2"),
+    "parent-target-unknown":
+        (BASE + "[parent]\nindependent = x\ndependent = u\norder = 2\n"
+         "kind = ode\ntarget = v\naux = a\n",
+         "load", "bad.prob [parent]: target 'v' is not a dependent variable"),
     "commutator-one-argument":
         (BASE + "[expect commutator T]\ntag = oracle\nresult = 0\n",
          "load", "bad.prob [expect commutator T]: "),

@@ -15,10 +15,25 @@ ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
 
 
+def reduce_ode_both(sys_, target=None, aux_name=None):
+    """reduce_ode, which is the gradient reduction with one independent
+    variable: reduce_pde must give the same system or the same error."""
+    aux = [aux_name] if aux_name else None
+    try:
+        red = reduce_ode(sys_, target, aux_name)
+    except ReductionError as exc:
+        with pytest.raises(ReductionError) as again:
+            reduce_pde(sys_, target, aux)
+        assert str(again.value) == str(exc)
+        raise
+    assert reduce_pde(sys_, target, aux) == red
+    return red
+
+
 class TestReduceOde:
     def test_bernoulli(self):
         sys_ = DESystem.build(ODE, ["y'' = (1+x)*y'^2 + y'"])
-        red = reduce_ode(sys_)
+        red = reduce_ode_both(sys_)
         rsp = red.system.space
         assert equation_matches(red.system.equations[0],
                                 rsp.expr("alpha' - (1+x)*alpha^2 - alpha"))
@@ -29,7 +44,7 @@ class TestReduceOde:
     def test_third_order(self):
         sp = JetSpace(("x",), ("y",), 3)
         sys_ = DESystem.build(sp, ["2*y'*y''' - 6*y''^2 + x*y'^2*y'' = 0"])
-        red = reduce_ode(sys_)
+        red = reduce_ode_both(sys_)
         rsp = red.system.space
         assert equation_matches(
             red.system.equations[0],
@@ -39,14 +54,14 @@ class TestReduceOde:
     def test_separable(self):
         sp = JetSpace(("r",), ("s",), 2)
         sys_ = DESystem.build(sp, ["r^2*s'' - s'^2 = 0"])
-        red = reduce_ode(sys_)
+        red = reduce_ode_both(sys_)
         assert equation_matches(red.system.equations[0],
                                 red.system.space.expr("r^2*alpha' - alpha^2"))
 
     def test_first_order_gives_algebraic(self):
         sp = JetSpace(("R",), ("S",), 1)
         sys_ = DESystem.build(sp, ["1 + R*(1-R)*S' = 0"])
-        red = reduce_ode(sys_, aux_name="omega")
+        red = reduce_ode_both(sys_, aux_name="omega")
         assert red.system.space.order == 0
         assert equation_matches(red.system.equations[0],
                                 parse_expr("1 + R*(1-R)*omega", {"R", "omega"}))
@@ -54,12 +69,12 @@ class TestReduceOde:
     def test_undifferentiated_target_rejected(self):
         sys_ = DESystem.build(ODE, ["y'' = y"])
         with pytest.raises(ReductionError, match="undifferentiated"):
-            reduce_ode(sys_)
+            reduce_ode_both(sys_)
 
     def test_aux_name_clash(self):
         sys_ = DESystem.build(ODE, ["y'' = y'"])
         with pytest.raises(ReductionError, match="collides"):
-            reduce_ode(sys_, aux_name="x")
+            reduce_ode_both(sys_, aux_name="x")
 
     def test_random_round_trip(self):
         # a prescribed slope solves the parent iff it solves the reduction
@@ -71,7 +86,7 @@ class TestReduceOde:
             sys_ = DESystem.build(ODE, [sym("y''") - dP])
             before = substitute(sys_.equations[0], {"y''": dP, "y'": P})
             assert before == parse_expr("0", set())
-            red = reduce_ode(sys_)
+            red = reduce_ode_both(sys_)
             assert verify_solution(red.system, {"alpha": P})
 
 
@@ -128,6 +143,7 @@ class TestReducePde:
         assert set(red.system.space.dependent) == {"p", "q", "w"}
         got = {render(e) for e in red.system.equations}
         assert any("w_2" in s for s in got)
+        assert red.system.space.order == red.system.order == 2
 
     def test_order_drop(self):
         sys_ = DESystem.build(PDE, ["u_2 = u_1^(-4/3)*u_11"])
