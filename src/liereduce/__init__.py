@@ -13,8 +13,7 @@ from .expr import (Add, DomainError, Expr, ExprError, Kernel, Mul, Pow, Rat,
                    eval_numeric, free_vars, kernel, mul, normalize, power,
                    rat, render, substitute, sym)
 from .parse import ParseError, parse_expr
-from .equiv import (DEFAULT_CONFIG, SampleConfig, SamplingDomainError, equiv,
-                    is_zero, sampled_nonzero)
+from .equiv import SamplingDomainError, equiv, is_zero, sampled_nonzero
 from .jets import (JetError, JetSpace, ProlongedField, VectorField, prolong,
                    total_derivative)
 from .systems import (DESystem, SymmetryReport, SystemError_,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .equiv import DEFAULT_CONFIG, SampleConfig, equiv, sampled_nonzero
+from .equiv import equiv, sampled_nonzero
 from .expr import (Add, Expr, ExprError, ONE, ZERO, add, clear_denominators,
                    diff, free_vars, mul, power, render, substitute, sym,
                    _coerce, _coeff_monomial)
@@ -43,8 +43,7 @@ def _term_count(e: Expr) -> int:
     return len(e.terms) if isinstance(e, Add) else 1
 
 
-def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str],
-                 config: SampleConfig = DEFAULT_CONFIG) -> list[Expr]:
+def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str]) -> list[Expr]:
     """Solve a square affine system with expression coefficients exactly."""
     n = len(unknowns)
     if len(eqs) != n:
@@ -63,7 +62,7 @@ def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str],
         rows.append(row)
     for col in range(n):
         cands = [r for r in range(col, n)
-                 if rows[r][col] != ZERO and sampled_nonzero(rows[r][col], config)]
+                 if rows[r][col] != ZERO and sampled_nonzero(rows[r][col])]
         if not cands:
             raise SingularMapError("linear system is singular (no usable pivot)")
         piv = min(cands, key=lambda r: _term_count(rows[r][col]))
@@ -115,7 +114,6 @@ class PointTransformation:
     canonical: str | None = None
     inverse: Mapping[str, Expr] | None = None
     aux: tuple[tuple[str, Expr], ...] = ()
-    validate: bool = True
 
     def __post_init__(self):
         src = self.source
@@ -138,22 +136,21 @@ class PointTransformation:
         if self.inverse is not None:
             if set(self.inverse) != set(src.base_names):
                 raise ChartError("inverse map must cover exactly the source base coordinates")
-        if self.validate:
-            self._check_regularity()
+        self._check_regularity()
 
-    def _check_regularity(self, config: SampleConfig = DEFAULT_CONFIG):
+    def _check_regularity(self):
         src = self.source
         targets = list(self.target_independent) + list(self.target_dependent)
         mat = [[diff(e, s) for s in src.base_names] for _, e in targets]
-        if not sampled_nonzero(_det(mat), config):
+        if not sampled_nonzero(_det(mat)):
             raise SingularMapError("base Jacobian determinant is identically zero")
         if self.inverse is not None:
             forward = {n: e for n, e in targets}
             for n, e in targets:
-                if not equiv(substitute(e, self.inverse), sym(n), config):
+                if not equiv(substitute(e, self.inverse), sym(n)):
                     raise ChartError(f"inverse map does not invert target {n!r}")
             for s, e in self.inverse.items():
-                if not equiv(substitute(e, forward), sym(s), config):
+                if not equiv(substitute(e, forward), sym(s)):
                     raise ChartError(f"forward map does not invert source {s!r}")
 
     @classmethod
@@ -188,15 +185,14 @@ class PointTransformation:
         return {n: e for n, e in self.target_independent + self.target_dependent}
 
 
-def verify_canonical(X: VectorField, T: PointTransformation,
-                     config: SampleConfig = DEFAULT_CONFIG) -> bool:
+def verify_canonical(X: VectorField, T: PointTransformation) -> bool:
     """True iff X annihilates every invariant target and moves the canonical
     target with unit speed."""
     if T.canonical is None:
         raise ChartError("chart has no designated canonical coordinate")
     for n, e in T.target_independent + T.target_dependent:
         want = ONE if n == T.canonical else ZERO
-        if not equiv(X.apply_to(e), want, config):
+        if not equiv(X.apply_to(e), want):
             return False
     return True
 
@@ -225,8 +221,7 @@ def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
     return add(*parts)
 
 
-def jet_dictionaries(T: PointTransformation, order: int,
-                     config: SampleConfig = DEFAULT_CONFIG
+def jet_dictionaries(T: PointTransformation, order: int
                      ) -> tuple[dict[str, Expr], dict[str, Expr]]:
     """(forward, backward) jet dictionaries for the chart.
 
@@ -254,13 +249,13 @@ def jet_dictionaries(T: PointTransformation, order: int,
     for nu, (dep, _) in enumerate(T.target_dependent, start=1):
         rels = [r for r, (d, _) in zip(relations, rel_index) if d == dep]
         unknowns = [ts.jet_name(dep, (i,)) for i in range(1, src.p + 1)]
-        sol = solve_affine(rels, unknowns, config)
+        sol = solve_affine(rels, unknowns)
         forward.update(dict(zip(unknowns, sol)))
     # Backward: solve jointly for the source first derivatives, then extend
     # by differentiating the solved forms.
     src_first = [src.jet_name(d, (j,)) for d in src.dependent
                  for j in range(1, src.p + 1)]
-    sol = solve_affine(relations, src_first, config)
+    sol = solve_affine(relations, src_first)
     backward: dict[str, Expr] = dict(zip(src_first, sol))
     first = dict(backward)
     from itertools import combinations_with_replacement
@@ -278,8 +273,7 @@ _ODE_ORDER_CAP = 3
 _PDE_ORDER_CAP = 2
 
 
-def transform_de(sys, T: PointTransformation,
-                 config: SampleConfig = DEFAULT_CONFIG):
+def transform_de(sys, T: PointTransformation):
     """Rewrite a system in the chart's coordinates.
 
     Requires the chart to carry its inverse base map; orders are capped at
@@ -296,7 +290,7 @@ def transform_de(sys, T: PointTransformation,
         raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
-    _, backward = jet_dictionaries(T, n, config)
+    _, backward = jet_dictionaries(T, n)
     ts = T.target_space(n)
     out = []
     allowed = set(ts.base_names) | set(ts.params) | set(ts.jet_names(n))
@@ -310,9 +304,10 @@ def transform_de(sys, T: PointTransformation,
     order = max(ts.jet_order(e) for e in out)
     tmp = DESystem.build(ts.with_order(order), out)
     # Emit each equation solved for its leading jet variable; this divides
-    # out the common factor the raw pullback picks up.
-    eqs = [add(sym(v), mul(-1, r)) for v, r in zip(tmp.leads, tmp.rhss)]
-    return DESystem.build(tmp.space, eqs, leads=tmp.leads)
+    # out the common factor the raw pullback picks up.  The solved forms are
+    # the ones just derived, so the result needs no second build.
+    eqs = tuple(add(sym(v), mul(-1, r)) for v, r in zip(tmp.leads, tmp.rhss))
+    return DESystem(tmp.space, eqs, tmp.leads, tmp.rhss)
 
 
 @dataclass(frozen=True)
@@ -334,11 +329,6 @@ class Pushforward:
     def coeff(self, name: str) -> Expr:
         return self.coeffs.get(name, ZERO)
 
-    def as_field(self, space: JetSpace) -> VectorField:
-        if self.flagged:
-            raise ChartError("flagged push-forward cannot be read as a point field")
-        return VectorField(space, {n: c for n, c in self.coeffs.items() if c != ZERO})
-
     def describe(self) -> str:
         bits = [f"({render(self.coeff(n))}) d/d{n}" for n in self.coords
                 if self.coeff(n) != ZERO]
@@ -354,8 +344,7 @@ def _leading_rational(e: Expr) -> Fraction | None:
 
 
 def pushforward_field(X: VectorField, T: PointTransformation,
-                      aux_defs: Mapping[str, Expr | str] | None = None,
-                      config: SampleConfig = DEFAULT_CONFIG) -> Pushforward:
+                      aux_defs: Mapping[str, Expr | str] | None = None) -> Pushforward:
     """Push X through the chart onto (targets, auxiliary variables).
 
     Each new coefficient is the prolonged field applied to the coordinate's
@@ -382,12 +371,12 @@ def pushforward_field(X: VectorField, T: PointTransformation,
     P = prolong(X, max(1, n_aux))
     raw = {n: P.apply_to(d) for n, d in coord_defs}
     raw_order = max([src.jet_order(e) for e in raw.values()], default=0)
-    forward, backward = jet_dictionaries(T, max(raw_order, 1), config)
+    forward, backward = jet_dictionaries(T, max(raw_order, 1))
     rename: dict[str, Expr] = {}
     for n, d in aux:
         bound = None
         for jet_name, expr_ in forward.items():
-            if equiv(expr_, d, config):
+            if equiv(expr_, d):
                 bound = jet_name
                 break
         if bound is None:

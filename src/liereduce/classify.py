@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .charts import ChartError, PointTransformation, pushforward_field
-from .equiv import DEFAULT_CONFIG, SampleConfig, is_zero
+from .equiv import is_zero
 from .expr import (Add, Expr, ExprError, Rat, ZERO, add, diff, free_vars,
                    mul, render, _coeff_monomial, _base_exp)
 from .jets import JetError, VectorField
@@ -74,11 +74,10 @@ def gradient_poly(e: Expr, names) -> dict[tuple[int, ...], Expr] | None:
 
 def classify_pushforward(X: VectorField, T: PointTransformation,
                          aux_defs: Mapping[str, Expr | str] | None,
-                         reduced: ReducedSystem,
-                         config: SampleConfig = DEFAULT_CONFIG) -> Classification:
+                         reduced: ReducedSystem) -> Classification:
     """Classify a parent symmetry pushed onto the reduced system's coordinates."""
     try:
-        pf = pushforward_field(X, T, aux_defs, config)
+        pf = pushforward_field(X, T, aux_defs)
     except ChartError as exc:
         return Classification("inconclusive", witness=str(exc),
                               criterion="push-forward failed")
@@ -101,7 +100,7 @@ def classify_pushforward(X: VectorField, T: PointTransformation,
                               criterion="push-forward coordinates do not match the reduced system")
     try:
         Y = VectorField(space, {n: c for n, c in pf.coeffs.items() if c != ZERO})
-        rep = check_point_symmetry(reduced.system, Y, config)
+        rep = check_point_symmetry(reduced.system, Y)
     except (JetError, ExprError) as exc:
         return Classification("inconclusive", witness=str(exc),
                               criterion="verification failed")
@@ -113,8 +112,7 @@ def classify_pushforward(X: VectorField, T: PointTransformation,
                           criterion="local coefficients but residual does not vanish")
 
 
-def lift_test(Y: VectorField, reduced: ReducedSystem,
-              config: SampleConfig = DEFAULT_CONFIG) -> Classification:
+def lift_test(Y: VectorField, reduced: ReducedSystem) -> Classification:
     """Does a point symmetry of the reduced system lift to the parent?
 
     The connection must be the gradient reduction's: one auxiliary variable
@@ -125,7 +123,7 @@ def lift_test(Y: VectorField, reduced: ReducedSystem,
     variable's derivatives; the resulting conditions on the parent
     coefficients are solved degree by degree.
     """
-    rep = check_point_symmetry(reduced.system, Y, config)
+    rep = check_point_symmetry(reduced.system, Y)
     if not rep.is_symmetry:
         raise ClassifyError(
             "lift_test precondition violated: the field is not a point symmetry "
@@ -163,7 +161,7 @@ def lift_test(Y: VectorField, reduced: ReducedSystem,
     for i in range(p):
         poly = polys[i]
         for degs, c in poly.items():
-            if sum(degs) >= 2 and not is_zero(c, config):
+            if sum(degs) >= 2 and not is_zero(c):
                 monomial = "*".join(n if k == 1 else f"{n}^{k}"
                                     for n, k in zip(aux_names, degs) if k)
                 return Classification(
@@ -174,18 +172,18 @@ def lift_test(Y: VectorField, reduced: ReducedSystem,
             if j == i:
                 d_candidates.append(add(cij, diff(a[i], indep[i])))
             else:
-                if not is_zero(add(cij, diff(a[j], indep[i])), config):
+                if not is_zero(add(cij, diff(a[j], indep[i]))):
                     return Classification(
                         "nonlocal", witness=aux_names[i],
                         criterion="matching system inconsistent: cross term unmatched")
     d = d_candidates[0]
     for other in d_candidates[1:]:
-        if not is_zero(add(d, mul(-1, other)), config):
+        if not is_zero(add(d, mul(-1, other))):
             return Classification(
                 "nonlocal", witness=render(other),
                 criterion="matching system inconsistent: unequal diagonal terms")
     for xj in indep:
-        if not is_zero(diff(d, xj), config):
+        if not is_zero(diff(d, xj)):
             return Classification(
                 "nonlocal", witness=render(d),
                 criterion="matching system inconsistent: mixed derivative condition fails")
@@ -193,7 +191,7 @@ def lift_test(Y: VectorField, reduced: ReducedSystem,
     for i in range(p):
         for j in range(i + 1, p):
             curl = add(diff(c0[i], indep[j]), mul(-1, diff(c0[j], indep[i])))
-            if not is_zero(curl, config):
+            if not is_zero(curl):
                 return Classification(
                     "nonlocal", witness=f"({aux_names[i]},{aux_names[j]})",
                     criterion="matching system inconsistent: curl condition fails")

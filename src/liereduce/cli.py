@@ -15,21 +15,11 @@ from .algebra import commutator, is_solvable
 from .charts import pushforward_field, transform_de, verify_canonical
 from .classify import classify_pushforward, lift_test
 from .corpus import corpus_dir, reports_json, run_corpus
-from .equiv import DEFAULT_CONFIG, SampleConfig
 from .expr import ExprError, render
 from .jets import prolong
 from .problem import load_problem
 from .reduction import lie_reduce, reduce_system
 from .systems import check_point_symmetry
-
-
-def _config(args) -> SampleConfig:
-    cfg = DEFAULT_CONFIG
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_(seed=args.seed)
-    if getattr(args, "tolerance", None) is not None:
-        cfg = cfg.with_(tolerance=args.tolerance)
-    return cfg
 
 
 def _emit(args, record: dict, human: str) -> None:
@@ -53,7 +43,7 @@ def cmd_prolong(args) -> int:
 
 def cmd_check_symmetry(args) -> int:
     pf = load_problem(args.problem)
-    rep = check_point_symmetry(pf.system, pf.fields[args.field], _config(args))
+    rep = check_point_symmetry(pf.system, pf.fields[args.field])
     _emit(args, {"operation": "check-symmetry", "field": args.field,
                  "verdict": rep.verdict,
                  "residuals": [render(r) for r in rep.residuals]},
@@ -65,7 +55,7 @@ def cmd_check_symmetry(args) -> int:
 
 def cmd_canonical_verify(args) -> int:
     pf = load_problem(args.problem)
-    ok = verify_canonical(pf.fields[args.field], pf.charts[args.chart], _config(args))
+    ok = verify_canonical(pf.fields[args.field], pf.charts[args.chart])
     _emit(args, {"operation": "canonical-verify", "field": args.field,
                  "chart": args.chart, "verdict": ok},
           f"{args.field} / {args.chart}: {'canonical' if ok else 'not canonical'}")
@@ -74,7 +64,7 @@ def cmd_canonical_verify(args) -> int:
 
 def cmd_transform(args) -> int:
     pf = load_problem(args.problem)
-    out = transform_de(pf.system, pf.charts[args.chart], _config(args))
+    out = transform_de(pf.system, pf.charts[args.chart])
     eqs = [render(e) for e in out.equations]
     _emit(args, {"operation": "transform", "chart": args.chart, "equations": eqs},
           "\n".join(f"{e} = 0" for e in eqs))
@@ -99,8 +89,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_pushforward(args) -> int:
     pf = load_problem(args.problem)
-    out = pushforward_field(pf.fields[args.field], pf.charts[args.chart],
-                            None, _config(args))
+    out = pushforward_field(pf.fields[args.field], pf.charts[args.chart])
     coeffs = {n: render(out.coeff(n)) for n in out.coords}
     _emit(args, {"operation": "pushforward", "field": args.field,
                  "chart": args.chart, "coefficients": coeffs,
@@ -117,9 +106,8 @@ def cmd_pushforward(args) -> int:
 def cmd_classify(args) -> int:
     pf = load_problem(args.problem)
     T = pf.charts[args.chart]
-    cfg = _config(args)
-    red = lie_reduce(pf.system, T, config=cfg)
-    got = classify_pushforward(pf.fields[args.field], T, None, red, cfg)
+    red = lie_reduce(pf.system, T)
+    got = classify_pushforward(pf.fields[args.field], T, None, red)
     _emit(args, {"operation": "classify", "field": args.field, "chart": args.chart,
                  "verdict": got.verdict, "witness": got.witness,
                  "criterion": got.criterion},
@@ -129,7 +117,7 @@ def cmd_classify(args) -> int:
 
 def cmd_lift_test(args) -> int:
     pf = load_problem(args.problem)
-    got = lift_test(pf.fields[args.field], pf.reduced_view(), _config(args))
+    got = lift_test(pf.fields[args.field], pf.reduced_view())
     _emit(args, {"operation": "lift-test", "field": args.field,
                  "verdict": got.verdict, "witness": got.witness,
                  "criterion": got.criterion},
@@ -172,8 +160,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_run_corpus(args) -> int:
-    cfg = _config(args)
-    records, failed = run_corpus(args.directory, args.filter, cfg)
+    records, failed = run_corpus(args.directory, args.filter)
     if args.json:
         out = reports_json(records, with_timing=args.timings)
         if out:
@@ -201,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         if chart:
             p.add_argument("--chart", required=True, help="chart name")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("prolong", help="extend a generator to jet coordinates")
     common(p, field=True)
@@ -258,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in JSON output (breaks byte-for-byte determinism)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(fn=cmd_run_corpus)
     return ap
 

@@ -5,7 +5,7 @@ Each expected result yields exactly one report record.  Verdicts are
 with the stated literature value (``stated =`` plus a note) reports
 ``discrepancy-documented``, and a check whose computation cannot decide
 reports ``inconclusive``.  Records are produced in (problem id, check index)
-order and, timings aside, two runs with the same seed are byte-identical.
+order and, timings aside, two runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from .algebra import is_solvable, reduction_order_advice
 from .charts import pushforward_field, transform_de, verify_canonical
 from .classify import classify_pushforward, lift_test
-from .equiv import DEFAULT_CONFIG, SampleConfig, equiv, sampled_nonzero
+from .equiv import equiv, sampled_nonzero
 from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitute
 from .jets import prolong
 from .parse import parse_expr
@@ -70,11 +70,10 @@ def corpus_dir() -> Path:
 # Comparison helpers
 
 
-def equation_matches(eqA: Expr, eqB: Expr,
-                     config: SampleConfig = DEFAULT_CONFIG) -> bool:
+def equation_matches(eqA: Expr, eqB: Expr) -> bool:
     """Same zero set up to a nonvanishing factor, decided by cross-multiplying
     the two solved forms for a shared affine variable."""
-    if equiv(eqA, eqB, config):
+    if equiv(eqA, eqB):
         return True
     for v in sorted(set(free_vars(eqA)) | set(free_vars(eqB))):
         cA = diff(eqA, v)
@@ -85,19 +84,18 @@ def equation_matches(eqA: Expr, eqB: Expr,
             continue
         dA = substitute(eqA, {v: ZERO})
         dB = substitute(eqB, {v: ZERO})
-        if equiv(mul(cA, dB), mul(cB, dA), config) and \
-                sampled_nonzero(cA, config) and sampled_nonzero(cB, config):
+        if equiv(mul(cA, dB), mul(cB, dA)) and \
+                sampled_nonzero(cA) and sampled_nonzero(cB):
             return True
     return False
 
 
-def systems_match(computed: DESystem, expected: list[Expr],
-                  config: SampleConfig = DEFAULT_CONFIG) -> bool:
+def systems_match(computed: DESystem, expected: list[Expr]) -> bool:
     if len(computed.equations) != len(expected):
         return False
     n = len(expected)
     for perm in permutations(range(n)):
-        if all(equation_matches(computed.equations[i], expected[perm[i]], config)
+        if all(equation_matches(computed.equations[i], expected[perm[i]])
                for i in range(n)):
             return True
     return False
@@ -135,14 +133,12 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
 
 def _reduction_for(pf: ProblemFile, exp: Expect):
     """Build a reduction named by an expect body: 'reduce = ode|pde [target]'."""
-    words = exp.one("reduce", "").split()
-    if not words:
-        raise ProblemError(f"{pf.id}: expect {exp.label} needs 'reduce = ode|pde [target]'")
+    words = exp.one("reduce").split()
     target = words[1] if len(words) > 1 else None
     return reduce_system(pf.system, words[0], target, exp.one("aux", "").split())
 
 
-def _ex_prolong(pf: ProblemFile, exp: Expect, config):
+def _ex_prolong(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     order = int(exp.one("order") or pf.space.order)
     P = prolong(X, order)
@@ -157,24 +153,24 @@ def _ex_prolong(pf: ProblemFile, exp: Expect, config):
     return all(oks), "; ".join(shown), "; ".join(want)
 
 
-def _ex_symmetry(pf: ProblemFile, exp: Expect, config):
+def _ex_symmetry(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
-    rep = check_point_symmetry(pf.system, X, config)
+    rep = check_point_symmetry(pf.system, X)
     want = exp.one("verdict") or "symmetry"
     ok = rep.verdict == want
     res = exp.one("residual")
     if res is not None:
-        ok = ok and equiv(rep.residuals[0], parse_expr(res, pf.space), config)
+        ok = ok and equiv(rep.residuals[0], parse_expr(res, pf.space))
     shown = rep.verdict
     if rep.verdict == "not-symmetry":
         shown += " (residual " + "; ".join(render(r) for r in rep.residuals) + ")"
     return ok, shown, want + (f" residual {res}" if res else "")
 
 
-def _ex_canonical(pf: ProblemFile, exp: Expect, config):
+def _ex_canonical(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
-    got = verify_canonical(X, T, config)
+    got = verify_canonical(X, T)
     want = (exp.one("verdict") or "true") == "true"
     return got == want, str(got).lower(), str(want).lower()
 
@@ -183,21 +179,21 @@ def _expected_equations(exp: Expect, space) -> list[Expr]:
     return [_parse_equation(space, line) for line in exp.many("equation")]
 
 
-def _ex_transform(pf: ProblemFile, exp: Expect, config):
+def _ex_transform(pf: ProblemFile, exp: Expect):
     T = pf.charts[exp.args[0]]
-    out = transform_de(pf.system, T, config)
+    out = transform_de(pf.system, T)
     expected = _expected_equations(exp, out.space)
-    ok = systems_match(out, expected, config)
+    ok = systems_match(out, expected)
     return ok, "; ".join(render(e) for e in out.equations), \
         "; ".join(render(e) for e in expected)
 
 
-def _ex_reduce(pf: ProblemFile, exp: Expect, config):
+def _ex_reduce(pf: ProblemFile, exp: Expect):
     target = exp.args[0] if exp.args else None
     red = reduce_system(pf.system, exp.op.removeprefix("reduce-"), target,
                         exp.one("aux", "").split())
     expected = _expected_equations(exp, red.system.space)
-    ok = systems_match(red.system, expected, config) if expected else True
+    ok = systems_match(red.system, expected) if expected else True
     count = exp.one("integrability")
     if count is not None:
         ok = ok and red.integrability_count == int(count)
@@ -209,36 +205,36 @@ def _ex_reduce(pf: ProblemFile, exp: Expect, config):
     return ok, shown, want
 
 
-def _ex_lie_reduce(pf: ProblemFile, exp: Expect, config):
+def _ex_lie_reduce(pf: ProblemFile, exp: Expect):
     T = pf.charts[exp.args[0]]
-    red = lie_reduce(pf.system, T, exp.one("aux", "").split(), config)
+    red = lie_reduce(pf.system, T, exp.one("aux", "").split())
     expected = _expected_equations(exp, red.system.space)
-    ok = systems_match(red.system, expected, config)
+    ok = systems_match(red.system, expected)
     return ok, "; ".join(render(e) for e in red.system.equations), \
         "; ".join(render(e) for e in expected)
 
 
-def _ex_pushforward(pf: ProblemFile, exp: Expect, config):
+def _ex_pushforward(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
-    out = pushforward_field(X, T, None, config)
+    out = pushforward_field(X, T)
     vocab = set(out.coords) | set(T.target_names) | set(pf.space.params)
     oks, shown, want = [], [], []
     flagged_want = (exp.one("flagged") or "false") == "true"
     oks.append(out.flagged == flagged_want)
     for name, text in exp.prefixed("coeff"):
         e = parse_expr(text.strip(), vocab)
-        oks.append(equiv(out.coeff(name), e, config))
+        oks.append(equiv(out.coeff(name), e))
         shown.append(f"{name}: {render(out.coeff(name))}")
         want.append(f"{name}: {render(e)}")
     return all(oks), "; ".join(shown) or out.describe(), "; ".join(want)
 
 
-def _ex_classify(pf: ProblemFile, exp: Expect, config):
+def _ex_classify(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
-    red = lie_reduce(pf.system, T, config=config)
-    got = classify_pushforward(X, T, None, red, config)
+    red = lie_reduce(pf.system, T)
+    got = classify_pushforward(X, T, None, red)
     want = exp.one("verdict") or "point"
     ok = got.verdict == want
     wwit = exp.one("witness")
@@ -247,15 +243,15 @@ def _ex_classify(pf: ProblemFile, exp: Expect, config):
     return ok, str(got), want + (f" witness={wwit}" if wwit else "")
 
 
-def _ex_lift(pf: ProblemFile, exp: Expect, config):
+def _ex_lift(pf: ProblemFile, exp: Expect):
     Y = pf.fields[exp.args[0]]
     red = pf.reduced_view()
-    got = lift_test(Y, red, config)
+    got = lift_test(Y, red)
     want = exp.one("verdict") or "point"
     return got.verdict == want, str(got), want
 
 
-def _ex_commutator(pf: ProblemFile, exp: Expect, config):
+def _ex_commutator(pf: ProblemFile, exp: Expect):
     names, tab = pf.algebra_table()
     i, j = names.index(exp.args[0]), names.index(exp.args[1])
     got = tab.coords(i, j)
@@ -267,7 +263,7 @@ def _ex_commutator(pf: ProblemFile, exp: Expect, config):
     return ok, tab.describe_entry(i, j, names), want_text
 
 
-def _ex_algebra(pf: ProblemFile, exp: Expect, config):
+def _ex_algebra(pf: ProblemFile, exp: Expect):
     names, tab = pf.algebra_table(exp.one("fields", "").split())
     oks, shown, want = [], [], []
     closed_want = exp.one("closed")
@@ -303,7 +299,7 @@ def _ex_algebra(pf: ProblemFile, exp: Expect, config):
     return all(oks), "; ".join(shown), "; ".join(want)
 
 
-def _ex_advice(pf: ProblemFile, exp: Expect, config):
+def _ex_advice(pf: ProblemFile, exp: Expect):
     names, tab = pf.algebra_table()
     adv = reduction_order_advice(tab, names.index(exp.args[0]), names.index(exp.args[1]))
     want_first = exp.one("first")
@@ -316,22 +312,21 @@ def _ex_advice(pf: ProblemFile, exp: Expect, config):
     return ok, shown, f"first={want_first}"
 
 
-def _ex_connection(pf: ProblemFile, exp: Expect, config):
+def _ex_connection(pf: ProblemFile, exp: Expect):
     sol = pf.solutions[exp.args[0]]
     red = _reduction_for(pf, exp)
     if sol.kind == "parent":
-        got = verify_connection(pf.system, red, parent_solution=sol.values,
-                                config=config)
+        got = verify_connection(pf.system, red, parent_solution=sol.values)
     else:
         got = verify_connection(pf.system, red, reduced_solution=sol.values,
-                                antiderivative=sol.antiderivative, config=config)
+                                antiderivative=sol.antiderivative)
     want = (exp.one("verdict") or "true") == "true"
     return got == want, str(got).lower(), str(want).lower()
 
 
-def _ex_solution(pf: ProblemFile, exp: Expect, config):
+def _ex_solution(pf: ProblemFile, exp: Expect):
     sol = pf.solutions[exp.args[0]]
-    got = verify_solution(pf.system, sol.values, config.samples, config)
+    got = verify_solution(pf.system, sol.values)
     want = (exp.one("verdict") or "true") == "true"
     return got == want, str(got).lower(), str(want).lower()
 
@@ -355,11 +350,10 @@ _EXECUTORS = {
 }
 
 
-def run_expect(pf: ProblemFile, exp: Expect,
-               config: SampleConfig = DEFAULT_CONFIG) -> Report:
+def run_expect(pf: ProblemFile, exp: Expect) -> Report:
     t0 = time.perf_counter()
     try:
-        ok, computed, expected = _EXECUTORS[exp.op](pf, exp, config)
+        ok, computed, expected = _EXECUTORS[exp.op](pf, exp)
         if ok:
             verdict = "discrepancy-documented" if exp.one("stated") else "pass"
         elif "inconclusive" in computed:
@@ -375,8 +369,7 @@ def run_expect(pf: ProblemFile, exp: Expect,
     return Report(pf.id, exp.label, exp.op, verdict, computed, expected, ms)
 
 
-def run_corpus(directory=None, filter: str | None = None,
-               config: SampleConfig = DEFAULT_CONFIG) -> tuple[list[Report], bool]:
+def run_corpus(directory=None, filter: str | None = None) -> tuple[list[Report], bool]:
     """Execute every expected result under a directory of problem files.
 
     Returns the report list (deterministic order) and whether any check
@@ -397,7 +390,7 @@ def run_corpus(directory=None, filter: str | None = None,
             failed = True
             continue
         for exp in pf.expects:
-            rec = run_expect(pf, exp, config)
+            rec = run_expect(pf, exp)
             records.append(rec)
             failed = failed or rec.verdict == "fail"
     return records, failed

@@ -66,11 +66,20 @@ def _resolve(vocabulary, name: str) -> str | None:
     return None
 
 
+# Every nesting level (a parenthesis, a kernel argument or an exponent)
+# passes through unary() once and costs at most five stack frames (unary,
+# power, primary, expr, term).  100 levels stay well below Python's default
+# recursion limit of 1000 frames, leaving room for the caller's frames and
+# for the recursive walks over the parsed expression.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, vocabulary):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.vocabulary = vocabulary
 
     def peek(self):
@@ -116,6 +125,10 @@ class _Parser:
                 return mul(*parts)
 
     def unary(self) -> Expr:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nested deeper than {_MAX_DEPTH} levels",
+                             self.text, self.peek()[2])
         sign = 1
         while True:
             kind, val, _ = self.peek()
@@ -126,6 +139,7 @@ class _Parser:
             else:
                 break
         e = self.power()
+        self.depth -= 1
         return e if sign == 1 else mul(MINUS_ONE, e)
 
     def power(self) -> Expr:

@@ -22,7 +22,7 @@ from .expr import ExprError
 from .jets import JetSpace, VectorField
 from .parse import ParseError, parse_expr
 from .charts import PointTransformation
-from .reduction import Connection, ReducedSystem
+from .reduction import Connection, ReducedSystem, kind_mismatch
 from .systems import DESystem
 
 
@@ -151,6 +151,11 @@ def _single(kv: dict[str, list[str]], key: str, where: str,
     return vals[0]
 
 
+def _unique(kv: dict[str, list[str]], where: str) -> dict[str, str]:
+    """Each key with its one value; a repeated key is an error."""
+    return {k: _single(kv, k, where) for k in kv}
+
+
 def _require(kv: dict[str, list[str]], key: str, where: str) -> str:
     v = _single(kv, key, where)
     if v is None:
@@ -259,8 +264,9 @@ def load_problem(path) -> ProblemFile:
 
     fields: dict[str, VectorField] = {}
     for name, kv in raw_fields:
+        coeffs = _unique(kv, ctx("field " + name))
         try:
-            fields[name] = VectorField.parse(space, {k: v[-1] for k, v in kv.items()})
+            fields[name] = VectorField.parse(space, coeffs)
         except (ExprError, ParseError) as exc:
             raise ProblemError(f"{ctx('field ' + name)}: {exc}") from exc
 
@@ -271,17 +277,17 @@ def load_problem(path) -> ProblemFile:
         dep_names = (_require(kv, "dependent", w)).split()
         canonical = _single(kv, "canonical", w)
         indep, dep, inverse, aux = {}, {}, {}, {}
-        for k, vals in kv.items():
+        for k, v in _unique(kv, w).items():
             if k in ("independent", "dependent", "canonical"):
                 continue
             if k.startswith("inverse "):
-                inverse[k.split(None, 1)[1]] = vals[-1]
+                inverse[k.split(None, 1)[1]] = v
             elif k.startswith("aux "):
-                aux[k.split(None, 1)[1]] = vals[-1]
+                aux[k.split(None, 1)[1]] = v
             elif k in indep_names:
-                indep[k] = vals[-1]
+                indep[k] = v
             elif k in dep_names:
-                dep[k] = vals[-1]
+                dep[k] = v
             else:
                 raise ProblemError(f"{w}: unknown key {k!r}")
         missing = [n for n in indep_names + dep_names if n not in indep and n not in dep]
@@ -300,7 +306,7 @@ def load_problem(path) -> ProblemFile:
         if kind not in ("parent", "reduced"):
             raise ProblemError(f"{w}: kind must be parent or reduced")
         anti = _single(kv, "antiderivative", w)
-        values = {k: v[-1] for k, v in kv.items()
+        values = {k: v for k, v in _unique(kv, w).items()
                   if k not in ("kind", "antiderivative")}
         if not values:
             raise ProblemError(f"{w}: no component expressions")
@@ -323,8 +329,8 @@ def load_problem(path) -> ProblemFile:
 
 
 def _validate_references(pf: ProblemFile):
-    """Every expect must reference declared fields/charts/solutions, and its
-    integer and reduction-kind values must parse."""
+    """Every expect must reference declared fields/charts/solutions, its
+    integer values must parse, and a reduction it names must fit the space."""
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
         if e.op in ("commutator", "advice") and len(e.args) != 2:
@@ -338,6 +344,20 @@ def _validate_references(pf: ProblemFile):
         reduce = e.one("reduce", "").split()
         if reduce and reduce[0] not in ("ode", "pde"):
             raise ProblemError(f"{w}: reduce must be ode or pde, got {reduce[0]!r}")
+        if e.op == "connection" and not reduce:
+            raise ProblemError(f"{w}: connection needs 'reduce = ode|pde [target]'")
+        if e.op in ("reduce-ode", "reduce-pde"):
+            reduce = [e.op.removeprefix("reduce-"), *e.args]
+        if e.op in ("reduce-ode", "reduce-pde", "connection"):
+            why = kind_mismatch(reduce[0], pf.space.p)
+            if why:
+                raise ProblemError(f"{w}: {why}")
+            if reduce[1:] and reduce[1] not in pf.space.dependent:
+                raise ProblemError(f"{w}: target {reduce[1]!r} is not a dependent variable")
+            # No auxiliary names mean the defaults.
+            aux = e.one("aux", "").split()
+            if aux and len(aux) != pf.space.p:
+                raise ProblemError(f"{w}: need {pf.space.p} auxiliary names, got {len(aux)}")
         for a in e.args:
             if e.op in ("prolong", "symmetry", "lift", "commutator", "advice"):
                 if a not in pf.fields:

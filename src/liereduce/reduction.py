@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .equiv import DEFAULT_CONFIG, SampleConfig, equiv
+from .equiv import equiv
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
                    substitute, sym, _coerce)
 from .jets import JetSpace
@@ -148,25 +148,28 @@ def reduce_pde(sys: DESystem, target: str | None = None,
     return ReducedSystem(reduced, tuple(roles), conn)
 
 
+def kind_mismatch(kind: str, p: int) -> str | None:
+    """Why a reduction of ``kind`` does not apply with p independent
+    variables (``ode`` needs one, ``pde`` two or more), or None."""
+    if kind == "ode":
+        return None if p == 1 else "reduce-ode needs exactly one independent variable"
+    if kind == "pde":
+        return None if p >= 2 else "reduce-pde needs at least two independent variables"
+    return f"unknown reduction kind {kind!r}"
+
+
 def reduce_system(sys: DESystem, kind: str, target: str | None = None,
                   aux_names: Sequence[str] | None = None) -> ReducedSystem:
     """The gradient reduction, for a system whose independent variables
-    match ``kind``: one for ``ode``, two or more for ``pde``."""
-    p = sys.space.p
-    if kind == "ode":
-        if p != 1:
-            raise ReductionError("reduce_ode needs exactly one independent variable")
-    elif kind == "pde":
-        if p < 2:
-            raise ReductionError("reduce_pde needs at least two independent variables")
-    else:
-        raise ReductionError(f"unknown reduction kind {kind!r}")
+    match ``kind``."""
+    why = kind_mismatch(kind, sys.space.p)
+    if why:
+        raise ReductionError(why)
     return reduce_pde(sys, target, aux_names)
 
 
 def lie_reduce(sys: DESystem, T: PointTransformation,
-               aux_names: Sequence[str] | None = None,
-               config: SampleConfig = DEFAULT_CONFIG) -> ReducedSystem:
+               aux_names: Sequence[str] | None = None) -> ReducedSystem:
     """Full reduction step: rewrite in canonical coordinates, then reduce with
     respect to the translated variable.  No or empty auxiliary names mean
     the chart's, else the defaults."""
@@ -175,25 +178,27 @@ def lie_reduce(sys: DESystem, T: PointTransformation,
     dep_names = [n for n, _ in T.target_dependent]
     if T.canonical not in dep_names:
         raise ReductionError("the canonical coordinate must be a target dependent variable")
-    transformed = transform_de(sys, T, config)
+    transformed = transform_de(sys, T)
     return reduce_pde(transformed, T.canonical,
                       aux_names or [n for n, _ in T.aux])
+
+
+# Quadrature constants a solution of the parent is shifted by.
+_SHIFTS = (0, 1, -2)
 
 
 def verify_connection(parent: DESystem, reduced: ReducedSystem,
                       parent_solution: Mapping[str, Expr | str] | None = None,
                       reduced_solution: Mapping[str, Expr | str] | None = None,
-                      antiderivative: Expr | str | None = None,
-                      constants: Sequence = (0, 1, -2),
-                      config: SampleConfig = DEFAULT_CONFIG) -> bool:
+                      antiderivative: Expr | str | None = None) -> bool:
     """Check the solution correspondence between a parent and its reduction.
 
     With a parent solution: it must solve the parent, its shifts by the
     quadrature constant must too, and its gradient must solve the reduced
     system.  With a reduced solution: it must solve the reduced system, and a
     supplied antiderivative must have exactly that gradient and solve the
-    parent under at least three sampled constant shifts.  The quadrature is
-    never computed; candidates are only differentiated.
+    parent under each constant shift in ``_SHIFTS``.  The quadrature is never
+    computed; candidates are only differentiated.
     """
     if parent_solution is None and reduced_solution is None:
         raise ReductionError("supply a parent solution, a reduced solution, or both")
@@ -208,11 +213,11 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
     derived_reduced: dict[str, Expr] | None = None
     if parent_solution is not None:
         psol = {d: as_expr(v, pspace) for d, v in parent_solution.items()}
-        ok = ok and verify_solution(parent, psol, config.samples, config)
-        for c in constants:
+        ok = ok and verify_solution(parent, psol)
+        for c in _SHIFTS:
             shifted = dict(psol)
             shifted[target] = add(shifted[target], _coerce(c))
-            ok = ok and verify_solution(parent, shifted, config.samples, config)
+            ok = ok and verify_solution(parent, shifted)
         derived_reduced = {}
         for d, v in psol.items():
             if d != target:
@@ -229,14 +234,13 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
                     val = diff(val, pspace.independent[j - 1])
                 subs[w] = val
             derived_reduced[aux] = substitute(defexpr, subs)
-        ok = ok and verify_solution(reduced.system, derived_reduced,
-                                    config.samples, config)
+        ok = ok and verify_solution(reduced.system, derived_reduced)
     if reduced_solution is not None:
         rsol = {d: as_expr(v, reduced.system.space) for d, v in reduced_solution.items()}
-        ok = ok and verify_solution(reduced.system, rsol, config.samples, config)
+        ok = ok and verify_solution(reduced.system, rsol)
         if derived_reduced is not None:
             for d, v in rsol.items():
-                ok = ok and equiv(derived_reduced[d], v, config)
+                ok = ok and equiv(derived_reduced[d], v)
         if antiderivative is not None:
             U = as_expr(antiderivative, pspace)
             for aux, defexpr in conn.aux_defs:
@@ -249,12 +253,12 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
                 val = U
                 for j in idx:
                     val = diff(val, pspace.independent[j - 1])
-                if not equiv(val, rsol[aux], config):
+                if not equiv(val, rsol[aux]):
                     ok = False
-            for c in constants:
+            for c in _SHIFTS:
                 cand = {target: add(U, _coerce(c))}
                 for d, v in rsol.items():
                     if d in pspace.dependent:
                         cand[d] = v
-                ok = ok and verify_solution(parent, cand, config.samples, config)
+                ok = ok and verify_solution(parent, cand)
     return ok

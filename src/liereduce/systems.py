@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .equiv import DEFAULT_CONFIG, SampleConfig, is_zero
+from .equiv import is_zero
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, power,
                    render, substitute, _coerce)
 from .jets import JetError, JetSpace, VectorField, prolong, total_derivative
@@ -24,22 +24,18 @@ def _parse_equation(space: JetSpace, text: str) -> Expr:
     return parse_expr(text, space)
 
 
-def _solved_form_candidates(space: JetSpace, eq: Expr) -> list[tuple[str, Expr]]:
-    """Ways to solve eq = 0 for a highest-order jet variable it is affine in."""
+def _solved_form_candidates(space: JetSpace, eq: Expr) -> Iterator[tuple[str, Expr]]:
+    """Ways to solve eq = 0 for a highest-order jet variable it is affine in,
+    solved one at a time as the caller asks for them."""
     jet_vars = [v for v in free_vars(eq) if space.jet_info(v) and space.jet_info(v)[1]]
     if not jet_vars:
-        return []
+        return
     top = max(len(space.jet_info(v)[1]) for v in jet_vars)
-    cands = sorted(v for v in jet_vars if len(space.jet_info(v)[1]) == top)
-    out = []
-    for v in cands:
+    for v in sorted(v for v in jet_vars if len(space.jet_info(v)[1]) == top):
         a = diff(eq, v)
         if a == ZERO or v in free_vars(a):
             continue  # absent or not affine in v
-        b = substitute(eq, {v: ZERO})
-        rhs = mul(-1, b, power(a, -1))
-        out.append((v, rhs))
-    return out
+        yield v, mul(-1, substitute(eq, {v: ZERO}), power(a, -1))
 
 
 @dataclass(frozen=True)
@@ -52,28 +48,21 @@ class DESystem:
     rhss: tuple[Expr, ...]
 
     @classmethod
-    def build(cls, space: JetSpace, equations: Sequence, leads: Sequence[str] | None = None,
-              solved: Mapping[str, Expr | str] | None = None) -> "DESystem":
+    def build(cls, space: JetSpace, equations: Sequence,
+              leads: Sequence[str] | None = None) -> "DESystem":
         eqs = tuple(_parse_equation(space, e) if isinstance(e, str) else _coerce(e)
                     for e in equations)
         if not eqs:
             raise SystemError_("a system needs at least one equation")
-        if solved:
-            solved = {space.resolve(k) or k: (parse_expr(v, space) if isinstance(v, str) else v)
-                      for k, v in solved.items()}
         chosen: list[tuple[str, Expr]] = []
 
         def assign(i: int) -> bool:
             if i == len(eqs):
                 return True
+            cands = _solved_form_candidates(space, eqs[i])
             if leads is not None:
                 want = space.resolve(leads[i])
-                if solved and want in solved:
-                    cands = [(want, solved[want])]
-                else:
-                    cands = [c for c in _solved_form_candidates(space, eqs[i]) if c[0] == want]
-            else:
-                cands = _solved_form_candidates(space, eqs[i])
+                cands = (c for c in cands if c[0] == want)
             for v, rhs in cands:
                 if any(v == u for u, _ in chosen):
                     continue
@@ -113,10 +102,10 @@ def _index_superset(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, 
     return tuple(rest)
 
 
-def reduce_on_manifold(sys: DESystem, e: Expr, passes: int = 10) -> tuple[Expr, bool]:
+def reduce_on_manifold(sys: DESystem, e: Expr) -> tuple[Expr, bool]:
     """Substitute solved forms and their total-derivative consequences.
 
-    Loops to a fixed point, bounded by ``passes`` (cycle guard); returns the
+    Loops to a fixed point, bounded by ten passes (cycle guard); returns the
     reduced expression and whether a fixed point was reached.
     """
     space = sys.space
@@ -134,7 +123,7 @@ def reduce_on_manifold(sys: DESystem, e: Expr, passes: int = 10) -> tuple[Expr, 
             consequence_cache[key] = got
         return got
 
-    for n in range(passes):
+    for _ in range(10):
         subs: dict[str, Expr] = {}
         for v in free_vars(e):
             info = space.jet_info(v)
@@ -167,8 +156,7 @@ class SymmetryReport:
         return self.verdict == "symmetry"
 
 
-def check_point_symmetry(sys: DESystem, X: VectorField,
-                         config: SampleConfig = DEFAULT_CONFIG) -> SymmetryReport:
+def check_point_symmetry(sys: DESystem, X: VectorField) -> SymmetryReport:
     """Decide whether X generates a point symmetry of the system.
 
     The prolonged field is applied to each equation and the result reduced on
@@ -186,14 +174,12 @@ def check_point_symmetry(sys: DESystem, X: VectorField,
         r, ok = reduce_on_manifold(sys, r)
         converged = converged and ok
         residuals.append(r)
-    good = all(is_zero(r, config) for r in residuals)
+    good = all(is_zero(r) for r in residuals)
     return SymmetryReport("symmetry" if good else "not-symmetry",
                           tuple(residuals), converged)
 
 
-def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str],
-                    sample_count: int = 16,
-                    config: SampleConfig = DEFAULT_CONFIG) -> bool:
+def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str]) -> bool:
     """Check that explicit expressions solve every equation of the system.
 
     Candidate values may mention only independent variables and declared
@@ -210,7 +196,6 @@ def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str],
         if extra:
             raise SystemError_(f"candidate for {dep!r} mentions {sorted(extra)}")
         cand[dep] = v
-    cfg = config.with_(samples=sample_count)
     for eq in sys.equations:
         subs = {}
         for v in free_vars(eq):
@@ -224,6 +209,6 @@ def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str],
             for j in idx:
                 val = diff(val, space.independent[j - 1])
             subs[v] = val
-        if not is_zero(substitute(eq, subs), cfg):
+        if not is_zero(substitute(eq, subs)):
             return False
     return True

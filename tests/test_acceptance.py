@@ -1,13 +1,13 @@
 """Acceptance suite: the shipped corpus' headline results, one criterion per
-test, each printing a pass/fail line.  Tolerances are the library defaults
-(1e-9 at 16 rational sample points); structural assertions use exact
-equality of normalized expressions.
+test, each printing a pass/fail line.  The zero test runs at its fixed
+settings (1e-9 at 16 rational sample points); structural assertions use
+exact equality of normalized expressions.
 """
 
 import random
 from contextlib import contextmanager
 
-from liereduce import (DEFAULT_CONFIG, DESystem, JetSpace, VectorField,
+from liereduce import (DESystem, JetSpace, VectorField,
                        ZERO, ONE, check_point_symmetry, classify_pushforward,
                        commutator, diff, equiv, is_solvable, lie_reduce,
                        lift_test, load_problem, normalize, prolong, rat,
@@ -15,10 +15,11 @@ from liereduce import (DEFAULT_CONFIG, DESystem, JetSpace, VectorField,
                        structure_constants, total_derivative,
                        verify_canonical, verify_connection)
 from liereduce.corpus import corpus_dir, equation_matches, run_corpus, systems_match
+from liereduce.equiv import _MAX_ATTEMPTS, _SAMPLES, _SEED, _TOLERANCE
+from liereduce.reduction import _SHIFTS
 from genexpr import random_expr, random_polynomial, small_rat
 
-assert DEFAULT_CONFIG.tolerance == 1e-9
-assert DEFAULT_CONFIG.samples == 16
+assert (_TOLERANCE, _SAMPLES, _SEED, _MAX_ATTEMPTS) == (1e-9, 16, 20260809, 80)
 
 
 @contextmanager
@@ -184,23 +185,21 @@ def test_criterion_8_lie_algebra():
 
 def test_criterion_9_connection_formulas():
     with criterion(9, "four solution pairs connect; constant shift at 3 values"):
+        assert _SHIFTS == (0, 1, -2)
         red = reduce_ode(BERNOULLI.system)
         assert verify_connection(BERNOULLI.system, red,
                                  reduced_solution={"alpha": "1/(exp(-x)-x)"})
         assert verify_connection(BERNOULLI.system, red,
                                  parent_solution={"y": "-log(x)"},
                                  reduced_solution={"alpha": "-1/x"},
-                                 antiderivative="-log(x)",
-                                 constants=(0, 1, -2))
+                                 antiderivative="-log(x)")
         redp = reduce_pde(LOG_T.system, "u")
         assert verify_connection(LOG_T.system, redp,
                                  reduced_solution={"alpha": "-1/2*x1*exp(-x2)",
                                                    "beta": "1/4*(x1^2-2)*exp(-x2)"},
-                                 antiderivative="1/4*(2-x1^2)*exp(-x2)",
-                                 constants=(0, 1, -2))
+                                 antiderivative="1/4*(2-x1^2)*exp(-x2)")
         assert verify_connection(LOG_T.system, redp,
-                                 parent_solution={"u": "x1 + exp(x2)"},
-                                 constants=(0, 1, -2))
+                                 parent_solution={"u": "x1 + exp(x2)"})
 
 
 def test_criterion_10_property_suites():

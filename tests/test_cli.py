@@ -63,9 +63,9 @@ class TestSubcommands:
         # reduce-ode takes exactly one auxiliary name.
         for cmd, name, aux, err in (
                 ("reduce-pde", "bernoulli.prob", [],
-                 "reduce_pde needs at least two independent variables"),
+                 "reduce-pde needs at least two independent variables"),
                 ("reduce-ode", "power-diffusion.prob", [],
-                 "reduce_ode needs exactly one independent variable"),
+                 "reduce-ode needs exactly one independent variable"),
                 ("reduce-ode", "bernoulli.prob", ["--aux", "a", "b"],
                  "need 1 auxiliary names, got 2")):
             rc = main([cmd, "--problem", prob(name)] + aux)
@@ -141,6 +141,16 @@ class TestUsageErrors:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_sampling_flags_rejected(self, capsys):
+        # The zero test's seed and tolerance are fixed; no flag sets them.
+        for flag in (["--seed", "3"], ["--tolerance", "1e-6"]):
+            for argv in (["check-symmetry", "--problem", prob("bernoulli.prob"),
+                          "--field", "W"], ["run-corpus"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + flag)
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
 
 BASE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
         "[equations]\ny' = y\n[field T]\nx = 1\n[solution s]\ny = exp(x)\n")
@@ -162,7 +172,31 @@ MALFORMED = {
     "reduce-ode-two-aux-names":
         (BASE.replace("y' = y", "y' = 1") +
          "[expect reduce-ode]\ntag = oracle\naux = a b\n",
-         "reduce-ode", "error: need 1 auxiliary names, got 2"),
+         "load", "bad.prob [expect reduce-ode]: need 1 auxiliary names, got 2"),
+    "reduce-pde-kind-mismatch":
+        (BASE.replace("y' = y", "y' = 1") + "[expect reduce-pde]\ntag = oracle\n",
+         "load", "bad.prob [expect reduce-pde]: reduce-pde needs at least two"),
+    "reduce-ode-target-unknown":
+        (BASE.replace("y' = y", "y' = 1") + "[expect reduce-ode z]\ntag = oracle\n",
+         "load", "bad.prob [expect reduce-ode z]: target 'z' is not a dependent"),
+    "connection-kind-mismatch":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce = pde\n",
+         "load", "bad.prob [expect connection s]: reduce-pde needs at least two"),
+    "connection-target-unknown":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce = ode z\n",
+         "load", "bad.prob [expect connection s]: target 'z' is not a dependent"),
+    "connection-two-aux-names":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce = ode\naux = a b\n",
+         "load", "bad.prob [expect connection s]: need 1 auxiliary names, got 2"),
+    "field-duplicate-key":
+        (BASE.replace("[field T]\nx = 1\n", "[field T]\nx = 1\nx = 2\n"),
+         "load", "bad.prob [field T]: duplicate key 'x'"),
+    "chart-duplicate-key":
+        (BASE + "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\nv = 2*y\n",
+         "load", "bad.prob [chart c]: duplicate key 'v'"),
+    "solution-duplicate-key":
+        (BASE.replace("y = exp(x)", "y = exp(x)\ny = 2*exp(x)"),
+         "load", "bad.prob [solution s]: duplicate key 'y'"),
     "connection-unknown-reduce-kind":
         (BASE + "[expect connection s]\ntag = oracle\nreduce = sde\n",
          "load", "bad.prob [expect connection s]: reduce must be ode or pde"),
@@ -191,9 +225,10 @@ MALFORMED = {
         (BASE.replace("order = 1", "order = two"), "load", "bad.prob [space]: "),
     "connection-empty-reduce":
         (BASE + "[expect connection s]\ntag = oracle\nreduce =\n",
-         "connection s", "error: bad: expect connection s needs"),
+         "load", "bad.prob [expect connection s]: connection needs 'reduce = "),
     "equation-nested-400-deep":
-        (BASE.replace("y' = y", f"y' = {DEEP}"), "load", "RecursionError: "),
+        (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
+         "bad.prob [equations]: nested deeper than 100 levels at position "),
 }
 
 
