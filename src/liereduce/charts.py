@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .equiv import equiv, sampled_nonzero
+from .equiv import equiv, sampled_nonsingular, sampled_nonzero
 from .expr import (Add, Expr, ExprError, ONE, ZERO, add, clear_denominators,
                    diff, free_vars, mul, power, render, substitute, sym,
                    _coerce, _coeff_monomial)
@@ -84,19 +84,6 @@ def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str]) -> list[Expr]:
     return out
 
 
-def _det(mat: list[list[Expr]]) -> Expr:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = []
-    for j in range(n):
-        if mat[0][j] == ZERO:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total.append(mul(-1 if j % 2 else 1, mat[0][j], _det(minor)))
-    return add(*total)
-
-
 @dataclass(frozen=True)
 class PointTransformation:
     """An invertible change of base coordinates, with optional extras.
@@ -142,7 +129,7 @@ class PointTransformation:
         src = self.source
         targets = list(self.target_independent) + list(self.target_dependent)
         mat = [[diff(e, s) for s in src.base_names] for _, e in targets]
-        if not sampled_nonzero(_det(mat)):
+        if not sampled_nonsingular(mat):
             raise SingularMapError("base Jacobian determinant is identically zero")
         if self.inverse is not None:
             forward = {n: e for n, e in targets}

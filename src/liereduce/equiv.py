@@ -7,6 +7,10 @@ kernel and fractional power present: if any such constraint exists, all
 variables are sampled positive and the constraints are rechecked numerically.
 Sampling is deterministic: the RNG is seeded from a fixed seed and a checksum
 of the expression, so results do not depend on call order.
+
+The same points decide whether a square matrix of expressions (a chart's base
+Jacobian) is singular everywhere: it is eliminated at each point in O(k^3),
+exactly in ``Fraction`` when every entry is rational there.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import random
 import zlib
 from fractions import Fraction
 
-from .expr import (DomainError, Expr, ExprError, ZERO, clear_denominators,
-                   eval_numeric, free_vars, positivity_constraints, render)
+from .expr import (DomainError, Expr, ExprError, Rat, ZERO, clear_denominators,
+                   eval_numeric, free_vars, positivity_constraints, render,
+                   substitute)
 
 
 class SamplingDomainError(ExprError):
@@ -25,18 +30,14 @@ class SamplingDomainError(ExprError):
 
 
 # A sampled difference is zero when it stays within _TOLERANCE at _SAMPLES
-# points, and nonzero at the first point where it does not.  Points outside
-# the domain do not count; once more than _MAX_ATTEMPTS of them are drawn,
-# the domain is taken to be empty.
+# points, and nonzero at the first point where it does not; a sampled matrix
+# is singular when it is singular at _SAMPLES points.  Points outside the
+# domain do not count; once more than _MAX_ATTEMPTS of them are drawn, the
+# domain is taken to be empty.
 _SAMPLES = 16
 _TOLERANCE = 1e-9
 _SEED = 20260809
 _MAX_ATTEMPTS = 80
-
-
-def _rng_for(e: Expr) -> random.Random:
-    digest = zlib.crc32(render(e).encode("utf-8"))
-    return random.Random((_SEED << 32) ^ digest)
 
 
 def _draw(rng: random.Random, positive: bool) -> Fraction:
@@ -44,6 +45,30 @@ def _draw(rng: random.Random, positive: bool) -> Fraction:
     if not positive and rng.random() < 0.5:
         v = -v
     return v
+
+
+def _points(text: str, names: list[str], constraints: list[Expr]):
+    """Seeded sample points for the expressions rendered as ``text``.
+
+    Every variable is drawn positive when any positivity constraint exists,
+    and a point that leaves a constraint's domain is skipped.  The caller
+    stops once it has used _SAMPLES points; SamplingDomainError is raised
+    when it asks for more than _MAX_ATTEMPTS + _SAMPLES draws.
+    """
+    rng = random.Random((_SEED << 32) ^ zlib.crc32(text.encode("utf-8")))
+    positive = bool(constraints)
+    attempts = 0
+    while True:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS + _SAMPLES:
+            raise SamplingDomainError(f"sampling domain empty for {text!r}")
+        pt = {n: _draw(rng, positive) for n in names}
+        try:
+            if any(eval_numeric(c, pt) <= 1e-6 for c in constraints):
+                continue
+        except (DomainError, OverflowError):
+            continue
+        yield pt
 
 
 def equiv(a: Expr, b: Expr) -> bool:
@@ -60,19 +85,8 @@ def equiv(a: Expr, b: Expr) -> bool:
             raise SamplingDomainError(
                 f"constant expression {render(d)!r} leaves the real domain")
     checked = 0
-    rng = _rng_for(d)
-    names = sorted(free_vars(d))
-    constraints = positivity_constraints(d)
-    positive = bool(constraints)
-    attempts = 0
-    while checked < _SAMPLES:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS + _SAMPLES:
-            raise SamplingDomainError(f"sampling domain empty for {render(d)!r}")
-        pt = {n: _draw(rng, positive) for n in names}
+    for pt in _points(render(d), sorted(free_vars(d)), positivity_constraints(d)):
         try:
-            if any(eval_numeric(c, pt) <= 1e-6 for c in constraints):
-                continue
             v = eval_numeric(d, pt)
         except (DomainError, OverflowError):
             continue
@@ -81,7 +95,8 @@ def equiv(a: Expr, b: Expr) -> bool:
         if abs(v) > _TOLERANCE:
             return False
         checked += 1
-    return True
+        if checked == _SAMPLES:
+            return True
 
 
 def is_zero(e: Expr) -> bool:
@@ -91,3 +106,69 @@ def is_zero(e: Expr) -> bool:
 def sampled_nonzero(e: Expr) -> bool:
     """True when e is not equivalent to zero (so safe to divide by)."""
     return not is_zero(e)
+
+
+def _nonsingular(rows: list[list], tol) -> bool:
+    """Gaussian elimination with partial pivoting; a pivot of magnitude at
+    most ``tol`` counts as zero.  Exact on Fractions with tol = 0."""
+    n = len(rows)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if abs(rows[piv][col]) <= tol:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / top[col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], top)]
+    return True
+
+
+def _equilibrated(rows: list[list[float]]) -> list[list[float]]:
+    """Divide each row, then each column, by its largest magnitude (the rank
+    is unchanged, and every entry ends up in [-1, 1])."""
+    for row in rows:
+        m = max(map(abs, row))
+        if m:
+            row[:] = [v / m for v in row]
+    for j in range(len(rows)):
+        m = max(abs(row[j]) for row in rows)
+        if m:
+            for row in rows:
+                row[j] /= m
+    return rows
+
+
+def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
+    """True when the square matrix ``mat`` is nonsingular at a sample point.
+
+    The points are drawn as in ``equiv``, seeded from the rendered entries.
+    When every entry is rational at a point, exact elimination decides, so a
+    tiny nonzero determinant still counts.  Otherwise the entries are
+    evaluated in floats and equilibrated before elimination, so _TOLERANCE
+    is relative to the size of the matrix.  False only after _SAMPLES usable
+    points all give a singular matrix.
+    """
+    entries = [e for row in mat for e in row]
+    names = sorted(set().union(*map(free_vars, entries)))
+    constraints = list({c._key: c for e in entries
+                        for c in positivity_constraints(e)}.values())
+    checked = 0
+    for pt in _points("; ".join(map(render, entries)), names, constraints):
+        values = [[substitute(e, pt) for e in row] for row in mat]
+        if all(isinstance(v, Rat) for row in values for v in row):
+            regular = _nonsingular([[v.value for v in row] for row in values], 0)
+        else:
+            try:
+                rows = [[eval_numeric(v, {}) for v in row] for row in values]
+            except (DomainError, OverflowError):
+                continue
+            if not all(math.isfinite(v) for row in rows for v in row):
+                continue
+            regular = _nonsingular(_equilibrated(rows), _TOLERANCE)
+        if regular:
+            return True
+        checked += 1
+        if checked == _SAMPLES:
+            return False

@@ -178,10 +178,24 @@ def _space_from(kv: dict[str, list[str]], where: str) -> JetSpace:
     return JetSpace(indep, dep, order, params)
 
 
-_EXPECT_OPS = {
-    "prolong", "symmetry", "canonical", "transform", "reduce-ode",
-    "reduce-pde", "lie-reduce", "pushforward", "classify", "lift",
-    "commutator", "algebra", "advice", "connection", "solution",
+# The body keys each [expect] operation reads besides tag, note and stated; a
+# key ending in " *" takes a name after its first word (``coeff y'``).
+_EXPECT_KEYS = {
+    "prolong": ("order", "coeff *"),
+    "symmetry": ("verdict", "residual"),
+    "canonical": ("verdict",),
+    "transform": ("equation",),
+    "reduce-ode": ("aux", "equation", "integrability"),
+    "reduce-pde": ("aux", "equation", "integrability"),
+    "lie-reduce": ("aux", "equation"),
+    "pushforward": ("flagged", "coeff *"),
+    "classify": ("verdict", "witness"),
+    "lift": ("verdict",),
+    "commutator": ("result",),
+    "algebra": ("fields", "closed", "bracket *", "solvable", "series", "jacobi"),
+    "advice": ("first",),
+    "connection": ("reduce", "aux", "verdict"),
+    "solution": ("verdict",),
 }
 
 
@@ -241,9 +255,9 @@ def load_problem(path) -> ProblemFile:
                 raise ProblemError(f"{where}: [solution] needs exactly one name: {header!r}")
             raw_solutions.append((words[1], _kv(lines, f"{where} [{header}]")))
         elif kind == "expect":
-            if len(words) < 2 or words[1] not in _EXPECT_OPS:
+            if len(words) < 2 or words[1] not in _EXPECT_KEYS:
                 raise ProblemError(
-                    f"{where}: [expect] needs an operation from {sorted(_EXPECT_OPS)}: {header!r}")
+                    f"{where}: [expect] needs an operation from {sorted(_EXPECT_KEYS)}: {header!r}")
             raw_expects.append((header, _kv(lines, f"{where} [{header}]")))
         else:
             raise ProblemError(f"{where}: unknown section {header!r}")
@@ -329,10 +343,16 @@ def load_problem(path) -> ProblemFile:
 
 
 def _validate_references(pf: ProblemFile):
-    """Every expect must reference declared fields/charts/solutions, its
-    integer values must parse, and a reduction it names must fit the space."""
+    """Every expect must use only the keys its operation reads, reference
+    declared fields/charts/solutions, have integer values that parse, and
+    name a reduction that fits the space."""
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
+        allowed = _EXPECT_KEYS[e.op] + ("stated",)
+        for k in e.body:
+            head, _, rest = k.partition(" ")
+            if (f"{head} *" if rest else k) not in allowed:
+                raise ProblemError(f"{w}: unknown key {k!r}")
         if e.op in ("commutator", "advice") and len(e.args) != 2:
             raise ProblemError(f"{w}: {e.op} needs exactly two field names")
         if e.op == "prolong" and e.one("order"):
@@ -354,10 +374,10 @@ def _validate_references(pf: ProblemFile):
                 raise ProblemError(f"{w}: {why}")
             if reduce[1:] and reduce[1] not in pf.space.dependent:
                 raise ProblemError(f"{w}: target {reduce[1]!r} is not a dependent variable")
-            # No auxiliary names mean the defaults.
-            aux = e.one("aux", "").split()
-            if aux and len(aux) != pf.space.p:
-                raise ProblemError(f"{w}: need {pf.space.p} auxiliary names, got {len(aux)}")
+        # No auxiliary names mean the defaults; a chart has the problem's p.
+        aux = e.one("aux", "").split()
+        if aux and len(aux) != pf.space.p:
+            raise ProblemError(f"{w}: need {pf.space.p} auxiliary names, got {len(aux)}")
         for a in e.args:
             if e.op in ("prolong", "symmetry", "lift", "commutator", "advice"):
                 if a not in pf.fields:

@@ -188,6 +188,16 @@ MALFORMED = {
     "connection-two-aux-names":
         (BASE + "[expect connection s]\ntag = oracle\nreduce = ode\naux = a b\n",
          "load", "bad.prob [expect connection s]: need 1 auxiliary names, got 2"),
+    "lie-reduce-two-aux-names":
+        (BASE + "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\n"
+         "[expect lie-reduce c]\ntag = oracle\naux = a b\n",
+         "load", "bad.prob [expect lie-reduce c]: need 1 auxiliary names, got 2"),
+    "prolong-misspelt-coeff-key":
+        (BASE + "[expect prolong T]\ntag = oracle\ncoef y' = 12345\n",
+         "load", "bad.prob [expect prolong T]: unknown key \"coef y'\""),
+    "symmetry-misspelt-verdict-key":
+        (BASE + "[expect symmetry T]\ntag = oracle\nverdic = not-symmetry\n",
+         "load", "bad.prob [expect symmetry T]: unknown key 'verdic'"),
     "field-duplicate-key":
         (BASE.replace("[field T]\nx = 1\n", "[field T]\nx = 1\nx = 2\n"),
          "load", "bad.prob [field T]: duplicate key 'x'"),

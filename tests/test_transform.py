@@ -26,7 +26,46 @@ CHART2 = PointTransformation.parse(
     aux={"alpha": "x/(2*x*y*y'-y^2)"})
 
 
+def _dense_chart(singular: bool):
+    """t_i = b_i + sum_j c_ij b_j^2 over 10 base coordinates; a singular
+    chart replaces its middle target by a combination of the others."""
+    base = [f"x{i}" for i in range(1, 10)] + ["u"]
+    rows = [b + "".join(f" + ({(-1) ** (i + j) * (1 + i * j % 7)}/{1 + (i + j) % 3})*{c}^2"
+                        for j, c in enumerate(base))
+            for i, b in enumerate(base)]
+    if singular:
+        rows[5] = " + ".join(f"({1 + i % 4}/{2 + i % 3})*({rows[i]})"
+                             for i in range(10) if i != 5)
+    space = JetSpace(tuple(base[:-1]), ("u",), 1)
+    return (space, {f"t{i}": r for i, r in enumerate(rows[:-1], start=1)},
+            {"s": rows[-1]})
+
+
+REGULARITY = [
+    pytest.param(ODE, {"r": "x/1000000000000"}, {"s": "y"}, True,
+                 id="tiny-rational-determinant"),
+    pytest.param(ODE, {"r": "exp(x)/1000000000000"}, {"s": "y"}, True,
+                 id="tiny-float-determinant"),
+    pytest.param(ODE, {"r": "exp(x)*y"}, {"s": "1000000000000*exp(2*x)*y^2"},
+                 False, id="huge-singular-with-kernels"),
+    pytest.param(ODE, {"r": "x + y"}, {"s": "x*y"}, True,
+                 id="determinant-vanishes-on-a-line"),
+    pytest.param(ODE, {"r": "x + y"}, {"s": "x + y + y/1000000000000"}, True,
+                 id="nearly-parallel-rational-rows"),
+    pytest.param(*_dense_chart(False), True, id="dense-10-regular"),
+    pytest.param(*_dense_chart(True), False, id="dense-10-singular"),
+]
+
+
 class TestPointTransformation:
+    @pytest.mark.parametrize("space, independent, dependent, regular", REGULARITY)
+    def test_regularity(self, space, independent, dependent, regular):
+        if regular:
+            PointTransformation.parse(space, independent, dependent)
+        else:
+            with pytest.raises(SingularMapError, match="identically zero"):
+                PointTransformation.parse(space, independent, dependent)
+
     def test_counts_must_match(self):
         with pytest.raises(ChartError, match="counts"):
             PointTransformation.parse(PDE, independent={"r1": "x1"},
