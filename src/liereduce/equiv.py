@@ -152,8 +152,8 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     """
     entries = [e for row in mat for e in row]
     names = sorted(set().union(*map(free_vars, entries)))
-    constraints = list({c._key: c for e in entries
-                        for c in positivity_constraints(e)}.values())
+    constraints = list(dict.fromkeys(c for e in entries
+                                     for c in positivity_constraints(e)))
     checked = 0
     for pt in _points("; ".join(map(render, entries)), names, constraints):
         values = [[substitute(e, pt) for e in row] for row in mat]
