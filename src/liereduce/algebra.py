@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .equiv import echelon
 from .expr import Add, Expr, ExprError, ZERO, add, mul, _coeff_monomial
 from .jets import JetError, VectorField
 
@@ -41,37 +42,16 @@ def _monomial_map(e: Expr) -> dict[tuple, Fraction]:
     return out
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row-echelon form over exact rationals; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    lead = 0
-    for col in range(ncols):
-        piv = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        pv = rows[lead][col]
-        rows[lead] = [x / pv for x in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows[:lead]
-
-
 def _solve_rational(aug: list[list[Fraction]], n: int) -> list[Fraction] | None:
-    """One exact solution of A x = b from the augmented rows [A | b], or None
-    when inconsistent, that is when a pivot lands in the b column."""
+    """One exact solution of A x = b from the augmented rows [A | b], free
+    unknowns set to 0, or None when inconsistent, that is when a pivot lands
+    in the b column."""
     x = [Fraction(0)] * n
-    for row in _rref(aug):
+    for row in reversed(echelon(aug)):
         col = next(k for k, c in enumerate(row) if c != 0)
         if col == n:
             return None
-        x[col] = row[n]
+        x[col] = (row[n] - sum(row[k] * x[k] for k in range(col + 1, n))) / row[col]
     return x
 
 
@@ -207,7 +187,7 @@ def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
                 v = bracket_vec(basis[i], basis[j])
                 if any(x != 0 for x in v):
                     vecs.append(v)
-        nxt = _rref(vecs) if vecs else []
+        nxt = echelon(vecs)
         dims.append(len(nxt))
         if len(nxt) == 0:
             return True, tuple(dims)

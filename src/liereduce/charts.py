@@ -168,9 +168,6 @@ class PointTransformation:
                         tuple(n for n, _ in self.target_dependent),
                         order, self.source.params)
 
-    def forward_map(self) -> dict[str, Expr]:
-        return {n: e for n, e in self.target_independent + self.target_dependent}
-
 
 def verify_canonical(X: VectorField, T: PointTransformation) -> bool:
     """True iff X annihilates every invariant target and moves the canonical

@@ -14,7 +14,6 @@ itself.  Every verdict records which criterion fired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .charts import ChartError, PointTransformation, pushforward_field
 from .equiv import is_zero
@@ -73,11 +72,10 @@ def gradient_poly(e: Expr, names) -> dict[tuple[int, ...], Expr] | None:
 
 
 def classify_pushforward(X: VectorField, T: PointTransformation,
-                         aux_defs: Mapping[str, Expr | str] | None,
                          reduced: ReducedSystem) -> Classification:
     """Classify a parent symmetry pushed onto the reduced system's coordinates."""
     try:
-        pf = pushforward_field(X, T, aux_defs)
+        pf = pushforward_field(X, T)
     except ChartError as exc:
         return Classification("inconclusive", witness=str(exc),
                               criterion="push-forward failed")

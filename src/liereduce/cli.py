@@ -107,7 +107,7 @@ def cmd_classify(args) -> int:
     pf = load_problem(args.problem)
     T = pf.charts[args.chart]
     red = lie_reduce(pf.system, T)
-    got = classify_pushforward(pf.fields[args.field], T, None, red)
+    got = classify_pushforward(pf.fields[args.field], T, red)
     _emit(args, {"operation": "classify", "field": args.field, "chart": args.chart,
                  "verdict": got.verdict, "witness": got.witness,
                  "criterion": got.criterion},

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import is_solvable, reduction_order_advice
 from .charts import pushforward_field, transform_de, verify_canonical
@@ -25,7 +26,7 @@ from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitut
 from .jets import prolong
 from .parse import parse_expr
 from .problem import Expect, ProblemError, ProblemFile, load_problem
-from .reduction import lie_reduce, reduce_system, verify_connection
+from .reduction import lie_reduce, reduce_pde, verify_connection
 from .systems import DESystem, _parse_equation, check_point_symmetry, verify_solution
 
 
@@ -131,11 +132,12 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
 # Executors: each returns (ok, computed, expected)
 
 
-def _reduction_for(pf: ProblemFile, exp: Expect):
-    """Build a reduction named by an expect body: 'reduce = ode|pde [target]'."""
-    words = exp.one("reduce").split()
-    target = words[1] if len(words) > 1 else None
-    return reduce_system(pf.system, words[0], target, exp.one("aux", "").split())
+def _reduced(pf: ProblemFile, exp: Expect, target: Sequence[str]):
+    """The gradient reduction of the target named in ``target`` (zero or one
+    words), with the expect's ``aux =`` names; the loader has checked that
+    its kind fits the space."""
+    return reduce_pde(pf.system, target[0] if target else None,
+                      exp.one("aux", "").split())
 
 
 def _ex_prolong(pf: ProblemFile, exp: Expect):
@@ -189,9 +191,7 @@ def _ex_transform(pf: ProblemFile, exp: Expect):
 
 
 def _ex_reduce(pf: ProblemFile, exp: Expect):
-    target = exp.args[0] if exp.args else None
-    red = reduce_system(pf.system, exp.op.removeprefix("reduce-"), target,
-                        exp.one("aux", "").split())
+    red = _reduced(pf, exp, exp.args)
     expected = _expected_equations(exp, red.system.space)
     ok = systems_match(red.system, expected) if expected else True
     count = exp.one("integrability")
@@ -234,7 +234,7 @@ def _ex_classify(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
     red = lie_reduce(pf.system, T)
-    got = classify_pushforward(X, T, None, red)
+    got = classify_pushforward(X, T, red)
     want = exp.one("verdict") or "point"
     ok = got.verdict == want
     wwit = exp.one("witness")
@@ -314,7 +314,7 @@ def _ex_advice(pf: ProblemFile, exp: Expect):
 
 def _ex_connection(pf: ProblemFile, exp: Expect):
     sol = pf.solutions[exp.args[0]]
-    red = _reduction_for(pf, exp)
+    red = _reduced(pf, exp, exp.one("reduce").split()[1:])
     if sol.kind == "parent":
         got = verify_connection(pf.system, red, parent_solution=sol.values)
     else:
@@ -331,29 +331,42 @@ def _ex_solution(pf: ProblemFile, exp: Expect):
     return got == want, str(got).lower(), str(want).lower()
 
 
-_EXECUTORS = {
-    "prolong": _ex_prolong,
-    "symmetry": _ex_symmetry,
-    "canonical": _ex_canonical,
-    "transform": _ex_transform,
-    "reduce-ode": _ex_reduce,
-    "reduce-pde": _ex_reduce,
-    "lie-reduce": _ex_lie_reduce,
-    "pushforward": _ex_pushforward,
-    "classify": _ex_classify,
-    "lift": _ex_lift,
-    "commutator": _ex_commutator,
-    "algebra": _ex_algebra,
-    "advice": _ex_advice,
-    "connection": _ex_connection,
-    "solution": _ex_solution,
+class Operation(NamedTuple):
+    """One ``[expect]`` operation.  ``args`` gives the kind of each argument:
+    ``field``, ``chart`` or ``solution`` names a declared one, and an
+    optional ``target`` a dependent variable.  ``keys`` are the body keys it
+    reads besides tag, note and stated; a key ending in `` *`` takes a name
+    after its first word (``coeff y'``)."""
+    run: Callable[[ProblemFile, Expect], tuple[bool, str, str]]
+    args: tuple[str, ...]
+    keys: tuple[str, ...]
+
+
+# The loader checks every expect against this table.
+OPERATIONS = {
+    "prolong": Operation(_ex_prolong, ("field",), ("order", "coeff *")),
+    "symmetry": Operation(_ex_symmetry, ("field",), ("verdict", "residual")),
+    "canonical": Operation(_ex_canonical, ("field", "chart"), ("verdict",)),
+    "transform": Operation(_ex_transform, ("chart",), ("equation",)),
+    "reduce-ode": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
+    "reduce-pde": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
+    "lie-reduce": Operation(_ex_lie_reduce, ("chart",), ("aux", "equation")),
+    "pushforward": Operation(_ex_pushforward, ("field", "chart"), ("flagged", "coeff *")),
+    "classify": Operation(_ex_classify, ("field", "chart"), ("verdict", "witness")),
+    "lift": Operation(_ex_lift, ("field",), ("verdict",)),
+    "commutator": Operation(_ex_commutator, ("field", "field"), ("result",)),
+    "algebra": Operation(_ex_algebra, (), ("fields", "closed", "bracket *", "solvable",
+                                           "series", "jacobi")),
+    "advice": Operation(_ex_advice, ("field", "field"), ("first",)),
+    "connection": Operation(_ex_connection, ("solution",), ("reduce", "aux", "verdict")),
+    "solution": Operation(_ex_solution, ("solution",), ("verdict",)),
 }
 
 
 def run_expect(pf: ProblemFile, exp: Expect) -> Report:
     t0 = time.perf_counter()
     try:
-        ok, computed, expected = _EXECUTORS[exp.op](pf, exp)
+        ok, computed, expected = OPERATIONS[exp.op].run(pf, exp)
         if ok:
             verdict = "discrepancy-documented" if exp.one("stated") else "pass"
         elif "inconclusive" in computed:

@@ -10,7 +10,8 @@ of the expression, so results do not depend on call order.
 
 The same points decide whether a square matrix of expressions (a chart's base
 Jacobian) is singular everywhere: it is eliminated at each point in O(k^3),
-exactly in ``Fraction`` when every entry is rational there.
+exactly in ``Fraction`` when every entry is rational there.  That elimination,
+``echelon``, also serves the algebra module's exact linear algebra.
 """
 
 from __future__ import annotations
@@ -108,21 +109,26 @@ def sampled_nonzero(e: Expr) -> bool:
     return not is_zero(e)
 
 
-def _nonsingular(rows: list[list], tol) -> bool:
-    """Gaussian elimination with partial pivoting; a pivot of magnitude at
-    most ``tol`` counts as zero.  Exact on Fractions with tol = 0."""
-    n = len(rows)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+def echelon(rows: list[list], tol=0) -> list[list]:
+    """Forward Gaussian elimination with partial pivoting, in place: the
+    pivot rows of a row-echelon form, as many as the rank.  A column whose
+    largest remaining entry has magnitude at most ``tol`` gets no pivot.
+    Exact on Fractions with tol = 0."""
+    lead = 0
+    for col in range(len(rows[0]) if rows else 0):
+        if lead == len(rows):
+            break
+        piv = max(range(lead, len(rows)), key=lambda r: abs(rows[r][col]))
         if abs(rows[piv][col]) <= tol:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = rows[col]
-        for r in range(col + 1, n):
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        top = rows[lead]
+        for r in range(lead + 1, len(rows)):
             f = rows[r][col] / top[col]
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], top)]
-    return True
+        lead += 1
+    return rows[:lead]
 
 
 def _equilibrated(rows: list[list[float]]) -> list[list[float]]:
@@ -158,7 +164,7 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     for pt in _points("; ".join(map(render, entries)), names, constraints):
         values = [[substitute(e, pt) for e in row] for row in mat]
         if all(isinstance(v, Rat) for row in values for v in row):
-            regular = _nonsingular([[v.value for v in row] for row in values], 0)
+            rows, tol = [[v.value for v in row] for row in values], 0
         else:
             try:
                 rows = [[eval_numeric(v, {}) for v in row] for row in values]
@@ -166,8 +172,8 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
                 continue
             if not all(math.isfinite(v) for row in rows for v in row):
                 continue
-            regular = _nonsingular(_equilibrated(rows), _TOLERANCE)
-        if regular:
+            rows, tol = _equilibrated(rows), _TOLERANCE
+        if len(echelon(rows, tol)) == len(mat):
             return True
         checked += 1
         if checked == _SAMPLES:

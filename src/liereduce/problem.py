@@ -178,29 +178,9 @@ def _space_from(kv: dict[str, list[str]], where: str) -> JetSpace:
     return JetSpace(indep, dep, order, params)
 
 
-# The body keys each [expect] operation reads besides tag, note and stated; a
-# key ending in " *" takes a name after its first word (``coeff y'``).
-_EXPECT_KEYS = {
-    "prolong": ("order", "coeff *"),
-    "symmetry": ("verdict", "residual"),
-    "canonical": ("verdict",),
-    "transform": ("equation",),
-    "reduce-ode": ("aux", "equation", "integrability"),
-    "reduce-pde": ("aux", "equation", "integrability"),
-    "lie-reduce": ("aux", "equation"),
-    "pushforward": ("flagged", "coeff *"),
-    "classify": ("verdict", "witness"),
-    "lift": ("verdict",),
-    "commutator": ("result",),
-    "algebra": ("fields", "closed", "bracket *", "solvable", "series", "jacobi"),
-    "advice": ("first",),
-    "connection": ("reduce", "aux", "verdict"),
-    "solution": ("verdict",),
-}
-
-
 def load_problem(path) -> ProblemFile:
     """Parse and validate one problem file."""
+    from .corpus import OPERATIONS  # the executors' module imports this one
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -255,9 +235,9 @@ def load_problem(path) -> ProblemFile:
                 raise ProblemError(f"{where}: [solution] needs exactly one name: {header!r}")
             raw_solutions.append((words[1], _kv(lines, f"{where} [{header}]")))
         elif kind == "expect":
-            if len(words) < 2 or words[1] not in _EXPECT_KEYS:
+            if len(words) < 2 or words[1] not in OPERATIONS:
                 raise ProblemError(
-                    f"{where}: [expect] needs an operation from {sorted(_EXPECT_KEYS)}: {header!r}")
+                    f"{where}: [expect] needs an operation from {sorted(OPERATIONS)}: {header!r}")
             raw_expects.append((header, _kv(lines, f"{where} [{header}]")))
         else:
             raise ProblemError(f"{where}: unknown section {header!r}")
@@ -338,64 +318,62 @@ def load_problem(path) -> ProblemFile:
 
     pf = ProblemFile(str(p), pid, title, space, system, fields, charts,
                      solutions, tuple(expects), parent)
-    _validate_references(pf)
+    _validate_references(pf, OPERATIONS)
     return pf
 
 
-def _validate_references(pf: ProblemFile):
-    """Every expect must use only the keys its operation reads, reference
-    declared fields/charts/solutions, have integer values that parse, and
-    name a reduction that fits the space."""
+def _validate_references(pf: ProblemFile, operations):
+    """Every expect must use only the keys its operation reads, give it the
+    number and kinds of arguments it takes, have integer values that parse,
+    and name a reduction that fits the space."""
+    declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
+                "target": pf.space.dependent}
+
+    def check(kind: str, name: str, w: str):
+        if name not in declared[kind]:
+            raise ProblemError(f"{w}: target {name!r} is not a dependent variable"
+                               if kind == "target" else f"{w}: unknown {kind} {name!r}")
+
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
-        allowed = _EXPECT_KEYS[e.op] + ("stated",)
+        op = operations[e.op]
         for k in e.body:
             head, _, rest = k.partition(" ")
-            if (f"{head} *" if rest else k) not in allowed:
+            if (f"{head} *" if rest else k) not in op.keys + ("stated",):
                 raise ProblemError(f"{w}: unknown key {k!r}")
-        if e.op in ("commutator", "advice") and len(e.args) != 2:
-            raise ProblemError(f"{w}: {e.op} needs exactly two field names")
-        if e.op == "prolong" and e.one("order"):
+        # Only a target is optional.
+        if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):
+            form = [e.op] + ["[TARGET]" if k == "target" else k.upper() for k in op.args]
+            raise ProblemError(f"{w}: expected '[expect {' '.join(form)}]'")
+        for kind, name in zip(op.args, e.args):
+            check(kind, name, w)
+        if e.one("order"):
             _integer(e.one("order"), w)
         if e.one("integrability") is not None:
             _integer(e.one("integrability"), w, "integrability")
         for n in (e.one("series") or "").split():
             _integer(n, w, "series")
-        reduce = e.one("reduce", "").split()
-        if reduce and reduce[0] not in ("ode", "pde"):
-            raise ProblemError(f"{w}: reduce must be ode or pde, got {reduce[0]!r}")
-        if e.op == "connection" and not reduce:
-            raise ProblemError(f"{w}: connection needs 'reduce = ode|pde [target]'")
-        if e.op in ("reduce-ode", "reduce-pde"):
-            reduce = [e.op.removeprefix("reduce-"), *e.args]
-        if e.op in ("reduce-ode", "reduce-pde", "connection"):
-            why = kind_mismatch(reduce[0], pf.space.p)
-            if why:
-                raise ProblemError(f"{w}: {why}")
-            if reduce[1:] and reduce[1] not in pf.space.dependent:
-                raise ProblemError(f"{w}: target {reduce[1]!r} is not a dependent variable")
         # No auxiliary names mean the defaults; a chart has the problem's p.
         aux = e.one("aux", "").split()
         if aux and len(aux) != pf.space.p:
             raise ProblemError(f"{w}: need {pf.space.p} auxiliary names, got {len(aux)}")
-        for a in e.args:
-            if e.op in ("prolong", "symmetry", "lift", "commutator", "advice"):
-                if a not in pf.fields:
-                    raise ProblemError(f"{w}: unknown field {a!r}")
-            elif e.op in ("transform", "lie-reduce"):
-                if a not in pf.charts:
-                    raise ProblemError(f"{w}: unknown chart {a!r}")
-            elif e.op in ("canonical", "pushforward", "classify"):
-                if a not in pf.fields and a not in pf.charts:
-                    raise ProblemError(f"{w}: unknown field or chart {a!r}")
-            elif e.op in ("connection", "solution"):
-                if a not in pf.solutions:
-                    raise ProblemError(f"{w}: unknown solution {a!r}")
+        kind = e.op.removeprefix("reduce-") if e.op.startswith("reduce-") else None
+        if e.op == "connection":
+            reduce = e.one("reduce", "").split()
+            if not 1 <= len(reduce) <= 2:
+                raise ProblemError(f"{w}: connection needs 'reduce = ode|pde [target]'")
+            if reduce[0] not in ("ode", "pde"):
+                raise ProblemError(f"{w}: reduce must be ode or pde, got {reduce[0]!r}")
+            kind = reduce[0]
+            for name in reduce[1:]:
+                check("target", name, w)
+        why = kind and kind_mismatch(kind, pf.space.p)
+        if why:
+            raise ProblemError(f"{w}: {why}")
         if e.op == "algebra":
             names = e.one("fields", "").split()
             for name in names:
-                if name not in pf.fields:
-                    raise ProblemError(f"{w}: unknown field {name!r}")
+                check("field", name, w)
             for head, _ in e.prefixed("bracket"):
                 pair = head.split()
                 if len(pair) != 2 or not set(pair) <= set(names or pf.fields):

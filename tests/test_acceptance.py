@@ -146,15 +146,14 @@ def test_criterion_7_classification():
     with criterion(7, "point/nonlocal verdicts with witnesses; lifts blocked"):
         red1 = lie_reduce(TWO_SCALINGS.system, TWO_SCALINGS.charts["chart1"])
         got = classify_pushforward(TWO_SCALINGS.fields["X2"],
-                                   TWO_SCALINGS.charts["chart1"], None, red1)
+                                   TWO_SCALINGS.charts["chart1"], red1)
         assert got.verdict == "point"
         red2 = lie_reduce(TWO_SCALINGS.system, TWO_SCALINGS.charts["chart2"])
         got = classify_pushforward(TWO_SCALINGS.fields["X1"],
-                                   TWO_SCALINGS.charts["chart2"], None, red2)
+                                   TWO_SCALINGS.charts["chart2"], red2)
         assert got.verdict == "nonlocal" and got.witness == "s"
         redS = lie_reduce(POWER.system, POWER.charts["scal"])
-        got = classify_pushforward(POWER.fields["X1"], POWER.charts["scal"],
-                                   None, redS)
+        got = classify_pushforward(POWER.fields["X1"], POWER.charts["scal"], redS)
         assert got.verdict == "nonlocal" and got.witness == "s"
         got = lift_test(BERNOULLI_RED.fields["Y"], BERNOULLI_RED.reduced_view())
         assert got.verdict == "nonlocal"
@@ -285,12 +284,10 @@ def test_criterion_11_cross_module_consistency():
             assert names[adv.first] == n1
             assert names[adv.point_inherited] == n2
             red = lie_reduce(pf.system, pf.charts[chart_first])
-            got = classify_pushforward(pf.fields[n2], pf.charts[chart_first],
-                                       None, red)
+            got = classify_pushforward(pf.fields[n2], pf.charts[chart_first], red)
             assert got.verdict == "point", (pf.id, chart_first)
             red = lie_reduce(pf.system, pf.charts[chart_reverse])
-            got = classify_pushforward(pf.fields[n1], pf.charts[chart_reverse],
-                                       None, red)
+            got = classify_pushforward(pf.fields[n1], pf.charts[chart_reverse], red)
             assert got.verdict == "nonlocal", (pf.id, chart_reverse)
 
 

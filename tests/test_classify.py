@@ -33,18 +33,18 @@ P_CHART = PointTransformation.parse(
 class TestClassifyPushforward:
     def test_point_case(self):
         red = lie_reduce(SCALING_ODE, CHART1)
-        got = classify_pushforward(X2, CHART1, None, red)
+        got = classify_pushforward(X2, CHART1, red)
         assert got.verdict == "point"
 
     def test_nonlocal_ode_case(self):
         red = lie_reduce(SCALING_ODE, CHART2)
-        got = classify_pushforward(X1, CHART2, None, red)
+        got = classify_pushforward(X1, CHART2, red)
         assert got.verdict == "nonlocal"
         assert got.witness == "s"
 
     def test_nonlocal_pde_case(self):
         red = lie_reduce(POWER_PDE, P_CHART)
-        got = classify_pushforward(P_X1, P_CHART, None, red)
+        got = classify_pushforward(P_X1, P_CHART, red)
         assert got.verdict == "nonlocal"
         assert got.witness == "s"
 
@@ -54,7 +54,7 @@ class TestClassifyPushforward:
             canonical="s", inverse={"x1": "r1", "x2": "r2", "u": "s"},
             aux={"alpha": "u_1", "beta": "u_2"})
         red = lie_reduce(POWER_PDE, ident)
-        got = classify_pushforward(P_X1, ident, None, red)
+        got = classify_pushforward(P_X1, ident, red)
         assert got.verdict == "point"
         pf_coords = red.system.space.base_names
         # the translation dies: all coefficients vanish
@@ -64,7 +64,7 @@ class TestClassifyPushforward:
 
     def test_rescaled_field_same_verdict(self):
         red = lie_reduce(SCALING_ODE, CHART2)
-        got = classify_pushforward(rat(3) * X1, CHART2, None, red)
+        got = classify_pushforward(rat(3) * X1, CHART2, red)
         assert got.verdict == "nonlocal"
 
     def test_inconclusive_without_inverse(self):
@@ -72,7 +72,7 @@ class TestClassifyPushforward:
             ODE, independent={"r": "y/x"}, dependent={"s": "-1/x"},
             canonical="s", aux={"alpha": "1/(x*y'-y)"})
         red = lie_reduce(SCALING_ODE, CHART1)
-        got = classify_pushforward(X2, chart, None, red)
+        got = classify_pushforward(X2, chart, red)
         assert got.verdict == "inconclusive"
 
 

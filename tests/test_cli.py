@@ -155,6 +155,7 @@ class TestUsageErrors:
 BASE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
         "[equations]\ny' = y\n[field T]\nx = 1\n[solution s]\ny = exp(x)\n")
 GOOD_CHECK = "[expect symmetry T]\ntag = oracle\nverdict = symmetry\n"
+CHART = "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\n"
 DEEP = "sin(" * 400 + "y" + ")" * 400
 # Each malformed file, the check that reports it ("load" when the file is
 # rejected) and the start of the reported text: the loader's own errors name
@@ -189,8 +190,7 @@ MALFORMED = {
         (BASE + "[expect connection s]\ntag = oracle\nreduce = ode\naux = a b\n",
          "load", "bad.prob [expect connection s]: need 1 auxiliary names, got 2"),
     "lie-reduce-two-aux-names":
-        (BASE + "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\n"
-         "[expect lie-reduce c]\ntag = oracle\naux = a b\n",
+        (BASE + CHART + "[expect lie-reduce c]\ntag = oracle\naux = a b\n",
          "load", "bad.prob [expect lie-reduce c]: need 1 auxiliary names, got 2"),
     "prolong-misspelt-coeff-key":
         (BASE + "[expect prolong T]\ntag = oracle\ncoef y' = 12345\n",
@@ -236,6 +236,53 @@ MALFORMED = {
     "connection-empty-reduce":
         (BASE + "[expect connection s]\ntag = oracle\nreduce =\n",
          "load", "bad.prob [expect connection s]: connection needs 'reduce = "),
+    # Each operation's argument count and kinds come from its row in
+    # corpus.OPERATIONS and are checked at load.
+    "symmetry-no-argument":
+        (BASE + "[expect symmetry]\ntag = oracle\n",
+         "load", "bad.prob [expect symmetry]: expected '[expect symmetry FIELD]'"),
+    "symmetry-two-arguments":
+        (BASE + "[expect symmetry T T]\ntag = oracle\n",
+         "load", "bad.prob [expect symmetry T T]: expected '[expect symmetry FIELD]'"),
+    "prolong-no-argument":
+        (BASE + "[expect prolong]\ntag = oracle\ncoeff y' = 0\n",
+         "load", "bad.prob [expect prolong]: expected '[expect prolong FIELD]'"),
+    "transform-no-argument":
+        (BASE + "[expect transform]\ntag = oracle\n",
+         "load", "bad.prob [expect transform]: expected '[expect transform CHART]'"),
+    "transform-field-for-chart":
+        (BASE + "[expect transform T]\ntag = oracle\n",
+         "load", "bad.prob [expect transform T]: unknown chart 'T'"),
+    "lie-reduce-no-argument":
+        (BASE + "[expect lie-reduce]\ntag = oracle\n",
+         "load", "bad.prob [expect lie-reduce]: expected '[expect lie-reduce CHART]'"),
+    "solution-no-argument":
+        (BASE + "[expect solution]\ntag = oracle\n",
+         "load", "bad.prob [expect solution]: expected '[expect solution SOLUTION]'"),
+    "connection-no-argument":
+        (BASE + "[expect connection]\ntag = oracle\nreduce = ode\n",
+         "load", "bad.prob [expect connection]: expected '[expect connection SOLUTION]'"),
+    "canonical-one-argument":
+        (BASE + CHART + "[expect canonical T]\ntag = oracle\n",
+         "load", "bad.prob [expect canonical T]: expected '[expect canonical FIELD CHART]'"),
+    "canonical-swapped-arguments":
+        (BASE + CHART + "[expect canonical c T]\ntag = oracle\n",
+         "load", "bad.prob [expect canonical c T]: unknown field 'c'"),
+    "pushforward-field-for-chart":
+        (BASE + "[expect pushforward T T]\ntag = oracle\n",
+         "load", "bad.prob [expect pushforward T T]: unknown chart 'T'"),
+    "classify-one-argument":
+        (BASE + CHART + "[expect classify c]\ntag = oracle\n",
+         "load", "bad.prob [expect classify c]: expected '[expect classify FIELD CHART]'"),
+    "algebra-stray-argument":
+        (BASE + "[expect algebra T]\ntag = oracle\nclosed = true\n",
+         "load", "bad.prob [expect algebra T]: expected '[expect algebra]'"),
+    "connection-reduce-three-words":
+        (BASE + "[expect connection s]\ntag = oracle\nreduce = ode y y\n",
+         "load", "bad.prob [expect connection s]: connection needs 'reduce = "),
+    "reduce-ode-two-targets":
+        (BASE.replace("y' = y", "y' = 1") + "[expect reduce-ode y y]\ntag = oracle\n",
+         "load", "bad.prob [expect reduce-ode y y]: expected '[expect reduce-ode [TARGET]]'"),
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),
