@@ -9,11 +9,11 @@ corpus format and CLI.
 """
 
 from .expr import (Add, DomainError, Expr, ExprError, Kernel, Mul, Pow, Rat,
-                   Sym, VarId, ZERO, ONE, add, clear_denominators, diff,
+                   Sym, ZERO, ONE, add, clear_denominators, diff,
                    eval_numeric, free_vars, kernel, mul, normalize, power,
                    rat, render, substitute, sym)
 from .parse import ParseError, parse_expr
-from .equiv import SamplingDomainError, equiv, is_zero, sampled_nonzero
+from .equiv import SamplingDomainError, equiv, is_zero
 from .jets import (JetError, JetSpace, ProlongedField, VectorField, prolong,
                    total_derivative)
 from .systems import (DESystem, SymmetryReport, SystemError_,

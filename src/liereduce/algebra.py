@@ -205,14 +205,14 @@ class Advice:
     either: bool = False
     point_inherited: int | None = None  # index inherited as a point symmetry
 
-    def describe(self, names: Sequence[str] | None = None) -> str:
-        nm = (lambda k: names[k]) if names else (lambda k: f"X{k + 1}")
+    def describe(self, names: Sequence[str]) -> str:
+        first = names[self.first]
         if self.either:
-            return (f"[{nm(self.first)},{nm(self.second)}] = 0: either order works; "
+            return (f"[{first},{names[self.second]}] = 0: either order works; "
                     f"both directions inherit a point symmetry")
-        return (f"reduce by {nm(self.first)} first; {nm(self.point_inherited)} is "
+        return (f"reduce by {first} first; {names[self.point_inherited]} is "
                 f"inherited as a point symmetry, while the reverse order "
-                f"inherits {nm(self.first)} only as a nonlocal symmetry")
+                f"inherits {first} only as a nonlocal symmetry")
 
 
 def reduction_order_advice(table: AlgebraTable, i: int, j: int) -> Advice:

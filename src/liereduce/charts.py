@@ -1,19 +1,19 @@
 """Point transformations: canonical-coordinate checks, change of variables of
 DE systems in jet space, and push-forward of generators into new coordinates.
 
-The change of variables works through two jet dictionaries derived from the
+The change of variables works through one jet dictionary derived from the
 chain rule.  Writing the new dependent variables as functions of the new
 independent ones, each source total derivative of a target coordinate obeys
 
     D_j s = sum_i (ds/dr_i) * D_j r_i ,
 
-which is affine both in the unknown target derivatives and in the unknown
-source derivatives.  Solving one way expresses target jets in source jets
-(used to bind auxiliary variables like ``alpha = ds/dr``); solving the other
-way, then differentiating the solved forms with a mixed total derivative,
-expresses every source jet in target jets.  Substituting the latter plus the
-inverse base map rewrites an equation completely in the new coordinates.
-All linear solves use division-free elimination with equivalence-tested
+which is affine in the unknown source derivatives.  Solving it for them,
+then differentiating the solved forms with a mixed total derivative,
+expresses every source jet in target jets.  Substituting that dictionary
+plus the inverse base map rewrites an equation completely in the new
+coordinates; substituting it into an auxiliary definition (like
+``alpha = ds/dr``) identifies the target derivative the auxiliary names.
+The linear solve uses division-free elimination with equivalence-tested
 pivoting; ties are broken by smallest normalized term count.
 """
 
@@ -21,14 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .equiv import equiv, sampled_nonsingular, sampled_nonzero
+from .equiv import equiv, is_zero, sampled_nonsingular
 from .expr import (Add, Expr, ExprError, ONE, ZERO, add, clear_denominators,
                    diff, free_vars, mul, power, render, substitute, sym,
-                   _coerce, _coeff_monomial)
+                   _coeff_monomial)
 from .jets import JetSpace, VectorField, prolong, total_derivative
 from .parse import parse_expr
+from .systems import DESystem
 
 
 class ChartError(ExprError):
@@ -62,7 +64,7 @@ def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str]) -> list[Expr]:
         rows.append(row)
     for col in range(n):
         cands = [r for r in range(col, n)
-                 if rows[r][col] != ZERO and sampled_nonzero(rows[r][col])]
+                 if rows[r][col] != ZERO and not is_zero(rows[r][col])]
         if not cands:
             raise SingularMapError("linear system is singular (no usable pivot)")
         piv = min(cands, key=lambda r: _term_count(rows[r][col]))
@@ -205,44 +207,23 @@ def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
     return add(*parts)
 
 
-def jet_dictionaries(T: PointTransformation, order: int
-                     ) -> tuple[dict[str, Expr], dict[str, Expr]]:
-    """(forward, backward) jet dictionaries for the chart.
-
-    forward: first-order target jets as source-jet expressions.
-    backward: every source jet up to ``order`` as an expression in source base
-    coordinates and target jet symbols.
-    """
+def jet_dictionaries(T: PointTransformation, order: int) -> dict[str, Expr]:
+    """Every source jet up to ``order`` as an expression in source base
+    coordinates and target jet symbols."""
     src = T.source
     ts = T.target_space(max(order, 1))
     djr = {(j, i): total_derivative(src, T.target_independent[i - 1][1], j)
            for j in range(1, src.p + 1) for i in range(1, src.p + 1)}
-    djs = {(j, nu): total_derivative(src, T.target_dependent[nu - 1][1], j)
-           for j in range(1, src.p + 1) for nu in range(1, src.m + 1)}
-    relations = []
-    rel_index = []
-    for nu, (dep, _) in enumerate(T.target_dependent, start=1):
-        for j in range(1, src.p + 1):
-            rel = add(*[mul(sym(ts.jet_name(dep, (i,))), djr[(j, i)])
-                        for i in range(1, src.p + 1)],
-                      mul(-1, djs[(j, nu)]))
-            relations.append(rel)
-            rel_index.append((dep, j))
-    # Forward: solve for the target first derivatives, per target dependent.
-    forward: dict[str, Expr] = {}
-    for nu, (dep, _) in enumerate(T.target_dependent, start=1):
-        rels = [r for r, (d, _) in zip(relations, rel_index) if d == dep]
-        unknowns = [ts.jet_name(dep, (i,)) for i in range(1, src.p + 1)]
-        sol = solve_affine(rels, unknowns)
-        forward.update(dict(zip(unknowns, sol)))
-    # Backward: solve jointly for the source first derivatives, then extend
-    # by differentiating the solved forms.
+    relations = [add(*[mul(sym(ts.jet_name(dep, (i,))), djr[(j, i)])
+                       for i in range(1, src.p + 1)],
+                     mul(-1, total_derivative(src, e, j)))
+                 for dep, e in T.target_dependent for j in range(1, src.p + 1)]
+    # Solve jointly for the source first derivatives, then extend by
+    # differentiating the solved forms.
     src_first = [src.jet_name(d, (j,)) for d in src.dependent
                  for j in range(1, src.p + 1)]
-    sol = solve_affine(relations, src_first)
-    backward: dict[str, Expr] = dict(zip(src_first, sol))
+    backward = dict(zip(src_first, solve_affine(relations, src_first)))
     first = dict(backward)
-    from itertools import combinations_with_replacement
     for k in range(2, order + 1):
         for dep in src.dependent:
             for idx in combinations_with_replacement(range(1, src.p + 1), k):
@@ -250,7 +231,7 @@ def jet_dictionaries(T: PointTransformation, order: int
                 prev = src.jet_name(dep, idx[:-1])
                 e = _mixed_total_derivative(T, ts, backward[prev], j, djr)
                 backward[src.jet_name(dep, idx)] = substitute(e, first)
-    return forward, backward
+    return backward
 
 
 _ODE_ORDER_CAP = 3
@@ -263,8 +244,6 @@ def transform_de(sys, T: PointTransformation):
     Requires the chart to carry its inverse base map; orders are capped at
     three for one independent variable and two otherwise.
     """
-    from .systems import DESystem
-
     src = T.source
     if sys.space.base_names != src.base_names:
         raise ChartError("system and chart live over different source coordinates")
@@ -274,7 +253,7 @@ def transform_de(sys, T: PointTransformation):
         raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
-    _, backward = jet_dictionaries(T, n)
+    backward = jet_dictionaries(T, n)
     ts = T.target_space(n)
     out = []
     allowed = set(ts.base_names) | set(ts.params) | set(ts.jet_names(n))
@@ -327,50 +306,42 @@ def _leading_rational(e: Expr) -> Fraction | None:
     return c
 
 
-def pushforward_field(X: VectorField, T: PointTransformation,
-                      aux_defs: Mapping[str, Expr | str] | None = None) -> Pushforward:
+def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
     """Push X through the chart onto (targets, auxiliary variables).
 
     Each new coefficient is the prolonged field applied to the coordinate's
-    defining expression, re-expressed through the jet dictionaries and the
-    inverse map.  Auxiliary definitions are matched against the chart's own
-    first-order target derivatives, so a wrong definition is rejected rather
-    than silently used.
+    defining expression, re-expressed through the jet dictionary and the
+    inverse map.  Each auxiliary definition, re-expressed the same way, must
+    be one of the chart's first-order target derivatives, so a wrong
+    definition is rejected rather than silently used.
     """
     src = T.source
     if X.space.base_names != src.base_names:
         raise ChartError("field and chart live over different source coordinates")
-    if aux_defs is None:
-        aux = list(T.aux)
-    else:
-        aux = [(n, parse_expr(d, src) if isinstance(d, str) else _coerce(d))
-               for n, d in aux_defs.items()]
     coord_defs: list[tuple[str, Expr]] = []
     for n, e in T.target_independent + T.target_dependent:
         if T.canonical is not None and n == T.canonical:
             continue
         coord_defs.append((n, e))
-    coord_defs.extend(aux)
-    n_aux = max([src.jet_order(d) for _, d in aux], default=0)
+    coord_defs.extend(T.aux)
+    n_aux = max([src.jet_order(d) for _, d in T.aux], default=0)
     P = prolong(X, max(1, n_aux))
     raw = {n: P.apply_to(d) for n, d in coord_defs}
     raw_order = max([src.jet_order(e) for e in raw.values()], default=0)
-    forward, backward = jet_dictionaries(T, max(raw_order, 1))
+    backward = jet_dictionaries(T, max(raw_order, 1))
+    target_first = T.target_space(1).jet_names(1)
     rename: dict[str, Expr] = {}
-    for n, d in aux:
-        bound = None
-        for jet_name, expr_ in forward.items():
-            if equiv(expr_, d):
-                bound = jet_name
-                break
+    for n, d in T.aux:
+        d = substitute(d, backward)
+        if T.inverse is not None:
+            d = substitute(d, T.inverse)
+        bound = next((j for j in target_first if equiv(d, sym(j))), None)
         if bound is None:
             raise ChartError(
                 f"auxiliary {n!r} does not match any first-order derivative of the chart")
         rename[bound] = sym(n)
     coords = tuple(n for n, _ in coord_defs)
-    allowed = set(T.target_names) | {n for n, _ in aux} | set(src.params)
-    if T.canonical is not None:
-        allowed.add(T.canonical)
+    allowed = set(T.target_names) | {n for n, _ in T.aux} | set(src.params)
     expressed: dict[str, Expr] = {}
     residual: set[str] = set()
     for n, r in raw.items():
@@ -378,8 +349,7 @@ def pushforward_field(X: VectorField, T: PointTransformation,
         e = substitute(e, rename)
         if T.inverse is not None:
             e = substitute(e, T.inverse)
-        leftover = set(free_vars(e)) - allowed
-        residual |= leftover
+        residual |= set(free_vars(e)) - allowed
         expressed[n] = e
     if residual:
         return Pushforward(coords, raw, flagged=True,

@@ -113,7 +113,7 @@ def classify_pushforward(X: VectorField, T: PointTransformation,
 def lift_test(Y: VectorField, reduced: ReducedSystem) -> Classification:
     """Does a point symmetry of the reduced system lift to the parent?
 
-    The connection must be the gradient reduction's: one auxiliary variable
+    The connection is the gradient reduction's: one auxiliary variable
     per independent variable, each the first derivative of the eliminated
     variable (with one independent variable, the slope of Lie's reduction of
     order).  The candidate parent generator's prolongation must reproduce
@@ -131,12 +131,7 @@ def lift_test(Y: VectorField, reduced: ReducedSystem) -> Classification:
     pspace = conn.parent_space
     p = pspace.p
     indep = pspace.independent
-    aux_names = tuple(n for n, _ in conn.aux_defs)
-    if len(aux_names) != p or any(
-            getattr(d, "name", None) != pspace.jet_name(conn.eliminated, (i,))
-            for i, (_, d) in enumerate(conn.aux_defs, start=1)):
-        return Classification("inconclusive",
-                              criterion="unsupported connection shape for lift matching")
+    aux_names = conn.aux
 
     a = [Y.coeff(xj) for xj in indep]
     for xj, aj in zip(indep, a):

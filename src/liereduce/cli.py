@@ -80,10 +80,10 @@ def cmd_reduce(args) -> int:
     _emit(args, {"operation": "reduce", "equations": eqs,
                  "roles": list(red.roles),
                  "connection": dict((n, render(e)) for n, e in conn.aux_defs),
-                 "eliminated": conn.eliminated, "constant": conn.constant},
+                 "eliminated": conn.eliminated, "constant": "C"},
           "\n".join(f"{e} = 0  [{r}]" for e, r in zip(eqs, red.roles)) +
           "\nconnection: " + ", ".join(conn.describe()) +
-          f"; {conn.eliminated} recovered by quadrature up to {conn.constant}")
+          f"; {conn.eliminated} recovered by quadrature up to C")
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 from .algebra import is_solvable, reduction_order_advice
 from .charts import pushforward_field, transform_de, verify_canonical
 from .classify import classify_pushforward, lift_test
-from .equiv import equiv, sampled_nonzero
+from .equiv import equiv, is_zero
 from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitute
 from .jets import prolong
 from .parse import parse_expr
@@ -86,7 +86,7 @@ def equation_matches(eqA: Expr, eqB: Expr) -> bool:
         dA = substitute(eqA, {v: ZERO})
         dB = substitute(eqB, {v: ZERO})
         if equiv(mul(cA, dB), mul(cB, dA)) and \
-                sampled_nonzero(cA) and sampled_nonzero(cB):
+                not is_zero(cA) and not is_zero(cB):
             return True
     return False
 

@@ -104,11 +104,6 @@ def is_zero(e: Expr) -> bool:
     return equiv(e, ZERO)
 
 
-def sampled_nonzero(e: Expr) -> bool:
-    """True when e is not equivalent to zero (so safe to divide by)."""
-    return not is_zero(e)
-
-
 def echelon(rows: list[list], tol=0) -> list[list]:
     """Forward Gaussian elimination with partial pivoting, in place: the
     pivot rows of a row-echelon form, as many as the rank.  A column whose

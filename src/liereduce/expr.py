@@ -29,21 +29,7 @@ class DomainError(ExprError):
     """Numeric evaluation left the real domain (log of nonpositive, etc.)."""
 
 
-@dataclass(frozen=True)
-class VarId:
-    """A declared variable: a unique name plus a role tag.
-
-    Expression nodes reference variables by name; the role tag lives at the
-    declaration site (jet spaces, parse vocabularies).
-    """
-
-    name: str
-    role: str = "independent"  # independent | dependent | jet | parameter
-
-
 def _name_of(v) -> str:
-    if isinstance(v, VarId):
-        return v.name
     if isinstance(v, Sym):
         return v.name
     if isinstance(v, str):
@@ -67,10 +53,6 @@ class Expr:
         if not isinstance(other, Expr):
             return NotImplemented
         return self._hash == other._hash and self._key == other._key
-
-    def __ne__(self, other):
-        res = self.__eq__(other)
-        return res if res is NotImplemented else not res
 
     def __hash__(self):
         return self._hash

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
                    sym, _coerce)
@@ -101,10 +101,10 @@ class JetSpace:
     def base_names(self) -> tuple[str, ...]:
         return self.independent + self.dependent
 
-    def jet_names(self, max_order: int, deps: Iterable[str] | None = None) -> list[str]:
+    def jet_names(self, max_order: int) -> list[str]:
         """All derivative coordinates with 1 <= |index| <= max_order."""
         out = []
-        for dep in (self.dependent if deps is None else deps):
+        for dep in self.dependent:
             for k in range(1, max_order + 1):
                 for idx in combinations_with_replacement(range(1, self.p + 1), k):
                     out.append(self.jet_name(dep, idx))
@@ -128,21 +128,15 @@ class JetSpace:
         return n
 
 
-def total_derivative(space: JetSpace, e: Expr, j) -> Expr:
+def total_derivative(space: JetSpace, e: Expr, j: int) -> Expr:
     """D_j e: the total derivative along the j-th independent variable."""
-    if isinstance(j, int):
-        xj = space.independent[j - 1]
-        jidx = j
-    else:
-        xj = j
-        jidx = space.independent.index(j) + 1
-    parts = [diff(e, xj)]
+    parts = [diff(e, space.independent[j - 1])]
     for v in free_vars(e):
         info = space.jet_info(v)
         if info is None:
             continue
         dep, idx = info
-        nxt = space.jet_name(dep, idx + (jidx,))
+        nxt = space.jet_name(dep, idx + (j,))
         parts.append(mul(sym(nxt), diff(e, v)))
     return add(*parts)
 

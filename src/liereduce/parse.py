@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, VarId, add, kernel,
-                   mul, power, rat, sym)
+from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, add, kernel, mul,
+                   power, rat, sym)
 
 
 class ParseError(ExprError):
@@ -57,13 +57,7 @@ def _resolve(vocabulary, name: str) -> str | None:
     resolve = getattr(vocabulary, "resolve", None)
     if resolve is not None:
         return resolve(name)
-    for entry in vocabulary:
-        if isinstance(entry, VarId):
-            if entry.name == name:
-                return name
-        elif entry == name:
-            return name
-    return None
+    return name if name in vocabulary else None
 
 
 # Every nesting level (a parenthesis, a kernel argument or an exponent)
@@ -180,7 +174,7 @@ class _Parser:
 def parse_expr(text: str, vocabulary=None) -> Expr:
     """Parse text into a normalized expression.
 
-    ``vocabulary`` may be a set of names/VarIds, or any object with a
+    ``vocabulary`` may be a set of names, or any object with a
     ``resolve(name) -> canonical name | None`` method (jet spaces qualify).
     ``None`` accepts every identifier.
     """

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
-from .parse import ParseError, parse_expr
+from .parse import ParseError
 from .charts import PointTransformation
 from .reduction import Connection, ReducedSystem, kind_mismatch
 from .systems import DESystem
@@ -94,10 +94,7 @@ class ProblemFile:
         """Interpret this problem as the reduction of its declared parent."""
         if self.parent is None:
             raise ProblemError(f"{self.id}: no [parent] section declared")
-        ps = self.parent.space
-        defs = tuple((a, parse_expr(ps.jet_name(self.parent.target, (i,)), ps))
-                     for i, a in enumerate(self.parent.aux, start=1))
-        conn = Connection(ps, self.parent.target, defs)
+        conn = Connection(self.parent.space, self.parent.target, self.parent.aux)
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations), conn)
 
     def algebra_table(self, names: Sequence[str] | None = None

@@ -6,9 +6,9 @@ reduction.  With p independent variables it appends the p(p-1)/2
 cross-derivative (curl) conditions that make the new variables a gradient.
 With one independent variable there are none, and the gradient reduction is
 Lie's reduction of order for ODEs: the slope replaces the variable and the
-order drops by one.  The connection record keeps the definitions of the new
-variables and the symbolic quadrature constant linking solutions back to the
-parent; the quadrature itself is never computed, only differentiated.
+order drops by one.  The connection record names the new variables, which
+form the gradient of the eliminated one; a quadrature recovers that variable
+up to an additive constant, but it is never computed, only differentiated.
 """
 
 from __future__ import annotations
@@ -33,15 +33,21 @@ class ReductionError(ExprError):
 class Connection:
     """How reduced solutions relate to parent solutions.
 
-    ``aux_defs`` define each new dependent variable as a parent jet
-    expression; integrating the eliminated variable back up introduces the
-    additive constant named ``constant``.
+    The i-th name in ``aux`` is the first derivative of the eliminated
+    variable along the i-th independent variable of the parent: the reduced
+    system lives on the gradient of the eliminated variable, which is
+    recovered by quadrature up to an additive constant.
     """
 
     parent_space: JetSpace
     eliminated: str
-    aux_defs: tuple[tuple[str, Expr], ...]
-    constant: str = "C"
+    aux: tuple[str, ...]
+
+    @property
+    def aux_defs(self) -> tuple[tuple[str, Expr], ...]:
+        """Each auxiliary name with the parent jet variable it stands for."""
+        return tuple((a, sym(self.parent_space.jet_name(self.eliminated, (i,))))
+                     for i, a in enumerate(self.aux, start=1))
 
     def describe(self) -> list[str]:
         return [f"{n} = {render(e)}" for n, e in self.aux_defs]
@@ -142,10 +148,7 @@ def reduce_pde(sys: DESystem, target: str | None = None,
     new_space = names.with_order(max(names.jet_order(e) for e in eqs))
     reduced = DESystem.build(new_space, eqs) if new_space.order > 0 else \
         DESystem(new_space, tuple(eqs), ("",) * len(eqs), (ZERO,) * len(eqs))
-    conn = Connection(space, target,
-                      tuple((a, sym(space.jet_name(target, (i,))))
-                            for i, a in enumerate(aux_names, start=1)))
-    return ReducedSystem(reduced, tuple(roles), conn)
+    return ReducedSystem(reduced, tuple(roles), Connection(space, target, aux_names))
 
 
 def kind_mismatch(kind: str, p: int) -> str | None:
@@ -222,18 +225,8 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
         for d, v in psol.items():
             if d != target:
                 derived_reduced[d] = v
-        for aux, defexpr in conn.aux_defs:
-            subs = {}
-            for w in free_vars(defexpr):
-                info = pspace.jet_info(w)
-                if info is None:
-                    continue
-                dep, idx = info
-                val = psol[dep]
-                for j in idx:
-                    val = diff(val, pspace.independent[j - 1])
-                subs[w] = val
-            derived_reduced[aux] = substitute(defexpr, subs)
+        for aux, xi in zip(conn.aux, pspace.independent):
+            derived_reduced[aux] = diff(psol[target], xi)
         ok = ok and verify_solution(reduced.system, derived_reduced)
     if reduced_solution is not None:
         rsol = {d: as_expr(v, reduced.system.space) for d, v in reduced_solution.items()}
@@ -243,17 +236,8 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
                 ok = ok and equiv(derived_reduced[d], v)
         if antiderivative is not None:
             U = as_expr(antiderivative, pspace)
-            for aux, defexpr in conn.aux_defs:
-                # Connection definitions are plain jet symbols of the
-                # eliminated variable (alpha_i = du/dx_i).
-                winfo = pspace.jet_info(defexpr.name) if hasattr(defexpr, "name") else None
-                if winfo is None:
-                    raise ReductionError("connection definition is not a plain jet variable")
-                _, idx = winfo
-                val = U
-                for j in idx:
-                    val = diff(val, pspace.independent[j - 1])
-                if not equiv(val, rsol[aux]):
+            for aux, xi in zip(conn.aux, pspace.independent):
+                if not equiv(diff(U, xi), rsol[aux]):
                     ok = False
             for c in _SHIFTS:
                 cand = {target: add(U, _coerce(c))}

@@ -48,8 +48,7 @@ class DESystem:
     rhss: tuple[Expr, ...]
 
     @classmethod
-    def build(cls, space: JetSpace, equations: Sequence,
-              leads: Sequence[str] | None = None) -> "DESystem":
+    def build(cls, space: JetSpace, equations: Sequence) -> "DESystem":
         eqs = tuple(_parse_equation(space, e) if isinstance(e, str) else _coerce(e)
                     for e in equations)
         if not eqs:
@@ -59,11 +58,7 @@ class DESystem:
         def assign(i: int) -> bool:
             if i == len(eqs):
                 return True
-            cands = _solved_form_candidates(space, eqs[i])
-            if leads is not None:
-                want = space.resolve(leads[i])
-                cands = (c for c in cands if c[0] == want)
-            for v, rhs in cands:
+            for v, rhs in _solved_form_candidates(space, eqs[i]):
                 if any(v == u for u, _ in chosen):
                     continue
                 chosen.append((v, rhs))
@@ -75,7 +70,7 @@ class DESystem:
         if not assign(0):
             raise SystemError_(
                 "could not derive distinct solved forms: some equation is not "
-                "affine in any of its highest-order jet variables; supply one explicitly")
+                "affine in any of its highest-order jet variables")
         lead_names = tuple(v for v, _ in chosen)
         rhss = tuple(r for _, r in chosen)
         for eq, v, r in zip(eqs, lead_names, rhss):

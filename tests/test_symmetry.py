@@ -9,8 +9,8 @@ ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
 
 
-def build(space, eqs, **kw):
-    return DESystem.build(space, eqs, **kw)
+def build(space, eqs):
+    return DESystem.build(space, eqs)
 
 
 class TestSolvedForms:
@@ -32,10 +32,6 @@ class TestSolvedForms:
     def test_not_affine_raises(self):
         with pytest.raises(SystemError_, match="affine"):
             build(ODE, ["y''^2 + y = 0"])
-
-    def test_explicit_lead_override(self):
-        sys_ = build(PDE, ["u_2 = u_1^(-4/3)*u_11"], leads=["u_11"])
-        assert sys_.leads == ("u_11",)
 
     def test_substituting_solved_form_vanishes(self):
         sys_ = build(ODE, ["x*y^2*y'' + x*y' - y = 0"])

@@ -179,6 +179,14 @@ class TestTransformDE:
         with pytest.raises(ChartError, match="cap"):
             transform_de(sys_, chart)
 
+    def test_tiny_scaling_chart(self):
+        sys_ = DESystem.build(ODE, ["y'' = y"])
+        chart = PointTransformation.parse(
+            ODE, independent={"r": "x/1000000000000"}, dependent={"s": "y"},
+            inverse={"x": "1000000000000*r", "y": "s"})
+        out = transform_de(sys_, chart)
+        assert out.equations == (out.space.expr("s'' - 10^24*s"),)
+
     def test_inverse_required(self):
         chart = PointTransformation.parse(ODE, independent={"r": "y/x"},
                                           dependent={"s": "-1/x"}, canonical="s")
@@ -218,7 +226,7 @@ class TestPushforward:
         chart = PointTransformation.parse(
             ODE, independent={"X": "x"}, dependent={"Y": "y"},
             inverse={"x": "X", "y": "Y"})
-        pf = pushforward_field(X2, chart, aux_defs={})
+        pf = pushforward_field(X2, chart)
         assert pf.coords == ("X", "Y")
         assert pf.coeff("X") == sym("X")
         assert pf.coeff("Y") == parse_expr("1/2*Y", {"Y"})
@@ -239,9 +247,25 @@ class TestPushforward:
         # raw coefficients are the prolonged action on the definitions
         assert equiv(pf.coeffs["r"], ODE.expr("y^2"))
 
+    @pytest.mark.parametrize("inverse, want", [
+        (None, "(1) d/dr + (2*y) d/ds + (2*x*y') d/dalpha"),
+        ({"x": "exp(r)", "y": "s"}, "(1) d/dr + (2*s) d/ds + (2*alpha) d/dalpha"),
+    ], ids=["without-inverse", "with-inverse"])
+    def test_aux_bound_through_log_chart(self, inverse, want):
+        chart = PointTransformation.parse(
+            ODE, independent={"r": "log(x)"}, dependent={"s": "y"},
+            inverse=inverse, aux={"alpha": "x*y'"})
+        pf = pushforward_field(VectorField.parse(ODE, {"x": "x", "y": "2*y"}), chart)
+        assert pf.describe() == want
+        assert pf.flagged == (inverse is None)
+        assert pf.residual_vars == (() if inverse else ("y",))
+
     def test_wrong_aux_definition_rejected(self):
-        with pytest.raises(ChartError, match="does not match"):
-            pushforward_field(X2, CHART1, aux_defs={"alpha": "y'"})
+        chart = PointTransformation.parse(
+            ODE, independent={"r": "y/x"}, dependent={"s": "-1/x"}, canonical="s",
+            inverse={"x": "-1/s", "y": "-r/s"}, aux={"alpha": "y'"})
+        with pytest.raises(ChartError, match="auxiliary 'alpha' does not match"):
+            pushforward_field(X2, chart)
 
 
 class TestSolveAffine:
