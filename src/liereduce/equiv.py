@@ -1,10 +1,12 @@
 """Expression equivalence: structural zero test with seeded numeric fallback.
 
 The structural path (normalize the difference, clear term-level denominators)
-never yields false positives.  When it is inconclusive, the difference is
-evaluated at random rational sample points drawn from the safe domain of every
-kernel and fractional power present: if any such constraint exists, all
-variables are sampled positive and the constraints are rechecked numerically.
+never yields false positives, and a difference that normalizes to a nonzero
+rational constant is nonzero, exactly.  When both are inconclusive, the
+difference is evaluated at random rational sample points drawn from the safe
+domain of every kernel and fractional power present: if any such constraint
+exists, all variables are sampled positive and the constraints are rechecked
+numerically.
 Sampling is deterministic: the RNG is seeded from a fixed seed and a checksum
 of the expression, so results do not depend on call order.
 
@@ -77,6 +79,8 @@ def equiv(a: Expr, b: Expr) -> bool:
     d = a - b
     if d == ZERO:
         return True
+    if isinstance(d, Rat):
+        return False
     if clear_denominators(d) == ZERO:
         return True
     if not free_vars(d):
@@ -157,7 +161,10 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
                                      for c in positivity_constraints(e)))
     checked = 0
     for pt in _points("; ".join(map(render, entries)), names, constraints):
-        values = [[substitute(e, pt) for e in row] for row in mat]
+        try:
+            values = [[substitute(e, pt) for e in row] for row in mat]
+        except DomainError:
+            continue
         if all(isinstance(v, Rat) for row in values for v in row):
             rows, tol = [[v.value for v in row] for row in values], 0
         else:

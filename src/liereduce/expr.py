@@ -196,8 +196,8 @@ def _coeff_monomial(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
         fs = t.factors
         if isinstance(fs[0], Rat):
             return fs[0].value, fs[1:]
-        return Q(1), fs
-    return Q(1), (t,)
+        return ONE.value, fs
+    return ONE.value, (t,)
 
 
 def _term_from(coeff: Fraction, mono: tuple[Expr, ...]) -> Expr:
@@ -208,9 +208,10 @@ def _term_from(coeff: Fraction, mono: tuple[Expr, ...]) -> Expr:
     return Mul((Rat(coeff),) + mono)
 
 
-def add(*parts) -> Expr:
-    acc: dict[tuple, list] = {}
-    stack = [_coerce(p) for p in parts]
+def _collect(parts, acc: dict) -> dict:
+    """Fold terms into ``acc`` (monomial key -> [coefficient, factors]),
+    flattening sums; the key is the tuple of the factors' keys."""
+    stack = list(parts)
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
@@ -223,16 +224,21 @@ def add(*parts) -> Expr:
             acc[k] = [c, mono]
         else:
             slot[0] += c
-    out = []
-    for k, (c, mono) in acc.items():
-        if c == 0:
-            continue
-        out.append((k, _term_from(c, mono)))
+    return acc
+
+
+def _sum(acc: dict) -> Expr:
+    """The normalized sum of the terms collected by ``_collect``."""
+    out = [(k, _term_from(c, mono)) for k, (c, mono) in acc.items() if c != 0]
     if not out:
         return ZERO
     out.sort(key=lambda km: km[0])
     terms = tuple(t for _, t in out)
     return terms[0] if len(terms) == 1 else Add(terms)
+
+
+def add(*parts) -> Expr:
+    return _sum(_collect(map(_coerce, parts), {}))
 
 
 def _base_exp(f: Expr) -> tuple[Expr, Expr]:
@@ -241,13 +247,113 @@ def _base_exp(f: Expr) -> tuple[Expr, Expr]:
     return f, ONE
 
 
+def _plain(parts) -> tuple[Fraction | int, dict] | None:
+    """Split a product of plain factors into (coefficient, base map), or None.
+
+    A plain factor is a ``Sym`` or a non-``exp`` ``Kernel``, bare or raised
+    to a ``Rat`` power.  The map sends each base key to (base, summed
+    exponent, factor), where factor is the input factor when it can be kept
+    as is and None when it must be rebuilt.  Any other factor (a sum, an
+    exponential, a power of a sum, product or constant, a symbolic exponent)
+    needs the general rules of ``mul``; in particular ``clear_denominators``
+    and ``_extract_content_once`` build raw powers of sums that only those
+    rules expand.
+    """
+    coeff = 1
+    slots: dict[tuple, tuple] = {}
+    stack = list(parts)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Rat):
+            v = f.value
+            coeff *= v.numerator if v.denominator == 1 else v
+            continue
+        if isinstance(f, Mul):
+            stack.extend(f.factors)
+            continue
+        if isinstance(f, Pow):
+            b, x = f.base, f.exponent
+            if not isinstance(x, Rat):
+                return None
+            q = x.value
+            if q.denominator == 1:
+                q = q.numerator
+            keep = f if q != 1 else None
+        else:
+            b, q, keep = f, 1, f
+        if not (isinstance(b, Sym) or isinstance(b, Kernel) and b.name != "exp"):
+            return None
+        old = slots.get(b._key)
+        slots[b._key] = (b, q, keep) if old is None else (b, old[1] + q, None)
+    return coeff, slots
+
+
+def _merged(left: dict, right: dict) -> dict:
+    """The base map of the product of two plain monomials' base maps."""
+    out = left.copy()
+    for k, s in right.items():
+        old = out.get(k)
+        out[k] = s if old is None else (s[0], old[1] + s[1], None)
+    return out
+
+
+def _monomial(slots: dict) -> tuple[Expr, ...]:
+    """The sorted factors of a base map: an exponent sum of 0 drops the
+    base, and a sum of 1 leaves it bare."""
+    out = []
+    for k in sorted(slots):
+        b, q, f = slots[k]
+        if q == 0:
+            continue
+        out.append(f if f is not None else b if q == 1 else Pow(b, Rat(q)))
+    return tuple(out)
+
+
+def _distribute(terms, sums) -> Expr:
+    """Expand ``(sum of terms) * sums[0] * sums[1] * ...``.
+
+    Like terms are collected after each sum.  A pair of plain monomials is
+    multiplied by merging base maps; any other pair goes through ``mul``.
+    """
+    acc = _collect(terms, {})
+    for a in sums:
+        right = [(s, _plain((s,))) for s in a.terms]
+        nxt: dict[tuple, list] = {}
+        for c, mono in acc.values():
+            if c == 0:
+                continue
+            # Integer coefficients multiply as ints, far faster than Fractions
+            # (``_plain`` keeps them as ints too).
+            if c.denominator == 1:
+                c = c.numerator
+            p = _plain(mono)
+            for s, sp in right:
+                if p is None or sp is None:
+                    _collect((mul(_term_from(c, mono), s),), nxt)
+                    continue
+                m = _monomial(_merged(p[1], sp[1]))
+                k = tuple(f._key for f in m)
+                slot = nxt.get(k)
+                if slot is None:
+                    nxt[k] = [c * sp[0], m]
+                else:
+                    slot[0] += c * sp[0]
+        acc = nxt
+    return _sum(acc)
+
+
 def mul(*parts) -> Expr:
+    parts = [_coerce(p) for p in parts]
+    plain = _plain(parts)
+    if plain is not None:
+        coeff, slots = plain
+        return ZERO if coeff == 0 else _term_from(coeff, _monomial(slots))
     coeff = Q(1)
     adds: list[Add] = []
     exp_args: list[Expr] = []
     # base key -> [base, exponent list, finalized flag]
     slots: dict[tuple, list] = {}
-    queue = [_coerce(p) for p in parts]
+    queue = parts
     guard = 0
     while True:
         guard += 1
@@ -324,10 +430,7 @@ def mul(*parts) -> Expr:
     if adds:
         base = _term_from(coeff, tuple(sorted(
             factors, key=lambda f: (_base_exp(f)[0]._key, _base_exp(f)[1]._key))))
-        terms = [base]
-        for a in adds:
-            terms = [mul(t, s) for t in terms for s in a.terms]
-        return add(*terms)
+        return _distribute([base], adds)
     if coeff == 0:
         return ZERO
     factors.sort(key=lambda f: (_base_exp(f)[0]._key, _base_exp(f)[1]._key))
@@ -453,16 +556,15 @@ def power(b, e) -> Expr:
             r = _rat_pow(b.value, q)
             if r is not None:
                 return Rat(r)
-            if b.value == 0 and q > 0:
-                return ZERO
+            if b.value == 0:
+                if q > 0:
+                    return ZERO
+                raise DomainError("zero raised to a negative power")
         if q.denominator == 1:
             if isinstance(b, Mul):
                 return mul(*[power(f, e) for f in b.factors])
             if isinstance(b, Add) and 1 < q <= _POW_EXPAND_LIMIT:
-                terms = list(b.terms)
-                for _ in range(int(q) - 1):
-                    terms = [mul(t, s) for t in terms for s in b.terms]
-                return add(*terms)
+                return _distribute(b.terms, [b] * (int(q) - 1))
     if isinstance(b, Pow) and isinstance(b.exponent, Rat) and isinstance(e, Rat):
         return power(b.base, Rat(b.exponent.value * e.value))
     if isinstance(b, Kernel) and b.name == "exp":

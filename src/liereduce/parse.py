@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, add, kernel, mul,
+from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, Rat, add, kernel, mul,
                    power, rat, sym)
 
 
@@ -105,7 +105,7 @@ class _Parser:
                 t = self.term()
                 parts.append(t if val == "+" else mul(MINUS_ONE, t))
             else:
-                return add(*parts)
+                return parts[0] if len(parts) == 1 else add(*parts)
 
     def term(self) -> Expr:
         parts = [self.unary()]
@@ -116,7 +116,7 @@ class _Parser:
                 u = self.unary()
                 parts.append(u if val == "*" else power(u, MINUS_ONE))
             else:
-                return mul(*parts)
+                return parts[0] if len(parts) == 1 else mul(*parts)
 
     def unary(self) -> Expr:
         self.depth += 1
@@ -147,7 +147,7 @@ class _Parser:
     def primary(self) -> Expr:
         kind, val, pos = self.take()
         if kind == "num":
-            return rat(Fraction(val))
+            return Rat(Fraction(val))
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")

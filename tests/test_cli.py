@@ -161,6 +161,9 @@ DEEP = "sin(" * 400 + "y" + ")" * 400
 # rejected) and the start of the reported text: the loader's own errors name
 # the file and section, other exceptions their type.
 MALFORMED = {
+    "zero-to-negative-power":
+        (BASE.replace("y' = y", "y' + 0^(-1)*y = 0"),
+         "load", "bad.prob [equations]: zero raised to a negative power"),
     "algebra-unknown-bracket-field":
         (BASE + "[expect algebra]\ntag = oracle\nbracket T Q = 0\n",
          "load", "bad.prob [expect algebra]: bracket 'T Q' needs two fields"),

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from liereduce import (Add, DomainError, ExprError, ParseError, Pow, Rat,
-                       ZERO, ONE, clear_denominators, diff, equiv,
-                       eval_numeric, free_vars, kernel, mul, normalize,
+                       ZERO, ONE, add, clear_denominators, diff, equiv,
+                       eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
 from genexpr import random_expr
 
@@ -107,6 +107,26 @@ class TestNormalForm:
             e = random_expr(rng, ["x", "y", "u"])
             assert normalize(e) == e
 
+    def test_derived_results_are_normalized_random(self):
+        # Products of sums are expanded partly by merging monomials directly;
+        # every result, including cleared denominators that multiply raw
+        # powers of sums back in, must already be in normal form.
+        rng = random.Random(11)
+        for _ in range(200):
+            a = random_expr(rng, ["x", "y", "u"], depth=2)
+            b = random_expr(rng, ["x", "y", "u"], depth=2)
+            for r in (mul(a, b), power(add(a, b), rat(2)),
+                      clear_denominators(add(a, mul(-1, b)))):
+                assert normalize(r) == r
+
+    def test_zero_to_negative_power_rejected(self):
+        for q in (rat(-1), rat(-1, 2)):
+            with pytest.raises(DomainError, match="zero raised to a negative power"):
+                power(ZERO, q)
+        with pytest.raises(DomainError, match="zero raised to a negative power"):
+            parse_expr("1/0")
+        assert power(ZERO, rat(1, 2)) == ZERO
+
 
 class TestDiff:
     def test_polynomial(self):
@@ -197,6 +217,13 @@ class TestEquiv:
     def test_positive_branch_sampling(self):
         assert equiv(kernel("log", x * y), kernel("log", x) + kernel("log", y))
 
+    def test_tiny_rational_constant_is_nonzero(self):
+        # A difference that normalizes to a rational constant is decided
+        # exactly, however small it is.
+        assert not is_zero(rat(1, 10**12))
+        assert not equiv(x + rat(1, 10**12), x)
+        assert is_zero(kernel("log", rat(4)) - 2 * kernel("log", rat(2)))
+
 
 class TestEvalNumeric:
     def test_reciprocal_gap(self):
@@ -253,6 +280,13 @@ class TestRender:
 
 
 class TestClearDenominators:
+    def test_raw_power_of_sum_is_expanded(self):
+        e = parse_expr("z^(-2)*(4 - x - z)^(-2) - sin(x + z + y^(-2))")
+        assert render(clear_denominators(e)) == (
+            "1 + 8*x*z^2*sin(x + z + y^(-2)) - 2*x*z^3*sin(x + z + y^(-2))"
+            " - x^2*z^2*sin(x + z + y^(-2)) - 16*z^2*sin(x + z + y^(-2))"
+            " + 8*z^3*sin(x + z + y^(-2)) - z^4*sin(x + z + y^(-2))")
+
     def test_cancels_reciprocal(self):
         a = sym("a")
         e = 1 / (x * yp - y) - a

@@ -20,6 +20,10 @@ X2 = VectorField.parse(ODE, {"x": "x", "y": "1/2*y"})
 CHART1 = PointTransformation.parse(
     ODE, independent={"r": "y/x"}, dependent={"s": "-1/x"}, canonical="s",
     inverse={"x": "-1/s", "y": "-r/s"}, aux={"alpha": "1/(x*y'-y)"})
+# The backward solve of this chart pivots on the rational constant 10^-12.
+TINY_S = PointTransformation.parse(
+    ODE, independent={"r": "x"}, dependent={"s": "y/1000000000000"},
+    inverse={"x": "r", "y": "1000000000000*s"})
 CHART2 = PointTransformation.parse(
     ODE, independent={"r": "y^2/x"}, dependent={"s": "log(x)"}, canonical="s",
     inverse={"x": "exp(s)", "y": "(r*exp(s))^(1/2)"},
@@ -52,6 +56,9 @@ REGULARITY = [
                  id="determinant-vanishes-on-a-line"),
     pytest.param(ODE, {"r": "x + y"}, {"s": "x + y + y/1000000000000"}, True,
                  id="nearly-parallel-rational-rows"),
+    # The first sample point of this Jacobian is x = 1, a pole of 1/(x - 1)^2.
+    pytest.param(ODE, {"r": "123*x - 1/(x - 1)"}, {"s": "y"}, True,
+                 id="first-sample-point-on-a-pole"),
     pytest.param(*_dense_chart(False), True, id="dense-10-regular"),
     pytest.param(*_dense_chart(True), False, id="dense-10-singular"),
 ]
@@ -187,6 +194,10 @@ class TestTransformDE:
         out = transform_de(sys_, chart)
         assert out.equations == (out.space.expr("s'' - 10^24*s"),)
 
+    def test_tiny_dependent_scaling_chart(self):
+        out = transform_de(DESystem.build(ODE, ["y'' = y"]), TINY_S)
+        assert out.equations == (out.space.expr("s'' - s"),)
+
     def test_inverse_required(self):
         chart = PointTransformation.parse(ODE, independent={"r": "y/x"},
                                           dependent={"s": "-1/x"}, canonical="s")
@@ -221,6 +232,15 @@ class TestPushforward:
         assert equiv(pf.coeff("r2"), parse_expr("exp(-s)", vocab))
         assert equiv(pf.coeff("alpha"), parse_expr("exp(-s)*alpha*beta", vocab))
         assert equiv(pf.coeff("beta"), parse_expr("exp(-s)*beta^2", vocab))
+
+    @pytest.mark.parametrize("field, want", [
+        ({"x": "1"}, "(1) d/dr"),
+        ({"y": "y"}, "(s) d/ds"),
+    ], ids=["translation", "scaling"])
+    def test_through_tiny_dependent_scaling_chart(self, field, want):
+        pf = pushforward_field(VectorField.parse(ODE, field), TINY_S)
+        assert not pf.flagged
+        assert pf.describe() == want
 
     def test_identity_map_returns_own_coefficients(self):
         chart = PointTransformation.parse(
