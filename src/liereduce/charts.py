@@ -186,24 +186,19 @@ def verify_canonical(X: VectorField, T: PointTransformation) -> bool:
 def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
                             j: int, djr: dict[tuple[int, int], Expr]) -> Expr:
     """Total derivative along source x_j of an expression mixing source base
-    coordinates with target jet symbols (treated as functions of the targets).
+    coordinates with target jet symbols (treated as functions of the targets):
+    ``total_derivative`` plus the chain rule through each target jet.
     """
     src = T.source
-    parts = [diff(e, src.independent[j - 1])]
+    parts = [total_derivative(src, e, j)]
     for v in free_vars(e):
-        if v in src.dependent:
-            parts.append(mul(sym(src.jet_name(v, (j,))), diff(e, v)))
-            continue
-        info = src.jet_info(v)
-        if info is not None and info[1]:
-            parts.append(mul(sym(src.jet_name(info[0], info[1] + (j,))), diff(e, v)))
-            continue
         tinfo = ts.jet_info(v)
-        if tinfo is not None:
-            dep, idx = tinfo
-            chain = add(*[mul(sym(ts.jet_name(dep, idx + (i,))), djr[(j, i)])
-                          for i in range(1, src.p + 1)])
-            parts.append(mul(chain, diff(e, v)))
+        if tinfo is None or src.jet_info(v) is not None:
+            continue
+        dep, idx = tinfo
+        chain = add(*[mul(sym(ts.jet_name(dep, idx + (i,))), djr[(j, i)])
+                      for i in range(1, src.p + 1)])
+        parts.append(mul(chain, diff(e, v)))
     return add(*parts)
 
 

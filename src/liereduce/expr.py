@@ -255,9 +255,8 @@ def _plain(parts) -> tuple[Fraction | int, dict] | None:
     exponent, factor), where factor is the input factor when it can be kept
     as is and None when it must be rebuilt.  Any other factor (a sum, an
     exponential, a power of a sum, product or constant, a symbolic exponent)
-    needs the general rules of ``mul``; in particular ``clear_denominators``
-    and ``_extract_content_once`` build raw powers of sums that only those
-    rules expand.
+    needs the ``power`` rules that ``mul`` applies; in particular
+    ``_shifted`` builds raw powers of sums that only those rules expand.
     """
     coeff = 1
     slots: dict[tuple, tuple] = {}
@@ -343,17 +342,18 @@ def _distribute(terms, sums) -> Expr:
 
 
 def mul(*parts) -> Expr:
-    parts = [_coerce(p) for p in parts]
-    plain = _plain(parts)
-    if plain is not None:
-        coeff, slots = plain
-        return ZERO if coeff == 0 else _term_from(coeff, _monomial(slots))
-    coeff = Q(1)
-    adds: list[Add] = []
+    coeff = 1
+    sums: list[Add] = []
     exp_args: list[Expr] = []
-    # base key -> [base, exponent list, finalized flag]
-    slots: dict[tuple, list] = {}
-    queue = parts
+    # Base key -> (base, exponent, factor), the layout of ``_plain``.  The
+    # exponent is an int or Fraction until a symbolic one joins it.  A plain
+    # base (a Sym or a non-exp Kernel) with a numeric exponent is final as it
+    # enters; any other slot is final once factor holds what ``power``
+    # returned for it.  Sums are bases too, so B * B^(-1) cancels before any
+    # distribution happens.
+    slots: dict[tuple, tuple] = {}
+    queue = [_coerce(p) for p in parts]
+    settle = False  # whether some slot may still need ``power``
     guard = 0
     while True:
         guard += 1
@@ -362,79 +362,76 @@ def mul(*parts) -> Expr:
         while queue:
             f = queue.pop()
             if isinstance(f, Rat):
-                if f.value == 0:
+                v = f.value
+                if v == 0:
                     return ZERO
-                coeff *= f.value
-            elif isinstance(f, Mul):
+                coeff *= v.numerator if v.denominator == 1 else v
+                continue
+            if isinstance(f, Mul):
                 queue.extend(f.factors)
+                continue
+            if isinstance(f, Pow):
+                b, q = f.base, f.exponent
+                if isinstance(q, Rat):
+                    q = q.value
+                    if q.denominator == 1:
+                        q = q.numerator
+                    keep = f if q != 1 else None
+                else:
+                    keep, settle = None, True
             else:
-                # Sums are collected as bases too, so B * B^(-1) cancels
-                # before any distribution happens.
-                b, e = _base_exp(f)
-                if isinstance(b, Kernel) and b.name == "exp":
-                    exp_args.append(b.arg if e is ONE else mul(e, b.arg))
+                b, q, keep = f, 1, f
+            if not isinstance(b, Sym):
+                if not isinstance(b, Kernel):
+                    keep, settle = None, True
+                elif b.name == "exp":
+                    exp_args.append(b.arg if f is b else mul(f.exponent, b.arg))
                     continue
-                slot = slots.get(b._key)
-                if slot is None:
-                    slots[b._key] = [b, [e], False]
-                else:
-                    slot[1].append(e)
-                    slot[2] = False
-        dirty = [k for k, s in slots.items() if not s[2]]
-        for k in dirty:
-            b, exps, _ = slots.pop(k)
-            f2 = power(b, add(*exps) if len(exps) > 1 else exps[0])
-            if isinstance(f2, Rat):
-                if f2.value == 0:
-                    return ZERO
-                coeff *= f2.value
-            elif isinstance(f2, Mul):
-                queue.append(f2)
-            elif isinstance(f2, Add):
-                adds.append(f2)
-            elif isinstance(f2, Kernel) and f2.name == "exp":
-                exp_args.append(f2.arg)
+            old = slots.get(b._key)
+            if old is None:
+                slots[b._key] = (b, q, keep)
             else:
-                b2, e2 = _base_exp(f2)
-                slot = slots.get(b2._key)
-                if slot is None:
-                    slots[b2._key] = [b2, [e2], True]
+                # A symbolic exponent makes the sum an Expr (``Expr.__add__``).
+                q = old[1] + q
+                slots[b._key] = (b, q, None)
+                settle = settle or isinstance(q, Expr)
+        if settle:
+            settle = False
+            pending = [k for k, (b, q, f) in slots.items() if f is None
+                       and (isinstance(q, Expr) or not isinstance(b, (Sym, Kernel)))]
+            for k in pending:
+                b, q, _ = slots.pop(k)
+                f = b if q == 1 else power(b, q if isinstance(q, Expr) else Rat(q))
+                if isinstance(f, Add):
+                    sums.append(f)
+                elif isinstance(f, (Rat, Mul)) or isinstance(f, Kernel) and f.name == "exp":
+                    queue.append(f)
                 else:
-                    slot[1].append(e2)
-                    slot[2] = False
-        if queue or any(not s[2] for s in slots.values()):
-            continue
+                    # Final unless its base already has a slot: sending a
+                    # content-free B^(-1) through ``power`` again never ends.
+                    b, q = _base_exp(f)
+                    q = q.value if isinstance(q, Rat) else q
+                    old = slots.get(b._key)
+                    if old is None:
+                        slots[b._key] = (b, q, f)
+                    else:
+                        slots[b._key] = (b, old[1] + q, None)
+                        settle = True
+            if pending:
+                continue
         if exp_args:
             # Merge every exponential into a single factor.
-            for k in list(slots):
-                b, exps, _ = slots[k]
-                if isinstance(b, Kernel) and b.name == "exp":
-                    slots.pop(k)
-                    e = exps[0]
-                    exp_args.append(b.arg if e == ONE else mul(e, b.arg))
             total = add(*exp_args)
             exp_args = []
             if total != ZERO:
                 ek = kernel("exp", total)
-                if isinstance(ek, Kernel) and ek.name == "exp":
-                    slots[ek._key] = [ek, [ONE], True]
-                else:
+                if not (isinstance(ek, Kernel) and ek.name == "exp"):
                     queue.append(ek)
                     continue
-        if not queue:
-            break
-    factors = []
-    for b, exps, _ in slots.values():
-        e = exps[0]
-        factors.append(b if e == ONE else Pow(b, e))
-    if adds:
-        base = _term_from(coeff, tuple(sorted(
-            factors, key=lambda f: (_base_exp(f)[0]._key, _base_exp(f)[1]._key))))
-        return _distribute([base], adds)
-    if coeff == 0:
-        return ZERO
-    factors.sort(key=lambda f: (_base_exp(f)[0]._key, _base_exp(f)[1]._key))
-    return _term_from(coeff, tuple(factors))
+                slots[ek._key] = (ek, 1, ek)
+        break
+    term = _term_from(coeff, _monomial(slots))
+    return _distribute([term], sums) if sums else term
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
@@ -474,6 +471,34 @@ def _rat_pow(q: Fraction, e: Fraction) -> Fraction | None:
 _POW_EXPAND_LIMIT = 8
 
 
+def _shifted(monomials, shift: dict) -> Expr:
+    """The sum of the terms ``(coefficient, factors)``, each multiplied by
+    ``b^m`` for every ``(b, m)`` in ``shift`` (keyed by base key).
+
+    Exponents add term by term, so a base cancels exactly against its own
+    power before anything expands.
+    """
+    out = []
+    for c, mono in monomials:
+        fs = []
+        seen = set()
+        for f in mono:
+            b, x = _base_exp(f)
+            k = b._key
+            if k in shift and isinstance(x, Rat):
+                seen.add(k)
+                nx = x.value + shift[k][1]
+                if nx != 0:
+                    fs.append(b if nx == 1 else Pow(b, Rat(nx)))
+            else:
+                fs.append(f)
+        for k, (b, m) in shift.items():
+            if k not in seen:
+                fs.append(b if m == 1 else Pow(b, Rat(m)))
+        out.append(mul(Rat(c), *fs))
+    return add(*out)
+
+
 def _extract_content_once(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
     common: dict[tuple, list] | None = None
     infos = []
@@ -498,22 +523,9 @@ def _extract_content_once(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
     pairs = [(b, x) for b, x in common.values() if x != 0]
     if not pairs:
         return [], a
-    strip = {b._key: x for b, x in pairs}
-    # Divide each term by the common part with exact exponent arithmetic;
-    # multiplying by expanded inverses would re-introduce the content.
-    new_terms = []
-    for c, mono in infos:
-        fs = []
-        for f in mono:
-            b, x = _base_exp(f)
-            if b._key in strip and isinstance(x, Rat):
-                nx = x.value - strip[b._key]
-                if nx != 0:
-                    fs.append(b if nx == 1 else Pow(b, Rat(nx)))
-            else:
-                fs.append(f)
-        new_terms.append(mul(Rat(c), *fs))
-    return pairs, add(*new_terms)
+    # Exact exponent arithmetic; multiplying by expanded inverses would
+    # re-introduce the content.
+    return pairs, _shifted(infos, {b._key: (b, -x) for b, x in pairs})
 
 
 def _add_content(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
@@ -840,10 +852,9 @@ def clear_denominators(e: Expr) -> Expr:
     constrained nonzero there); used to strengthen structural equivalence.
     """
     for _ in range(3):
-        terms = e.terms if isinstance(e, Add) else (e,)
+        terms = [_coeff_monomial(t) for t in (e.terms if isinstance(e, Add) else (e,))]
         need: dict[tuple, list] = {}
-        for t in terms:
-            _, mono = _coeff_monomial(t)
+        for _, mono in terms:
             for f in mono:
                 b, x = _base_exp(f)
                 if isinstance(x, Rat) and x.value < 0:
@@ -854,28 +865,7 @@ def clear_denominators(e: Expr) -> Expr:
                         slot[1] = max(slot[1], -x.value)
         if not need:
             return e
-        # Shift exponents term by term so each base cancels exactly against
-        # its own negative power before anything expands.
-        new_terms = []
-        for t in terms:
-            c, mono = _coeff_monomial(t)
-            fs = []
-            seen = set()
-            for f in mono:
-                b, x = _base_exp(f)
-                k = b._key
-                if k in need and isinstance(x, Rat):
-                    seen.add(k)
-                    nx = x.value + need[k][1]
-                    if nx != 0:
-                        fs.append(b if nx == 1 else Pow(b, Rat(nx)))
-                else:
-                    fs.append(f)
-            for k, (b, m) in need.items():
-                if k not in seen:
-                    fs.append(b if m == 1 else Pow(b, Rat(m)))
-            new_terms.append(mul(Rat(c), *fs))
-        e = add(*new_terms)
+        e = _shifted(terms, need)
     return e
 
 

@@ -189,9 +189,8 @@ def load_problem(path) -> ProblemFile:
     space: JetSpace | None = None
     parent: ParentSpec | None = None
     equations: list[str] = []
-    raw_fields: list[tuple[str, dict[str, list[str]]]] = []
-    raw_charts: list[tuple[str, dict[str, list[str]]]] = []
-    raw_solutions: list[tuple[str, dict[str, list[str]]]] = []
+    named: dict[str, list[tuple[str, dict[str, list[str]]]]] = {
+        "field": [], "chart": [], "solution": []}
     raw_expects: list[tuple[str, dict[str, list[str]]]] = []
     for header, lines in secs:
         words = header.split()
@@ -219,18 +218,10 @@ def load_problem(path) -> ProblemFile:
             parent = ParentSpec(pspace, target, aux)
         elif kind == "equations":
             equations.extend(lines)
-        elif kind == "field":
+        elif kind in named:
             if len(words) != 2:
-                raise ProblemError(f"{where}: [field] needs exactly one name: {header!r}")
-            raw_fields.append((words[1], _kv(lines, f"{where} [{header}]")))
-        elif kind == "chart":
-            if len(words) != 2:
-                raise ProblemError(f"{where}: [chart] needs exactly one name: {header!r}")
-            raw_charts.append((words[1], _kv(lines, f"{where} [{header}]")))
-        elif kind == "solution":
-            if len(words) != 2:
-                raise ProblemError(f"{where}: [solution] needs exactly one name: {header!r}")
-            raw_solutions.append((words[1], _kv(lines, f"{where} [{header}]")))
+                raise ProblemError(f"{where}: [{kind}] needs exactly one name: {header!r}")
+            named[kind].append((words[1], _kv(lines, f"{where} [{header}]")))
         elif kind == "expect":
             if len(words) < 2 or words[1] not in OPERATIONS:
                 raise ProblemError(
@@ -254,7 +245,7 @@ def load_problem(path) -> ProblemFile:
         raise ProblemError(f"{ctx('equations')}: {exc}") from exc
 
     fields: dict[str, VectorField] = {}
-    for name, kv in raw_fields:
+    for name, kv in named["field"]:
         coeffs = _unique(kv, ctx("field " + name))
         try:
             fields[name] = VectorField.parse(space, coeffs)
@@ -262,7 +253,7 @@ def load_problem(path) -> ProblemFile:
             raise ProblemError(f"{ctx('field ' + name)}: {exc}") from exc
 
     charts: dict[str, PointTransformation] = {}
-    for name, kv in raw_charts:
+    for name, kv in named["chart"]:
         w = ctx("chart " + name)
         indep_names = (_require(kv, "independent", w)).split()
         dep_names = (_require(kv, "dependent", w)).split()
@@ -291,7 +282,7 @@ def load_problem(path) -> ProblemFile:
             raise ProblemError(f"{w}: {exc}") from exc
 
     solutions: dict[str, Solution] = {}
-    for name, kv in raw_solutions:
+    for name, kv in named["solution"]:
         w = ctx("solution " + name)
         kind = _single(kv, "kind", w, "parent") or "parent"
         if kind not in ("parent", "reduced"):

@@ -207,6 +207,15 @@ MALFORMED = {
     "chart-duplicate-key":
         (BASE + "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\nv = 2*y\n",
          "load", "bad.prob [chart c]: duplicate key 'v'"),
+    "field-without-name":
+        (BASE.replace("[field T]", "[field]"),
+         "load", "bad.prob: [field] needs exactly one name: 'field'"),
+    "chart-with-two-names":
+        (BASE + CHART.replace("[chart c]", "[chart c d]"),
+         "load", "bad.prob: [chart] needs exactly one name: 'chart c d'"),
+    "solution-without-name":
+        (BASE.replace("[solution s]", "[solution]"),
+         "load", "bad.prob: [solution] needs exactly one name: 'solution'"),
     "solution-duplicate-key":
         (BASE.replace("y = exp(x)", "y = exp(x)\ny = 2*exp(x)"),
          "load", "bad.prob [solution s]: duplicate key 'y'"),

@@ -98,8 +98,29 @@ class TestNormalForm:
 
     def test_common_content_leaves_power_bases(self):
         e = power(sym("R") * kernel("exp", x) - sym("R") ** 2 * kernel("exp", x), -1)
-        assert "exp" not in render(e.base if isinstance(e, Pow) else e) or True
+        pows = [f for f in e.factors if isinstance(f, Pow)]
+        assert pows and not any("exp" in render(f.base) for f in pows)
         assert e == power(sym("R"), -1) * kernel("exp", -x) * power(1 - sym("R"), -1)
+
+    # Products whose factors are not all plain (a symbol or a non-exp kernel
+    # to a rational power) and so need the ``power`` rules inside ``mul``.
+    @pytest.mark.parametrize("factors, product", [
+        (["x^y", "x^2"], "x^(2 + y)"),
+        (["(2*x)^(1/2)", "(2*x)^(1/2)"], "2*x"),
+        (["exp(log(x) + y)", "exp(z)"], "x*exp(y + z)"),
+        (["exp(x)", "exp(x)^y"], "exp(x + x*y)"),
+        (["(1+x+y)^(1/2)", "(1+x+y)^(1/2)"], "1 + x + y"),
+        (["2^(1/2)", "2^(1/2)"], "2"),
+        (["x^(1/2)", "x^(-1/2)"], "1"),
+        (["x^y", "x^(-y)"], "1"),
+        (["sin(x)^y", "sin(x)"], "sin(x)^(1 + y)"),
+        (["x^y", "(2*x)^(1/2)", "(2*x)^(1/2)"], "2*x^(1 + y)"),
+    ])
+    def test_product_rules(self, factors, product):
+        names = {"x", "y", "z"}
+        got = mul(*[parse_expr(f, names) for f in factors])
+        assert render(got) == product
+        assert got == parse_expr(product, names)
 
     def test_normalize_idempotent_random(self):
         rng = random.Random(7)
