@@ -12,13 +12,13 @@ import json
 import sys
 
 from .algebra import commutator, is_solvable
-from .charts import pushforward_field, transform_de, verify_canonical
+from .charts import verify_canonical
 from .classify import classify_pushforward, lift_test
 from .corpus import corpus_dir, reports_json, run_corpus
 from .expr import ExprError, render
 from .jets import prolong
 from .problem import load_problem
-from .reduction import lie_reduce, reduce_system
+from .reduction import reduce_system
 from .systems import check_point_symmetry
 
 
@@ -64,7 +64,7 @@ def cmd_canonical_verify(args) -> int:
 
 def cmd_transform(args) -> int:
     pf = load_problem(args.problem)
-    out = transform_de(pf.system, pf.charts[args.chart])
+    out = pf.transformed(args.chart)
     eqs = [render(e) for e in out.equations]
     _emit(args, {"operation": "transform", "chart": args.chart, "equations": eqs},
           "\n".join(f"{e} = 0" for e in eqs))
@@ -89,7 +89,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_pushforward(args) -> int:
     pf = load_problem(args.problem)
-    out = pushforward_field(pf.fields[args.field], pf.charts[args.chart])
+    out = pf.pushforward(args.field, args.chart)
     coeffs = {n: render(out.coeff(n)) for n in out.coords}
     _emit(args, {"operation": "pushforward", "field": args.field,
                  "chart": args.chart, "coefficients": coeffs,
@@ -106,7 +106,7 @@ def cmd_pushforward(args) -> int:
 def cmd_classify(args) -> int:
     pf = load_problem(args.problem)
     T = pf.charts[args.chart]
-    red = lie_reduce(pf.system, T)
+    red = pf.lie_reduction(args.chart)
     got = classify_pushforward(pf.fields[args.field], T, red)
     _emit(args, {"operation": "classify", "field": args.field, "chart": args.chart,
                  "verdict": got.verdict, "witness": got.witness,

@@ -19,14 +19,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import is_solvable, reduction_order_advice
-from .charts import pushforward_field, transform_de, verify_canonical
+from .charts import verify_canonical
 from .classify import classify_pushforward, lift_test
 from .equiv import equiv, is_zero
 from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitute
 from .jets import prolong
 from .parse import parse_expr
 from .problem import Expect, ProblemError, ProblemFile, load_problem
-from .reduction import lie_reduce, reduce_pde, verify_connection
+from .reduction import verify_connection
 from .systems import DESystem, _parse_equation, check_point_symmetry, verify_solution
 
 
@@ -136,8 +136,8 @@ def _reduced(pf: ProblemFile, exp: Expect, target: Sequence[str]):
     """The gradient reduction of the target named in ``target`` (zero or one
     words), with the expect's ``aux =`` names; the loader has checked that
     its kind fits the space."""
-    return reduce_pde(pf.system, target[0] if target else None,
-                      exp.one("aux", "").split())
+    return pf.gradient_reduction(target[0] if target else None,
+                                 exp.one("aux", "").split())
 
 
 def _ex_prolong(pf: ProblemFile, exp: Expect):
@@ -182,8 +182,7 @@ def _expected_equations(exp: Expect, space) -> list[Expr]:
 
 
 def _ex_transform(pf: ProblemFile, exp: Expect):
-    T = pf.charts[exp.args[0]]
-    out = transform_de(pf.system, T)
+    out = pf.transformed(exp.args[0])
     expected = _expected_equations(exp, out.space)
     ok = systems_match(out, expected)
     return ok, "; ".join(render(e) for e in out.equations), \
@@ -206,8 +205,7 @@ def _ex_reduce(pf: ProblemFile, exp: Expect):
 
 
 def _ex_lie_reduce(pf: ProblemFile, exp: Expect):
-    T = pf.charts[exp.args[0]]
-    red = lie_reduce(pf.system, T, exp.one("aux", "").split())
+    red = pf.lie_reduction(exp.args[0], exp.one("aux", "").split())
     expected = _expected_equations(exp, red.system.space)
     ok = systems_match(red.system, expected)
     return ok, "; ".join(render(e) for e in red.system.equations), \
@@ -215,9 +213,8 @@ def _ex_lie_reduce(pf: ProblemFile, exp: Expect):
 
 
 def _ex_pushforward(pf: ProblemFile, exp: Expect):
-    X = pf.fields[exp.args[0]]
+    out = pf.pushforward(exp.args[0], exp.args[1])
     T = pf.charts[exp.args[1]]
-    out = pushforward_field(X, T)
     vocab = set(out.coords) | set(T.target_names) | set(pf.space.params)
     oks, shown, want = [], [], []
     flagged_want = (exp.one("flagged") or "false") == "true"
@@ -233,8 +230,7 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect):
 def _ex_classify(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     T = pf.charts[exp.args[1]]
-    red = lie_reduce(pf.system, T)
-    got = classify_pushforward(X, T, red)
+    got = classify_pushforward(X, T, pf.lie_reduction(exp.args[1]))
     want = exp.one("verdict") or "point"
     ok = got.verdict == want
     wwit = exp.one("witness")

@@ -13,7 +13,7 @@ the two via ``stated =`` plus a ``note``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,8 +21,9 @@ from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
 from .parse import ParseError
-from .charts import PointTransformation
-from .reduction import Connection, ReducedSystem, kind_mismatch
+from .charts import PointTransformation, Pushforward, pushforward_field, transform_de
+from .reduction import (Connection, ReducedSystem, kind_mismatch, lie_aux_names,
+                        reduce_pde)
 from .systems import DESystem
 
 
@@ -79,6 +80,10 @@ class ParentSpec:
 
 @dataclass(frozen=True)
 class ProblemFile:
+    """A loaded problem.  Derived artifacts (transformed systems, reductions,
+    push-forwards, structure constants) are read through the accessors
+    below, which compute each one once per loaded problem and keep it for
+    the problem's lifetime; a computation that raises keeps nothing."""
     path: str
     id: str
     title: str
@@ -89,6 +94,13 @@ class ProblemFile:
     solutions: Mapping[str, Solution]
     expects: tuple[Expect, ...]
     parent: ParentSpec | None = None
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _derived(self, key: tuple, compute):
+        """The artifact stored under ``key``, computed on first request."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def reduced_view(self) -> ReducedSystem:
         """Interpret this problem as the reduction of its declared parent."""
@@ -97,12 +109,39 @@ class ProblemFile:
         conn = Connection(self.parent.space, self.parent.target, self.parent.aux)
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations), conn)
 
+    def transformed(self, chart: str) -> DESystem:
+        """The system rewritten in the named chart's coordinates."""
+        return self._derived(("transform", chart),
+                             lambda: transform_de(self.system, self.charts[chart]))
+
+    def lie_reduction(self, chart: str, aux: Sequence[str] = ()) -> ReducedSystem:
+        """``lie_reduce`` through the named chart, reusing its transformed
+        system."""
+        T = self.charts[chart]
+        aux = lie_aux_names(T, aux)
+        return self._derived(("lie-reduce", chart, aux),
+                             lambda: reduce_pde(self.transformed(chart), T.canonical, aux))
+
+    def gradient_reduction(self, target: str | None, aux: Sequence[str]) -> ReducedSystem:
+        """``reduce_pde`` of the system itself; empty auxiliary names mean the
+        defaults."""
+        aux = tuple(aux)
+        return self._derived(("reduce", target, aux),
+                             lambda: reduce_pde(self.system, target, aux))
+
+    def pushforward(self, name: str, chart: str) -> Pushforward:
+        """The field ``name`` pushed through the named chart."""
+        return self._derived(("pushforward", name, chart),
+                             lambda: pushforward_field(self.fields[name], self.charts[chart]))
+
     def algebra_table(self, names: Sequence[str] | None = None
                       ) -> tuple[list[str], AlgebraTable]:
         """Structure constants of the named fields; no or empty names mean
         every field, sorted by name.  Returns the names with the table."""
-        names = list(names) if names else sorted(self.fields)
-        return names, structure_constants([self.fields[n] for n in names])
+        names = tuple(names) if names else tuple(sorted(self.fields))
+        table = self._derived(("algebra", names),
+                              lambda: structure_constants([self.fields[n] for n in names]))
+        return list(names), table
 
 
 _HEADER = re.compile(r"^\[(.+)\]$")

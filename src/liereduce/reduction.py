@@ -171,19 +171,27 @@ def reduce_system(sys: DESystem, kind: str, target: str | None = None,
     return reduce_pde(sys, target, aux_names)
 
 
-def lie_reduce(sys: DESystem, T: PointTransformation,
-               aux_names: Sequence[str] | None = None) -> ReducedSystem:
-    """Full reduction step: rewrite in canonical coordinates, then reduce with
-    respect to the translated variable.  No or empty auxiliary names mean
-    the chart's, else the defaults."""
+def lie_aux_names(T: PointTransformation,
+                  aux_names: Sequence[str] | None = None) -> tuple[str, ...]:
+    """The steps of ``lie_reduce`` before the transform: check that the chart
+    designates a target dependent variable as its canonical coordinate, then
+    resolve the auxiliary names (no or empty names mean the chart's; none
+    there either means ``reduce_pde``'s defaults)."""
     if T.canonical is None:
         raise ReductionError("chart has no designated canonical coordinate")
     dep_names = [n for n, _ in T.target_dependent]
     if T.canonical not in dep_names:
         raise ReductionError("the canonical coordinate must be a target dependent variable")
-    transformed = transform_de(sys, T)
-    return reduce_pde(transformed, T.canonical,
-                      aux_names or [n for n, _ in T.aux])
+    return tuple(aux_names or [n for n, _ in T.aux])
+
+
+def lie_reduce(sys: DESystem, T: PointTransformation,
+               aux_names: Sequence[str] | None = None) -> ReducedSystem:
+    """Full reduction step: rewrite in canonical coordinates, then reduce with
+    respect to the translated variable.  No or empty auxiliary names mean
+    the chart's, else the defaults."""
+    aux = lie_aux_names(T, aux_names)
+    return reduce_pde(transform_de(sys, T), T.canonical, aux)
 
 
 # Quadrature constants a solution of the parent is shifted by.

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from liereduce.classify import Classification
 from liereduce.cli import main
-from liereduce.corpus import corpus_dir
+from liereduce.corpus import corpus_dir, run_corpus
+from liereduce.problem import load_problem
 
 
 def prob(name: str) -> str:
@@ -363,3 +365,30 @@ class TestRunCorpus:
         # The next check of the same file still runs unless the file is rejected.
         assert [r["verdict"] for r in bad] == (["fail"] if check == "load" else ["fail", "pass"])
         assert [r["verdict"] for r in recs if r["problem"] == "ok"] == ["pass"]
+
+
+# Every shipped transform and classify check, as (file, problem id, check).
+SHARED = [(path.name, pf.id, exp) for path in sorted(corpus_dir().glob("*.prob"))
+          for pf in [load_problem(path)] for exp in pf.expects
+          if exp.op in ("transform", "classify")]
+
+
+@pytest.fixture(scope="module")
+def corpus_computed():
+    records, _ = run_corpus()
+    return {(r.problem, r.check): r.computed for r in records}
+
+
+@pytest.mark.parametrize("name, pid, exp", SHARED,
+                         ids=[f"{pid}: {exp.label}" for _, pid, exp in SHARED])
+def test_cli_computes_what_the_corpus_computed(capsys, corpus_computed, name, pid, exp):
+    if exp.op == "transform":
+        rc = main(["transform", "--problem", prob(name), "--chart", exp.args[0], "--json"])
+        rec = json.loads(capsys.readouterr().out)
+        got = "; ".join(rec["equations"])
+    else:
+        rc = main(["classify", "--problem", prob(name), "--field", exp.args[0],
+                   "--chart", exp.args[1], "--json"])
+        rec = json.loads(capsys.readouterr().out)
+        got = str(Classification(rec["verdict"], rec["witness"], rec["criterion"]))
+    assert rc == 0 and got == corpus_computed[(pid, exp.label)]
