@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import ChartError, PointTransformation, pushforward_field
+from .charts import PointTransformation, Pushforward
 from .equiv import is_zero
 from .expr import (Add, Expr, ExprError, Rat, ZERO, add, diff, free_vars,
                    mul, render, _coeff_monomial, _base_exp)
@@ -71,14 +71,10 @@ def gradient_poly(e: Expr, names) -> dict[tuple[int, ...], Expr] | None:
     return {k: add(*v) for k, v in out.items()}
 
 
-def classify_pushforward(X: VectorField, T: PointTransformation,
+def classify_pushforward(pf: Pushforward, T: PointTransformation,
                          reduced: ReducedSystem) -> Classification:
-    """Classify a parent symmetry pushed onto the reduced system's coordinates."""
-    try:
-        pf = pushforward_field(X, T)
-    except ChartError as exc:
-        return Classification("inconclusive", witness=str(exc),
-                              criterion="push-forward failed")
+    """Classify a parent symmetry, pushed through the chart T onto the
+    coordinates of its reduced system."""
     space = reduced.system.space
     if pf.flagged:
         return Classification("inconclusive",

@@ -13,12 +13,12 @@ import sys
 
 from .algebra import commutator, is_solvable
 from .charts import verify_canonical
-from .classify import classify_pushforward, lift_test
+from .classify import lift_test
 from .corpus import corpus_dir, reports_json, run_corpus
 from .expr import ExprError, render
 from .jets import prolong
 from .problem import load_problem
-from .reduction import reduce_system
+from .reduction import ReductionError, kind_mismatch
 from .systems import check_point_symmetry
 
 
@@ -73,8 +73,10 @@ def cmd_transform(args) -> int:
 
 def cmd_reduce(args) -> int:
     pf = load_problem(args.problem)
-    red = reduce_system(pf.system, args.command.removeprefix("reduce-"),
-                        args.target, args.aux)
+    why = kind_mismatch(args.command.removeprefix("reduce-"), pf.space.p)
+    if why:
+        raise ReductionError(why)
+    red = pf.gradient_reduction(args.target, args.aux or ())
     eqs = [render(e) for e in red.system.equations]
     conn = red.connection
     _emit(args, {"operation": "reduce", "equations": eqs,
@@ -104,10 +106,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    pf = load_problem(args.problem)
-    T = pf.charts[args.chart]
-    red = pf.lie_reduction(args.chart)
-    got = classify_pushforward(pf.fields[args.field], T, red)
+    got = load_problem(args.problem).classification(args.field, args.chart)
     _emit(args, {"operation": "classify", "field": args.field, "chart": args.chart,
                  "verdict": got.verdict, "witness": got.witness,
                  "criterion": got.criterion},

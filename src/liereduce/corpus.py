@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import is_solvable, reduction_order_advice
 from .charts import verify_canonical
-from .classify import classify_pushforward, lift_test
+from .classify import lift_test
 from .equiv import equiv, is_zero
-from .expr import Expr, ExprError, ZERO, diff, free_vars, mul, render, substitute
+from .expr import Expr, ExprError, Rat, ZERO, diff, free_vars, mul, render, substitute
 from .jets import prolong
 from .parse import parse_expr
 from .problem import Expect, ProblemError, ProblemFile, load_problem
@@ -103,29 +103,17 @@ def systems_match(computed: DESystem, expected: list[Expr]) -> bool:
 
 
 def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
-    """Parse 'c*Xk +/- ...' into span coordinates; None on failure."""
-    out = [Fraction(0)] * len(names)
-    t = text.replace(" ", "")
-    if t in ("0", ""):
-        return out
-    t = t.replace("-", "+-")
-    for piece in t.split("+"):
-        if not piece:
-            continue
-        coeff = Fraction(1)
-        if piece.startswith("-"):
-            coeff = Fraction(-1)
-            piece = piece[1:]
-        if "*" in piece:
-            num, piece = piece.split("*", 1)
-            try:
-                coeff *= Fraction(num)
-            except ValueError:
-                return None
-        if piece not in names:
-            return None
-        out[names.index(piece)] += coeff
-    return out
+    """Span coordinates of a linear combination of the named fields with
+    rational coefficients, such as '2*X3 - X1'; None for anything else."""
+    try:
+        e = parse_expr(text, set(names))
+    except ExprError:
+        return None
+    coords = [diff(e, n) for n in names]
+    if not all(isinstance(c, Rat) for c in coords) or \
+            substitute(e, dict.fromkeys(names, ZERO)) != ZERO:
+        return None
+    return [c.value for c in coords]
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +216,7 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect):
 
 
 def _ex_classify(pf: ProblemFile, exp: Expect):
-    X = pf.fields[exp.args[0]]
-    T = pf.charts[exp.args[1]]
-    got = classify_pushforward(X, T, pf.lie_reduction(exp.args[1]))
+    got = pf.classification(exp.args[0], exp.args[1])
     want = exp.one("verdict") or "point"
     ok = got.verdict == want
     wwit = exp.one("witness")

@@ -188,12 +188,6 @@ class VectorField:
         c = _coerce(c)
         return VectorField(self.space, {n: mul(c, v) for n, v in self.coeffs.items()})
 
-    def __neg__(self) -> "VectorField":
-        return (-1) * self
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-1) * other
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -21,7 +21,9 @@ from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
 from .parse import ParseError
-from .charts import PointTransformation, Pushforward, pushforward_field, transform_de
+from .charts import (ChartError, PointTransformation, Pushforward, pushforward_field,
+                     transform_de)
+from .classify import Classification, classify_pushforward
 from .reduction import (Connection, ReducedSystem, kind_mismatch, lie_aux_names,
                         reduce_pde)
 from .systems import DESystem
@@ -72,13 +74,6 @@ class Expect:
 
 
 @dataclass(frozen=True)
-class ParentSpec:
-    space: JetSpace
-    target: str
-    aux: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ProblemFile:
     """A loaded problem.  Derived artifacts (transformed systems, reductions,
     push-forwards, structure constants) are read through the accessors
@@ -93,7 +88,7 @@ class ProblemFile:
     charts: Mapping[str, PointTransformation]
     solutions: Mapping[str, Solution]
     expects: tuple[Expect, ...]
-    parent: ParentSpec | None = None
+    parent: Connection | None = None
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _derived(self, key: tuple, compute):
@@ -106,8 +101,8 @@ class ProblemFile:
         """Interpret this problem as the reduction of its declared parent."""
         if self.parent is None:
             raise ProblemError(f"{self.id}: no [parent] section declared")
-        conn = Connection(self.parent.space, self.parent.target, self.parent.aux)
-        return ReducedSystem(self.system, ("reduced",) * len(self.system.equations), conn)
+        return ReducedSystem(self.system, ("reduced",) * len(self.system.equations),
+                             self.parent)
 
     def transformed(self, chart: str) -> DESystem:
         """The system rewritten in the named chart's coordinates."""
@@ -133,6 +128,18 @@ class ProblemFile:
         """The field ``name`` pushed through the named chart."""
         return self._derived(("pushforward", name, chart),
                              lambda: pushforward_field(self.fields[name], self.charts[chart]))
+
+    def classification(self, name: str, chart: str) -> Classification:
+        """The field ``name`` classified on the named chart's Lie reduction
+        by its push-forward through that chart; a push-forward that fails
+        makes the verdict inconclusive."""
+        reduced = self.lie_reduction(chart)
+        try:
+            pushed = self.pushforward(name, chart)
+        except ChartError as exc:
+            return Classification("inconclusive", witness=str(exc),
+                                  criterion="push-forward failed")
+        return classify_pushforward(pushed, self.charts[chart], reduced)
 
     def algebra_table(self, names: Sequence[str] | None = None
                       ) -> tuple[list[str], AlgebraTable]:
@@ -226,7 +233,7 @@ def load_problem(path) -> ProblemFile:
     secs = _sections(text, where)
     meta: dict[str, list[str]] = {}
     space: JetSpace | None = None
-    parent: ParentSpec | None = None
+    parent: Connection | None = None
     equations: list[str] = []
     named: dict[str, list[tuple[str, dict[str, list[str]]]]] = {
         "field": [], "chart": [], "solution": []}
@@ -254,7 +261,7 @@ def load_problem(path) -> ProblemFile:
             aux = tuple(_require(kv, "aux", w).split())
             if len(aux) != pspace.p:
                 raise ProblemError(f"{w}: need {pspace.p} auxiliary names, got {len(aux)}")
-            parent = ParentSpec(pspace, target, aux)
+            parent = Connection(pspace, target, aux)
         elif kind == "equations":
             equations.extend(lines)
         elif kind in named:

@@ -95,7 +95,10 @@ def reduce_ode(sys: DESystem, target: str | None = None,
                aux_name: str | None = None) -> ReducedSystem:
     """Lie's reduction of order: the gradient reduction of a system with one
     independent variable, whose slope replaces the target."""
-    return reduce_system(sys, "ode", target, [aux_name] if aux_name else None)
+    why = kind_mismatch("ode", sys.space.p)
+    if why:
+        raise ReductionError(why)
+    return reduce_pde(sys, target, [aux_name] if aux_name else None)
 
 
 def reduce_pde(sys: DESystem, target: str | None = None,
@@ -152,23 +155,12 @@ def reduce_pde(sys: DESystem, target: str | None = None,
 
 
 def kind_mismatch(kind: str, p: int) -> str | None:
-    """Why a reduction of ``kind`` does not apply with p independent
-    variables (``ode`` needs one, ``pde`` two or more), or None."""
+    """Why a reduction of ``kind`` (``ode`` or ``pde``) does not apply with
+    p independent variables (``ode`` needs one, ``pde`` two or more), or
+    None."""
     if kind == "ode":
         return None if p == 1 else "reduce-ode needs exactly one independent variable"
-    if kind == "pde":
-        return None if p >= 2 else "reduce-pde needs at least two independent variables"
-    return f"unknown reduction kind {kind!r}"
-
-
-def reduce_system(sys: DESystem, kind: str, target: str | None = None,
-                  aux_names: Sequence[str] | None = None) -> ReducedSystem:
-    """The gradient reduction, for a system whose independent variables
-    match ``kind``."""
-    why = kind_mismatch(kind, sys.space.p)
-    if why:
-        raise ReductionError(why)
-    return reduce_pde(sys, target, aux_names)
+    return None if p >= 2 else "reduce-pde needs at least two independent variables"
 
 
 def lie_aux_names(T: PointTransformation,

@@ -82,9 +82,6 @@ class DESystem:
     def order(self) -> int:
         return max(self.space.jet_order(e) for e in self.equations)
 
-    def describe(self) -> list[str]:
-        return [f"{v} = {render(r)}" for v, r in zip(self.leads, self.rhss)]
-
 
 def _index_superset(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...] | None:
     """Multiset difference big - small, or None when small is not contained."""

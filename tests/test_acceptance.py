@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from liereduce import (DESystem, JetSpace, VectorField,
                        ZERO, ONE, check_point_symmetry, classify_pushforward,
                        commutator, diff, equiv, is_solvable, lie_reduce,
-                       lift_test, load_problem, normalize, prolong, rat,
-                       reduce_ode, reduce_pde, reduction_order_advice,
+                       lift_test, load_problem, normalize, prolong,
+                       pushforward_field, rat, reduce_ode, reduce_pde, reduction_order_advice,
                        structure_constants, total_derivative,
                        verify_canonical, verify_connection)
 from liereduce.corpus import corpus_dir, equation_matches, run_corpus, systems_match
@@ -145,15 +145,18 @@ def test_criterion_6_chain_reductions():
 def test_criterion_7_classification():
     with criterion(7, "point/nonlocal verdicts with witnesses; lifts blocked"):
         red1 = lie_reduce(TWO_SCALINGS.system, TWO_SCALINGS.charts["chart1"])
-        got = classify_pushforward(TWO_SCALINGS.fields["X2"],
+        got = classify_pushforward(pushforward_field(TWO_SCALINGS.fields["X2"],
+                                                     TWO_SCALINGS.charts["chart1"]),
                                    TWO_SCALINGS.charts["chart1"], red1)
         assert got.verdict == "point"
         red2 = lie_reduce(TWO_SCALINGS.system, TWO_SCALINGS.charts["chart2"])
-        got = classify_pushforward(TWO_SCALINGS.fields["X1"],
+        got = classify_pushforward(pushforward_field(TWO_SCALINGS.fields["X1"],
+                                                     TWO_SCALINGS.charts["chart2"]),
                                    TWO_SCALINGS.charts["chart2"], red2)
         assert got.verdict == "nonlocal" and got.witness == "s"
         redS = lie_reduce(POWER.system, POWER.charts["scal"])
-        got = classify_pushforward(POWER.fields["X1"], POWER.charts["scal"], redS)
+        got = classify_pushforward(pushforward_field(POWER.fields["X1"], POWER.charts["scal"]),
+                                   POWER.charts["scal"], redS)
         assert got.verdict == "nonlocal" and got.witness == "s"
         got = lift_test(BERNOULLI_RED.fields["Y"], BERNOULLI_RED.reduced_view())
         assert got.verdict == "nonlocal"
@@ -284,10 +287,12 @@ def test_criterion_11_cross_module_consistency():
             assert names[adv.first] == n1
             assert names[adv.point_inherited] == n2
             red = lie_reduce(pf.system, pf.charts[chart_first])
-            got = classify_pushforward(pf.fields[n2], pf.charts[chart_first], red)
+            got = classify_pushforward(pushforward_field(pf.fields[n2], pf.charts[chart_first]),
+                                       pf.charts[chart_first], red)
             assert got.verdict == "point", (pf.id, chart_first)
             red = lie_reduce(pf.system, pf.charts[chart_reverse])
-            got = classify_pushforward(pf.fields[n1], pf.charts[chart_reverse], red)
+            got = classify_pushforward(pushforward_field(pf.fields[n1], pf.charts[chart_reverse]),
+                                       pf.charts[chart_reverse], red)
             assert got.verdict == "nonlocal", (pf.id, chart_reverse)
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liereduce import (AlgebraError, JetSpace, VectorField, commutator,
-                       equiv, eval_numeric, is_solvable, rat,
+from liereduce import (AlgebraError, AlgebraTable, JetSpace, VectorField,
+                       commutator, equiv, eval_numeric, is_solvable, rat,
                        reduction_order_advice, structure_constants)
 from genexpr import random_polynomial
 
@@ -143,6 +143,17 @@ class TestStructureConstants:
         g = [VectorField.parse(ODE, {"x": "1"}), VectorField.parse(ODE, {"y": "1"})]
         tab = structure_constants(g)
         assert tab.entries[(0, 1)] == (Fraction(0), Fraction(0))
+
+    def test_jacobi_violation_detected(self):
+        # [e0,e1] = e0, [e0,e2] = e1, [e1,e2] = 0 is antisymmetric but
+        # [[e0,e1],e2] + [[e1,e2],e0] + [[e2,e0],e1] = e1.
+        F = Fraction
+        g = [VectorField.parse(ODE, {"x": "1"}), VectorField.parse(ODE, {"y": "1"}),
+             VectorField.parse(ODE, {"x": "x"})]
+        tab = AlgebraTable(tuple(g), {(0, 1): (F(1), F(0), F(0)),
+                                      (0, 2): (F(0), F(1), F(0)),
+                                      (1, 2): (F(0), F(0), F(0))}, {})
+        assert tab.closed and not tab.jacobi_ok()
 
     def test_not_in_span_flagged(self):
         g = [VectorField.parse(ODE, {"x": "1"}),

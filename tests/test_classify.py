@@ -4,7 +4,8 @@ import pytest
 
 from liereduce import (ClassifyError, DESystem, JetSpace, PointTransformation,
                        VectorField, classify_pushforward, gradient_poly,
-                       lie_reduce, lift_test, rat, reduce_ode, reduce_pde, sym)
+                       lie_reduce, lift_test, pushforward_field, rat,
+                       reduce_ode, reduce_pde, sym)
 
 ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
@@ -33,18 +34,18 @@ P_CHART = PointTransformation.parse(
 class TestClassifyPushforward:
     def test_point_case(self):
         red = lie_reduce(SCALING_ODE, CHART1)
-        got = classify_pushforward(X2, CHART1, red)
+        got = classify_pushforward(pushforward_field(X2, CHART1), CHART1, red)
         assert got.verdict == "point"
 
     def test_nonlocal_ode_case(self):
         red = lie_reduce(SCALING_ODE, CHART2)
-        got = classify_pushforward(X1, CHART2, red)
+        got = classify_pushforward(pushforward_field(X1, CHART2), CHART2, red)
         assert got.verdict == "nonlocal"
         assert got.witness == "s"
 
     def test_nonlocal_pde_case(self):
         red = lie_reduce(POWER_PDE, P_CHART)
-        got = classify_pushforward(P_X1, P_CHART, red)
+        got = classify_pushforward(pushforward_field(P_X1, P_CHART), P_CHART, red)
         assert got.verdict == "nonlocal"
         assert got.witness == "s"
 
@@ -54,17 +55,17 @@ class TestClassifyPushforward:
             canonical="s", inverse={"x1": "r1", "x2": "r2", "u": "s"},
             aux={"alpha": "u_1", "beta": "u_2"})
         red = lie_reduce(POWER_PDE, ident)
-        got = classify_pushforward(P_X1, ident, red)
+        got = classify_pushforward(pushforward_field(P_X1, ident), ident, red)
         assert got.verdict == "point"
         pf_coords = red.system.space.base_names
         # the translation dies: all coefficients vanish
-        from liereduce import pushforward_field, ZERO
+        from liereduce import ZERO
         pf = pushforward_field(P_X1, ident)
         assert all(pf.coeff(n) == ZERO for n in pf.coords)
 
     def test_rescaled_field_same_verdict(self):
         red = lie_reduce(SCALING_ODE, CHART2)
-        got = classify_pushforward(rat(3) * X1, CHART2, red)
+        got = classify_pushforward(pushforward_field(rat(3) * X1, CHART2), CHART2, red)
         assert got.verdict == "nonlocal"
 
     def test_inconclusive_without_inverse(self):
@@ -72,7 +73,7 @@ class TestClassifyPushforward:
             ODE, independent={"r": "y/x"}, dependent={"s": "-1/x"},
             canonical="s", aux={"alpha": "1/(x*y'-y)"})
         red = lie_reduce(SCALING_ODE, CHART1)
-        got = classify_pushforward(X2, chart, red)
+        got = classify_pushforward(pushforward_field(X2, chart), chart, red)
         assert got.verdict == "inconclusive"
 
 
@@ -123,6 +124,20 @@ class TestLiftTest:
             got = lift_test(Y, red)
             assert got.verdict == "nonlocal"
             assert "base component" in got.criterion
+
+    def test_unmatched_verdicts(self):
+        # Each row: a reduction, a point symmetry of it that does not lift,
+        # and the criterion and witness that say why.
+        for red, coeffs, criterion, witness in (
+                (reduce_ode(DESystem.build(ODE, ["y'' = 0"])), {"x": "alpha"},
+                 "base component depends on a gradient variable", "x"),
+                (reduce_pde(DESystem.build(PDE, ["u_11 + u_22 = 0"])),
+                 {"alpha": "beta", "beta": "-alpha"},
+                 "matching system inconsistent: cross term unmatched", "alpha"),
+                (reduce_pde(DESystem.build(PDE, ["u_12 = 0"])), {"alpha": "alpha"},
+                 "matching system inconsistent: unequal diagonal terms", "0")):
+            got = lift_test(VectorField.parse(red.system.space, coeffs), red)
+            assert (got.verdict, got.criterion, got.witness) == ("nonlocal", criterion, witness)
 
     def test_precondition_violation_raises(self):
         parent = DESystem.build(ODE, ["y'' = (1+x)*y'^2 + y'"])

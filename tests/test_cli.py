@@ -143,6 +143,12 @@ class TestUsageErrors:
                 main(argv)
             assert exc.value.code == 2
 
+    def test_commutator_needs_two_fields_exit_2(self, capsys):
+        rc = main(["commutator", "--problem", prob("blasius-translated.prob"),
+                   "--fields", "X1"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", "commutator needs exactly two field names\n")
+
     def test_sampling_flags_rejected(self, capsys):
         # The zero test's seed and tolerance are fixed; no flag sets them.
         for flag in (["--seed", "3"], ["--tolerance", "1e-6"]):
@@ -242,6 +248,12 @@ MALFORMED = {
     "commutator-bad-coefficient":
         (BASE + "[expect commutator T T]\ntag = oracle\nresult = abc*T\n",
          "commutator T T", "error: bad: cannot parse expected combination"),
+    # A bracket value must be a linear combination of the fields with
+    # rational coefficients; an empty one is not 0.
+    "algebra-empty-bracket":
+        (BASE + "[expect algebra]\ntag = oracle\nbracket T T =\n", "algebra", "[T,T]=0"),
+    "algebra-nonlinear-bracket":
+        (BASE + "[expect algebra]\ntag = oracle\nbracket T T = T*T\n", "algebra", "[T,T]=0"),
     "prolong-order-not-integer":
         (BASE + "[expect prolong T]\ntag = oracle\norder = two\ncoeff y' = 0\n",
          "load", "bad.prob [expect prolong T]: "),

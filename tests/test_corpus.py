@@ -1,9 +1,12 @@
 """Corpus runner: a record does not depend on which checks ran before it on
 the same loaded problem, and each derived artifact is computed once."""
 
+import sys
+
 import pytest
 
 from liereduce import ExprError, lie_reduce, problem
+from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus, run_expect
 from liereduce.problem import load_problem
 
@@ -29,33 +32,41 @@ def test_check_alone_matches_full_run(full_run, position):
 
 
 def _calls(monkeypatch, name: str) -> list:
-    """The argument tuples of every later call the memo makes to ``name``."""
+    """The argument tuples of every later call that any liereduce module
+    makes to ``name``."""
     calls, orig = [], getattr(problem, name)
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(problem, name, counted)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("liereduce") and \
+                vars(module).get(name) is orig:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_each_artifact_computed_once(monkeypatch):
     transforms = _calls(monkeypatch, "transform_de")
     constants = _calls(monkeypatch, "structure_constants")
+    pushforwards = _calls(monkeypatch, "pushforward_field")
     run_corpus()
-    charts, tables = set(), set()
+    charts, tables, pairs = set(), set(), set()
     for path in PATHS:
         pf = load_problem(path)
         for exp in pf.expects:
             if exp.op in ("transform", "lie-reduce"):
                 charts.add((path, exp.args[0]))
-            elif exp.op == "classify":
-                charts.add((path, exp.args[1]))
+            elif exp.op in ("pushforward", "classify"):
+                pairs.add((path,) + exp.args)
+                if exp.op == "classify":
+                    charts.add((path, exp.args[1]))
             elif exp.op in ("commutator", "advice", "algebra"):
                 names = exp.one("fields", "").split() if exp.op == "algebra" else ()
                 tables.add((path, tuple(names or sorted(pf.fields))))
-    assert (len(transforms), len(constants)) == (len(charts), len(tables))
+    assert (len(transforms), len(constants), len(pushforwards)) == \
+        (len(charts), len(tables), len(pairs))
 
 
 NO_INVERSE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
@@ -98,3 +109,32 @@ def test_lie_reduction_fails_like_lie_reduce(tmp_path):
             lie_reduce(pf.system, pf.charts[exp.args[0]])
         assert str(exc.value) == LIE_FAILURES[exp.args[0]][1]
         assert run_expect(pf, exp).computed == f"error: {exc.value}"
+
+
+# The two-scalings equation with a chart whose auxiliary is not a
+# first-order derivative: the Lie reduction works, the push-forward does not.
+BAD_AUX = ("[space]\nindependent = x\ndependent = y\norder = 2\n"
+           "[equations]\nx*y^2*y'' + x*y' - y = 0\n"
+           "[field X2]\nx = x\ny = 1/2*y\n"
+           "[chart chart1]\nindependent = r\ndependent = s\ncanonical = s\n"
+           "r = y/x\ns = -1/x\ninverse x = -1/s\ninverse y = -r/s\naux alpha = y\n"
+           "[expect classify X2 chart1]\ntag = oracle\n"
+           "[expect pushforward X2 chart1]\ntag = oracle\n"
+           "[expect symmetry X2]\ntag = oracle\nverdict = not-symmetry\n")
+BAD_AUX_WHY = "auxiliary 'alpha' does not match any first-order derivative of the chart"
+
+
+def test_failed_pushforward_makes_classify_inconclusive(tmp_path, capsys):
+    path = tmp_path / "bad-aux.prob"
+    path.write_text(BAD_AUX)
+    records, failed = run_corpus(tmp_path)
+    assert failed
+    assert [(r.check, r.verdict) for r in records] == [
+        ("classify X2 chart1", "inconclusive"), ("pushforward X2 chart1", "fail"),
+        ("symmetry X2", "fail")]
+    verdict = f"inconclusive witness={BAD_AUX_WHY} by push-forward failed"
+    assert records[0].computed == verdict
+    assert records[1].computed == f"error: {BAD_AUX_WHY}"
+    rc = main(["classify", "--problem", str(path), "--field", "X2", "--chart", "chart1"])
+    assert rc == 0
+    assert capsys.readouterr().out == f"X2 / chart1: {verdict}\n"
