@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .equiv import echelon
@@ -59,14 +60,14 @@ def _solve_rational(aug: list[list[Fraction]], n: int) -> list[Fraction] | None:
 class AlgebraTable:
     """Generators plus their pairwise brackets expressed in the span.
 
-    ``entries[(i, j)]`` (i < j, zero-based) holds the rational coordinates of
-    [X_i, X_j] in the generator basis, or None when the bracket leaves the
-    span; the full bracket field is then kept in ``residuals``.
+    ``brackets[(i, j)]`` (i < j, zero-based) is the bracket field
+    [X_i, X_j], and ``entries[(i, j)]`` its rational coordinates in the
+    generator basis, or None when it leaves the span.
     """
 
     generators: tuple[VectorField, ...]
     entries: Mapping[tuple[int, int], tuple[Fraction, ...] | None]
-    residuals: Mapping[tuple[int, int], VectorField]
+    brackets: Mapping[tuple[int, int], VectorField]
 
     @property
     def q(self) -> int:
@@ -84,22 +85,28 @@ class AlgebraTable:
         v = self.entries[(j, i)]
         return None if v is None else tuple(-c for c in v)
 
+    def bracket(self, i: int, j: int) -> VectorField:
+        """The bracket field [X_i, X_j] for any pair of indices."""
+        if i == j:
+            return VectorField(self.generators[i].space, {})
+        return self.brackets[(i, j)] if i < j else -1 * self.brackets[(j, i)]
+
     def jacobi_ok(self) -> bool:
-        """Jacobi identity on the structure constants (exact check)."""
+        """Jacobi identity on the structure constants (exact check).
+
+        With antisymmetric constants the Jacobi sum is totally antisymmetric
+        in its three indices, so it vanishes when two agree and changes only
+        sign under a permutation: the triples i < j < k decide it."""
         if not self.closed:
             raise AlgebraError("table is not closed")
-        q = self.q
-        cc = {(i, j): self.coords(i, j) for i in range(q) for j in range(q)}
-        for i in range(q):
-            for j in range(q):
-                for k in range(q):
-                    for l in range(q):
-                        s = sum(cc[(i, j)][m] * cc[(m, k)][l]
-                                + cc[(j, k)][m] * cc[(m, i)][l]
-                               + cc[(k, i)][m] * cc[(m, j)][l]
-                                for m in range(q))
-                        if s != 0:
-                            return False
+        for i, j, k in combinations(range(self.q), 3):
+            s = [0] * self.q
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in enumerate(self.coords(a, b)):
+                    if x:
+                        s = [sl + x * y for sl, y in zip(s, self.coords(m, c))]
+            if any(s):
+                return False
         return True
 
     def describe_entry(self, i: int, j: int, names: Sequence[str]) -> str:
@@ -131,11 +138,11 @@ def structure_constants(gens: Sequence[VectorField]) -> AlgebraTable:
             raise JetError("generators live over different base coordinates")
     decomp = [{v: _monomial_map(g.coeff(v)) for v in space.base_names} for g in gens]
     entries: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
-    residuals: dict[tuple[int, int], VectorField] = {}
+    brackets: dict[tuple[int, int], VectorField] = {}
     q = len(gens)
     for i in range(q):
         for j in range(i + 1, q):
-            Z = commutator(gens[i], gens[j])
+            Z = brackets[(i, j)] = commutator(gens[i], gens[j])
             zmap = {v: _monomial_map(Z.coeff(v)) for v in space.base_names}
             aug = []
             for v in space.base_names:
@@ -146,12 +153,8 @@ def structure_constants(gens: Sequence[VectorField]) -> AlgebraTable:
                     aug.append([d[v].get(key, Fraction(0)) for d in decomp]
                                + [zmap[v].get(key, Fraction(0))])
             sol = _solve_rational(aug, q)
-            if sol is None:
-                entries[(i, j)] = None
-                residuals[(i, j)] = Z
-            else:
-                entries[(i, j)] = tuple(sol)
-    return AlgebraTable(gens, entries, residuals)
+            entries[(i, j)] = None if sol is None else tuple(sol)
+    return AlgebraTable(gens, entries, brackets)
 
 
 def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
@@ -163,7 +166,6 @@ def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
     if not table.closed:
         raise AlgebraError("table is not closed; solvability undefined")
     q = table.q
-    cc = {(i, j): table.coords(i, j) for i in range(q) for j in range(q)}
 
     def bracket_vec(u: list[Fraction], w: list[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * q
@@ -174,8 +176,8 @@ def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
                 if w[j] == 0:
                     continue
                 f = u[i] * w[j]
-                for k in range(q):
-                    out[k] += f * cc[(i, j)][k]
+                for k, c in enumerate(table.coords(i, j)):
+                    out[k] += f * c
         return out
 
     basis = [[Fraction(int(i == j)) for j in range(q)] for i in range(q)]

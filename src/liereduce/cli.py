@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .algebra import commutator, is_solvable
+from .algebra import is_solvable
 from .charts import verify_canonical
 from .classify import lift_test
 from .corpus import corpus_dir, reports_json, run_corpus
@@ -130,13 +130,14 @@ def cmd_commutator(args) -> int:
     if len(names) != 2:
         print("commutator needs exactly two field names", file=sys.stderr)
         return 2
-    Z = commutator(pf.fields[names[0]], pf.fields[names[1]])
+    index = {n: k for k, n in enumerate(sorted(pf.fields))}
+    i, j = index[names[0]], index[names[1]]
     all_names, tab = pf.algebra_table()
-    span = tab.describe_entry(all_names.index(names[0]), all_names.index(names[1]),
-                              all_names)
+    span = tab.describe_entry(i, j, all_names)
+    Z = tab.bracket(i, j).describe()
     _emit(args, {"operation": "commutator", "fields": names,
-                 "bracket": Z.describe(), "in_span": span},
-          f"[{names[0]},{names[1]}] = {span}  ({Z.describe()})")
+                 "bracket": Z, "in_span": span},
+          f"[{names[0]},{names[1]}] = {span}  ({Z})")
     return 0
 
 

@@ -157,12 +157,15 @@ def _ex_symmetry(pf: ProblemFile, exp: Expect):
     return ok, shown, want + (f" residual {res}" if res else "")
 
 
-def _ex_canonical(pf: ProblemFile, exp: Expect):
-    X = pf.fields[exp.args[0]]
-    T = pf.charts[exp.args[1]]
-    got = verify_canonical(X, T)
-    want = (exp.one("verdict") or "true") == "true"
+def _verdict(exp: Expect, got: bool):
+    """(ok, computed, expected) for a true/false ``verdict``, true when
+    absent."""
+    want = exp.one("verdict", "true") == "true"
     return got == want, str(got).lower(), str(want).lower()
+
+
+def _ex_canonical(pf: ProblemFile, exp: Expect):
+    return _verdict(exp, verify_canonical(pf.fields[exp.args[0]], pf.charts[exp.args[1]]))
 
 
 def _expected_equations(exp: Expect, space) -> list[Expr]:
@@ -205,7 +208,7 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect):
     T = pf.charts[exp.args[1]]
     vocab = set(out.coords) | set(T.target_names) | set(pf.space.params)
     oks, shown, want = [], [], []
-    flagged_want = (exp.one("flagged") or "false") == "true"
+    flagged_want = exp.one("flagged", "false") == "true"
     oks.append(out.flagged == flagged_want)
     for name, text in exp.prefixed("coeff"):
         e = parse_expr(text.strip(), vocab)
@@ -274,10 +277,12 @@ def _ex_algebra(pf: ProblemFile, exp: Expect):
             oks.append(dims == want_dims)
             shown.append("series=" + " ".join(str(d) for d in dims))
             want.append(f"series={series_want}")
-    if exp.one("jacobi") == "true":
-        oks.append(tab.jacobi_ok())
-        shown.append("jacobi=ok" if oks[-1] else "jacobi=violated")
-        want.append("jacobi=true")
+    jacobi_want = exp.one("jacobi")
+    if jacobi_want is not None:
+        jacobi = tab.jacobi_ok()
+        oks.append(jacobi == (jacobi_want == "true"))
+        shown.append("jacobi=ok" if jacobi else "jacobi=violated")
+        want.append(f"jacobi={jacobi_want}")
     return all(oks), "; ".join(shown), "; ".join(want)
 
 
@@ -302,15 +307,11 @@ def _ex_connection(pf: ProblemFile, exp: Expect):
     else:
         got = verify_connection(pf.system, red, reduced_solution=sol.values,
                                 antiderivative=sol.antiderivative)
-    want = (exp.one("verdict") or "true") == "true"
-    return got == want, str(got).lower(), str(want).lower()
+    return _verdict(exp, got)
 
 
 def _ex_solution(pf: ProblemFile, exp: Expect):
-    sol = pf.solutions[exp.args[0]]
-    got = verify_solution(pf.system, sol.values)
-    want = (exp.one("verdict") or "true") == "true"
-    return got == want, str(got).lower(), str(want).lower()
+    return _verdict(exp, verify_solution(pf.system, pf.solutions[exp.args[0]].values))
 
 
 class Operation(NamedTuple):
@@ -318,30 +319,35 @@ class Operation(NamedTuple):
     ``field``, ``chart`` or ``solution`` names a declared one, and an
     optional ``target`` a dependent variable.  ``keys`` are the body keys it
     reads besides tag, note and stated; a key ending in `` *`` takes a name
-    after its first word (``coeff y'``)."""
+    after its first word (``coeff y'``).  ``flags`` are the keys among them
+    that take only ``true`` or ``false``."""
     run: Callable[[ProblemFile, Expect], tuple[bool, str, str]]
     args: tuple[str, ...]
     keys: tuple[str, ...]
+    flags: tuple[str, ...] = ()
 
 
 # The loader checks every expect against this table.
 OPERATIONS = {
     "prolong": Operation(_ex_prolong, ("field",), ("order", "coeff *")),
     "symmetry": Operation(_ex_symmetry, ("field",), ("verdict", "residual")),
-    "canonical": Operation(_ex_canonical, ("field", "chart"), ("verdict",)),
+    "canonical": Operation(_ex_canonical, ("field", "chart"), ("verdict",), ("verdict",)),
     "transform": Operation(_ex_transform, ("chart",), ("equation",)),
     "reduce-ode": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
     "reduce-pde": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
     "lie-reduce": Operation(_ex_lie_reduce, ("chart",), ("aux", "equation")),
-    "pushforward": Operation(_ex_pushforward, ("field", "chart"), ("flagged", "coeff *")),
+    "pushforward": Operation(_ex_pushforward, ("field", "chart"), ("flagged", "coeff *"),
+                             ("flagged",)),
     "classify": Operation(_ex_classify, ("field", "chart"), ("verdict", "witness")),
     "lift": Operation(_ex_lift, ("field",), ("verdict",)),
     "commutator": Operation(_ex_commutator, ("field", "field"), ("result",)),
     "algebra": Operation(_ex_algebra, (), ("fields", "closed", "bracket *", "solvable",
-                                           "series", "jacobi")),
+                                           "series", "jacobi"),
+                         ("closed", "solvable", "jacobi")),
     "advice": Operation(_ex_advice, ("field", "field"), ("first",)),
-    "connection": Operation(_ex_connection, ("solution",), ("reduce", "aux", "verdict")),
-    "solution": Operation(_ex_solution, ("solution",), ("verdict",)),
+    "connection": Operation(_ex_connection, ("solution",), ("reduce", "aux", "verdict"),
+                            ("verdict",)),
+    "solution": Operation(_ex_solution, ("solution",), ("verdict",), ("verdict",)),
 }
 
 

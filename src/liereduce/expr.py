@@ -160,20 +160,19 @@ ONE = Rat(1)
 MINUS_ONE = Rat(-1)
 
 
-def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rat(x)
-    raise TypeError(f"cannot use {x!r} as an expression")
-
-
 def _try_coerce(x) -> Expr | None:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
         return Rat(x)
     return None
+
+
+def _coerce(x) -> Expr:
+    e = _try_coerce(x)
+    if e is None:
+        raise TypeError(f"cannot use {x!r} as an expression")
+    return e
 
 
 def rat(p, q=1) -> Rat:
@@ -500,6 +499,9 @@ def _shifted(monomials, shift: dict) -> Expr:
 
 
 def _extract_content_once(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
+    """Common factors (base, multiplicity) of a sum's terms, plus the
+    primitive remainder.  One pass suffices: afterwards each common base has
+    exponent 0 in the term that had its least exponent."""
     common: dict[tuple, list] | None = None
     infos = []
     for t in a.terms:
@@ -528,21 +530,6 @@ def _extract_content_once(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
     return pairs, _shifted(infos, {b._key: (b, -x) for b, x in pairs})
 
 
-def _add_content(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
-    """Common factors (base, multiplicity) of a sum's terms, plus the
-    primitive remainder; iterates until no content remains."""
-    pairs_all: list[tuple[Expr, Fraction]] = []
-    cur: Expr = a
-    for _ in range(10):
-        if not isinstance(cur, Add):
-            break
-        pairs, cur = _extract_content_once(cur)
-        if not pairs:
-            break
-        pairs_all.extend(pairs)
-    return pairs_all, cur
-
-
 def power(b, e) -> Expr:
     b = _coerce(b)
     e = _coerce(e)
@@ -551,7 +538,7 @@ def power(b, e) -> Expr:
     if b == ONE:
         return ONE
     if isinstance(b, Add):
-        pairs, prim = _add_content(b)
+        pairs, prim = _extract_content_once(b)
         if pairs:
             return mul(*[power(bb, mul(Rat(xx), e)) for bb, xx in pairs],
                        power(prim, e))
@@ -639,21 +626,6 @@ def kernel(name: str, arg) -> Expr:
     return Kernel(name, arg)
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild through the normalizing constructors (idempotent)."""
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[normalize(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[normalize(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return power(normalize(e.base), normalize(e.exponent))
-    if isinstance(e, Kernel):
-        return kernel(e.name, normalize(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Kernels: derivative rules, numeric routines, domain constraints
 
@@ -732,28 +704,34 @@ def diff(e: Expr, v) -> Expr:
     return go(e)
 
 
+def _rebuild(e: Expr, m: Mapping[str, Expr]) -> Expr:
+    """``e`` rebuilt through the normalizing constructors, with each variable
+    named in ``m`` replaced by its value."""
+    if isinstance(e, Rat):
+        return e
+    if isinstance(e, Sym):
+        return m.get(e.name, e)
+    if isinstance(e, Add):
+        return add(*[_rebuild(t, m) for t in e.terms])
+    if isinstance(e, Mul):
+        return mul(*[_rebuild(f, m) for f in e.factors])
+    if isinstance(e, Pow):
+        return power(_rebuild(e.base, m), _rebuild(e.exponent, m))
+    if isinstance(e, Kernel):
+        return kernel(e.name, _rebuild(e.arg, m))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def normalize(e: Expr) -> Expr:
+    """Rebuild through the normalizing constructors (idempotent)."""
+    return _rebuild(e, {})
+
+
 def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous substitution followed by normalization."""
     if not bindings:
         return e
-    m = {_name_of(k): _coerce(v) for k, v in bindings.items()}
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Rat):
-            return e
-        if isinstance(e, Sym):
-            return m.get(e.name, e)
-        if isinstance(e, Add):
-            return add(*[go(t) for t in e.terms])
-        if isinstance(e, Mul):
-            return mul(*[go(f) for f in e.factors])
-        if isinstance(e, Pow):
-            return power(go(e.base), go(e.exponent))
-        if isinstance(e, Kernel):
-            return kernel(e.name, go(e.arg))
-        raise TypeError(f"not an expression: {e!r}")
-
-    return go(e)
+    return _rebuild(e, {_name_of(k): _coerce(v) for k, v in bindings.items()})
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -877,16 +855,23 @@ def _render_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _pow_piece(f: Expr) -> str:
+def _render_factor(f: Expr) -> str:
+    """One factor of a product: a power's base and exponent are
+    parenthesized unless atomic, and any other compound factor is too."""
+    if isinstance(f, Sym):
+        return f.name
+    if isinstance(f, Kernel):
+        return f"{f.name}({render(f.arg)})"
+    if isinstance(f, Rat):
+        return _render_rat(f.value)
     if not isinstance(f, Pow):
-        return _render_atomic(f)
-    base = f.base
+        return f"({render(f)})"
+    base, ex = f.base, f.exponent
     if isinstance(base, (Sym, Kernel)) or (isinstance(base, Rat) and base.value >= 0
                                            and base.value.denominator == 1):
-        bs = render(base)
+        bs = _render_factor(base)
     else:
         bs = f"({render(base)})"
-    ex = f.exponent
     if isinstance(ex, Rat) and ex.value.denominator == 1 and ex.value >= 0:
         es = _render_rat(ex.value)
     elif isinstance(ex, Sym):
@@ -896,20 +881,8 @@ def _pow_piece(f: Expr) -> str:
     return f"{bs}^{es}"
 
 
-def _render_atomic(f: Expr) -> str:
-    if isinstance(f, (Sym,)):
-        return f.name
-    if isinstance(f, Kernel):
-        return f"{f.name}({render(f.arg)})"
-    if isinstance(f, Rat):
-        return _render_rat(f.value)
-    if isinstance(f, Pow):
-        return _pow_piece(f)
-    return f"({render(f)})"
-
-
 def _render_product(c: Fraction, mono: tuple[Expr, ...]) -> str:
-    pieces = [_pow_piece(f) if isinstance(f, Pow) else _render_atomic(f) for f in mono]
+    pieces = [_render_factor(f) for f in mono]
     if c == 1 and pieces:
         return "*".join(pieces)
     if c == -1 and pieces:

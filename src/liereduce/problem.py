@@ -47,14 +47,11 @@ class Expect:
     op: str
     args: tuple[str, ...]
     tag: str
-    body: Mapping[str, tuple[str, ...]]  # repeatable keys
+    body: Mapping[str, tuple[str, ...]]  # only ``equation`` repeats
     note: str = ""
 
     def one(self, key: str, default: str | None = None) -> str | None:
-        vals = self.body.get(key)
-        if not vals:
-            return default
-        return vals[-1]
+        return self.body.get(key, (default,))[0]
 
     def many(self, key: str) -> tuple[str, ...]:
         return self.body.get(key, ())
@@ -357,9 +354,10 @@ def load_problem(path) -> ProblemFile:
 
 
 def _validate_references(pf: ProblemFile, operations):
-    """Every expect must use only the keys its operation reads, give it the
-    number and kinds of arguments it takes, have integer values that parse,
-    and name a reduction that fits the space."""
+    """Every expect must use only the keys its operation reads, each once
+    except ``equation``, give it the number and kinds of arguments it takes,
+    have integer values that parse and true/false values that are one of
+    those words, and name a reduction that fits the space."""
     declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
                 "target": pf.space.dependent}
 
@@ -371,10 +369,16 @@ def _validate_references(pf: ProblemFile, operations):
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
         op = operations[e.op]
-        for k in e.body:
+        for k, vals in e.body.items():
             head, _, rest = k.partition(" ")
             if (f"{head} *" if rest else k) not in op.keys + ("stated",):
                 raise ProblemError(f"{w}: unknown key {k!r}")
+            if len(vals) > 1 and k != "equation":
+                raise ProblemError(f"{w}: duplicate key {k!r}")
+        for k in op.flags:
+            v = e.one(k)
+            if v is not None and v not in ("true", "false"):
+                raise ProblemError(f"{w}: {k} must be true or false, got {v!r}")
         # Only a target is optional.
         if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):
             form = [e.op] + ["[TARGET]" if k == "target" else k.upper() for k in op.args]

@@ -194,17 +194,19 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
                       parent_solution: Mapping[str, Expr | str] | None = None,
                       reduced_solution: Mapping[str, Expr | str] | None = None,
                       antiderivative: Expr | str | None = None) -> bool:
-    """Check the solution correspondence between a parent and its reduction.
+    """Check one candidate against the solution correspondence between a
+    parent and its reduction; exactly one of the two solutions is given.
 
-    With a parent solution: it must solve the parent, its shifts by the
-    quadrature constant must too, and its gradient must solve the reduced
-    system.  With a reduced solution: it must solve the reduced system, and a
-    supplied antiderivative must have exactly that gradient and solve the
-    parent under each constant shift in ``_SHIFTS``.  The quadrature is never
-    computed; candidates are only differentiated.
+    A parent solution: its gradient, beside its other components, must solve
+    the reduced system, and the solution must solve the parent under each
+    constant shift in ``_SHIFTS``.  A reduced solution: it must solve the
+    reduced system, and a supplied antiderivative must have exactly that
+    gradient and, beside its parent components, solve the parent under each
+    shift.  The quadrature is never computed; candidates are only
+    differentiated.
     """
-    if parent_solution is None and reduced_solution is None:
-        raise ReductionError("supply a parent solution, a reduced solution, or both")
+    if (parent_solution is None) == (reduced_solution is None):
+        raise ReductionError("supply exactly one of a parent solution and a reduced solution")
     conn = reduced.connection
     pspace = parent.space
     target = conn.eliminated
@@ -212,37 +214,25 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
     def as_expr(v, space) -> Expr:
         return parse_expr(v, space) if isinstance(v, str) else _coerce(v)
 
-    ok = True
-    derived_reduced: dict[str, Expr] | None = None
+    def shifts_solve(U: Expr, others: dict[str, Expr]) -> bool:
+        return all(verify_solution(parent, {**others, target: add(U, _coerce(c))})
+                   for c in _SHIFTS)
+
     if parent_solution is not None:
-        psol = {d: as_expr(v, pspace) for d, v in parent_solution.items()}
-        ok = ok and verify_solution(parent, psol)
-        for c in _SHIFTS:
-            shifted = dict(psol)
-            shifted[target] = add(shifted[target], _coerce(c))
-            ok = ok and verify_solution(parent, shifted)
-        derived_reduced = {}
-        for d, v in psol.items():
-            if d != target:
-                derived_reduced[d] = v
+        others = {d: as_expr(v, pspace) for d, v in parent_solution.items()}
+        U = others.pop(target, None)
+        if U is None:
+            raise ReductionError(f"no candidate supplied for {target!r}")
+        grad = dict(others)
         for aux, xi in zip(conn.aux, pspace.independent):
-            derived_reduced[aux] = diff(psol[target], xi)
-        ok = ok and verify_solution(reduced.system, derived_reduced)
-    if reduced_solution is not None:
-        rsol = {d: as_expr(v, reduced.system.space) for d, v in reduced_solution.items()}
-        ok = ok and verify_solution(reduced.system, rsol)
-        if derived_reduced is not None:
-            for d, v in rsol.items():
-                ok = ok and equiv(derived_reduced[d], v)
-        if antiderivative is not None:
-            U = as_expr(antiderivative, pspace)
-            for aux, xi in zip(conn.aux, pspace.independent):
-                if not equiv(diff(U, xi), rsol[aux]):
-                    ok = False
-            for c in _SHIFTS:
-                cand = {target: add(U, _coerce(c))}
-                for d, v in rsol.items():
-                    if d in pspace.dependent:
-                        cand[d] = v
-                ok = ok and verify_solution(parent, cand)
-    return ok
+            grad[aux] = diff(U, xi)
+        return shifts_solve(U, others) and verify_solution(reduced.system, grad)
+    rsol = {d: as_expr(v, reduced.system.space) for d, v in reduced_solution.items()}
+    if not verify_solution(reduced.system, rsol):
+        return False
+    if antiderivative is None:
+        return True
+    U = as_expr(antiderivative, pspace)
+    return all(equiv(diff(U, xi), rsol[aux])
+               for aux, xi in zip(conn.aux, pspace.independent)) and \
+        shifts_solve(U, {d: v for d, v in rsol.items() if d in pspace.dependent})

@@ -192,7 +192,8 @@ def test_criterion_9_connection_formulas():
         assert verify_connection(BERNOULLI.system, red,
                                  reduced_solution={"alpha": "1/(exp(-x)-x)"})
         assert verify_connection(BERNOULLI.system, red,
-                                 parent_solution={"y": "-log(x)"},
+                                 parent_solution={"y": "-log(x)"})
+        assert verify_connection(BERNOULLI.system, red,
                                  reduced_solution={"alpha": "-1/x"},
                                  antiderivative="-log(x)")
         redp = reduce_pde(LOG_T.system, "u")

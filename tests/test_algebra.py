@@ -161,7 +161,7 @@ class TestStructureConstants:
         tab = structure_constants(g)
         assert tab.entries[(0, 1)] is None
         assert not tab.closed
-        res = tab.residuals[(0, 1)]
+        res = tab.brackets[(0, 1)]
         assert equiv(res.coeff("x"), ODE.expr("2*x"))
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from liereduce import (ClassifyError, DESystem, JetSpace, PointTransformation,
-                       VectorField, classify_pushforward, gradient_poly,
+                       VectorField, check_point_symmetry, classify_pushforward,
+                       gradient_poly,
                        lie_reduce, lift_test, pushforward_field, rat,
                        reduce_ode, reduce_pde, sym)
 
@@ -116,14 +117,13 @@ class TestLiftTest:
     def test_gradient_dependent_base_component(self):
         parent = DESystem.build(ODE, ["y'' = y'^2"])
         red = reduce_ode(parent)
-        # alpha d/dx + alpha^2 d/dalpha is a symmetry of alpha' = alpha^2
-        Y = VectorField.parse(red.system.space, {"x": "alpha", "alpha": "alpha^2"})
-        from liereduce import check_point_symmetry
-        # precondition: confirm it really is a symmetry before classifying
-        if check_point_symmetry(red.system, Y).is_symmetry:
-            got = lift_test(Y, red)
-            assert got.verdict == "nonlocal"
-            assert "base component" in got.criterion
+        # alpha d/dx + alpha^3 d/dalpha is alpha times the flow of
+        # alpha' = alpha^2, so a symmetry of it.
+        Y = VectorField.parse(red.system.space, {"x": "alpha", "alpha": "alpha^3"})
+        assert check_point_symmetry(red.system, Y).is_symmetry
+        got = lift_test(Y, red)
+        assert (got.verdict, got.criterion, got.witness) == \
+            ("nonlocal", "base component depends on a gradient variable", "x")
 
     def test_unmatched_verdicts(self):
         # Each row: a reduction, a point symmetry of it that does not lift,

@@ -123,11 +123,21 @@ class TestSubcommands:
             "brackets": ["[X1,X3] = 0", "[X1,X5] = -X1", "[X3,X5] = 2*X3"],
             "solvable": True, "series": [3, 2, 0], "jacobi": True}
 
+    def test_commutator_of_a_field_with_itself(self, capsys):
+        rc = main(["commutator", "--problem", prob("blasius-translated.prob"),
+                   "--fields", "X1,X1", "--json"])
+        rec = json.loads(capsys.readouterr().out)
+        assert rc == 0 and rec == {"operation": "commutator", "fields": ["X1", "X1"],
+                                   "bracket": "0", "in_span": "0"}
+
     def test_unknown_field_is_error(self, capsys):
         rc = main(["check-symmetry", "--problem", prob("bernoulli.prob"),
                    "--field", "NoSuch"])
         assert rc == 1
         assert "unknown name" in capsys.readouterr().err
+        rc = main(["commutator", "--problem", prob("blasius-translated.prob"),
+                   "--fields", "X1,NoSuch"])
+        assert (rc, capsys.readouterr().err) == (1, "error: unknown name 'NoSuch'\n")
 
 
 class TestUsageErrors:
@@ -309,6 +319,23 @@ MALFORMED = {
     "reduce-ode-two-targets":
         (BASE.replace("y' = y", "y' = 1") + "[expect reduce-ode y y]\ntag = oracle\n",
          "load", "bad.prob [expect reduce-ode y y]: expected '[expect reduce-ode [TARGET]]'"),
+    # Only `equation` repeats in an expect body, and a true/false key takes
+    # only those words.
+    "expect-duplicate-key":
+        (BASE + "[expect symmetry T]\ntag = oracle\nverdict = not-symmetry\n"
+         "verdict = symmetry\n",
+         "load", "bad.prob [expect symmetry T]: duplicate key 'verdict'"),
+    "algebra-jacobi-not-true-false":
+        (BASE + "[expect algebra]\ntag = oracle\njacobi = yes\n",
+         "load", "bad.prob [expect algebra]: jacobi must be true or false, got 'yes'"),
+    "canonical-verdict-not-true-false":
+        (BASE + CHART + "canonical = v\n[expect canonical T c]\ntag = oracle\n"
+         "verdict = ture\n",
+         "load", "bad.prob [expect canonical T c]: verdict must be true or false, got 'ture'"),
+    # `jacobi = false` expects a violation, as `closed = false` expects a
+    # bracket outside the span.
+    "algebra-jacobi-false-on-lie-algebra":
+        (BASE + "[expect algebra]\ntag = oracle\njacobi = false\n", "algebra", "jacobi=ok"),
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from liereduce import ExprError, lie_reduce, problem
+from liereduce import ExprError, algebra, lie_reduce, problem
 from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus, run_expect
 from liereduce.problem import load_problem
@@ -31,10 +31,10 @@ def test_check_alone_matches_full_run(full_run, position):
     assert alone.to_dict() == full_run[position].to_dict()
 
 
-def _calls(monkeypatch, name: str) -> list:
+def _calls(monkeypatch, name: str, source=problem) -> list:
     """The argument tuples of every later call that any liereduce module
-    makes to ``name``."""
-    calls, orig = [], getattr(problem, name)
+    makes to the function ``name`` of module ``source``."""
+    calls, orig = [], getattr(source, name)
 
     def counted(*args):
         calls.append(args)
@@ -67,6 +67,14 @@ def test_each_artifact_computed_once(monkeypatch):
                 tables.add((path, tuple(names or sorted(pf.fields))))
     assert (len(transforms), len(constants), len(pushforwards)) == \
         (len(charts), len(tables), len(pairs))
+
+
+def test_commutator_command_computes_each_bracket_once(monkeypatch, capsys):
+    calls = _calls(monkeypatch, "commutator", algebra)
+    rc = main(["commutator", "--problem", str(corpus_dir() / "power-diffusion.prob"),
+               "--fields", "X1,X5"])
+    assert rc == 0 and capsys.readouterr().out == "[X1,X5] = -X1  ((-1) d/du)\n"
+    assert len(calls) == 10  # the five fields' pairs, each once
 
 
 NO_INVERSE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"

@@ -234,3 +234,8 @@ class TestVerifyConnection:
     def test_requires_some_direction(self):
         with pytest.raises(ReductionError, match="supply"):
             verify_connection(self.parent, self.red)
+
+    def test_rejects_both_directions(self):
+        with pytest.raises(ReductionError, match="supply"):
+            verify_connection(self.parent, self.red, parent_solution={"y": "-log(x)"},
+                              reduced_solution={"alpha": "-1/x"})
