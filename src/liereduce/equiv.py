@@ -1,19 +1,40 @@
-"""Expression equivalence: structural zero test with seeded numeric fallback.
+"""Expression equivalence: structural and modular zero tests, with a seeded
+numeric fallback.
 
-The structural path (normalize the difference, clear term-level denominators)
-never yields false positives, and a difference that normalizes to a nonzero
-rational constant is nonzero, exactly.  When both are inconclusive, the
-difference is evaluated at random rational sample points drawn from the safe
-domain of every kernel and fractional power present: if any such constraint
-exists, all variables are sampled positive and the constraints are rechecked
-numerically.
-Sampling is deterministic: the RNG is seeded from a fixed seed and a checksum
-of the expression, so results do not depend on call order.
+``equiv(a, b)`` decides whether d = a - b is zero in this order:
+
+1. **Structural.**  d normalizes to 0 (zero), or to a nonzero rational
+   constant (nonzero).  Neither gives a false verdict.
+2. **Modular.**  A *rational* d (no kernels, and only integer exponents) is
+   evaluated modulo a prime P at _MOD_SAMPLES seeded points drawn uniformly
+   from Z_P, with ``pow(b, k, P)`` for negative powers too.  A nonzero
+   residue proves the numerator of d nonzero, so d is nonzero.  When every
+   residue is zero, d is zero; by the Schwartz-Zippel lemma (Schwartz 1980;
+   Zippel 1979) the chance of error is at most (deg/P)^_MOD_SAMPLES, where
+   deg is the degree of d's cleared numerator.  P is the first prime in
+   _PRIMES that divides no numerator or denominator of any constant of d; a
+   point where a denominator vanishes modulo P is skipped.  The verdict
+   assumes that P does not divide every coefficient of d's cleared
+   numerator, which the rule for P makes likely but does not prove:
+   1/(x + 1) - 1/(x + 2^61) has the numerator 2^61 - 1 and reads as zero.
+   When no prime qualifies, or more than _MAX_ATTEMPTS points are skipped,
+   d takes the numeric path.
+3. **Cleared denominators.**  Term-level denominators are multiplied away,
+   and a result of 0 is zero.
+4. **Numeric.**  d is evaluated in floats, at random rational sample points
+   drawn from the safe domain of every kernel and fractional power present
+   (all variables positive once any such constraint exists, and the
+   constraints rechecked numerically).  d is zero when it stays within the
+   absolute _TOLERANCE at _SAMPLES points.  A constant d is evaluated once.
+
+Sampling is deterministic: each RNG is seeded from a fixed seed and a
+checksum of the rendered expression, so results do not depend on call order.
 
 The same points decide whether a square matrix of expressions (a chart's base
-Jacobian) is singular everywhere: it is eliminated at each point in O(k^3),
-exactly in ``Fraction`` when every entry is rational there.  That elimination,
-``echelon``, also serves the algebra module's exact linear algebra.
+Jacobian) is singular everywhere, by elimination at each point in O(k^3):
+modulo P when every entry is rational, else exactly in ``Fraction`` when
+every entry is rational at the rational point, else in floats.  The exact
+elimination, ``echelon``, also serves the algebra module's linear algebra.
 """
 
 from __future__ import annotations
@@ -23,9 +44,9 @@ import random
 import zlib
 from fractions import Fraction
 
-from .expr import (DomainError, Expr, ExprError, Rat, ZERO, clear_denominators,
-                   eval_numeric, free_vars, positivity_constraints, render,
-                   substitute)
+from .expr import (Add, DomainError, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO,
+                   clear_denominators, eval_numeric, free_vars,
+                   positivity_constraints, render, substitute)
 
 
 class SamplingDomainError(ExprError):
@@ -41,6 +62,15 @@ _SAMPLES = 16
 _TOLERANCE = 1e-9
 _SEED = 20260809
 _MAX_ATTEMPTS = 80
+
+# Rational expressions are decided modulo the first of these Mersenne primes
+# that divides no constant of theirs, at _MOD_SAMPLES usable points.
+_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+_MOD_SAMPLES = 4
+
+
+def _rng(text: str) -> random.Random:
+    return random.Random((_SEED << 32) ^ zlib.crc32(text.encode("utf-8")))
 
 
 def _draw(rng: random.Random, positive: bool) -> Fraction:
@@ -58,7 +88,7 @@ def _points(text: str, names: list[str], constraints: list[Expr]):
     stops once it has used _SAMPLES points; SamplingDomainError is raised
     when it asks for more than _MAX_ATTEMPTS + _SAMPLES draws.
     """
-    rng = random.Random((_SEED << 32) ^ zlib.crc32(text.encode("utf-8")))
+    rng = _rng(text)
     positive = bool(constraints)
     attempts = 0
     while True:
@@ -74,13 +104,92 @@ def _points(text: str, names: list[str], constraints: list[Expr]):
         yield pt
 
 
+def _modulus(exprs: list[Expr]) -> tuple[int, list[str]] | None:
+    """The prime the rational ``exprs`` are decided modulo, and their sorted
+    variable names; None when some expression is not rational (it holds a
+    kernel, or a non-integer or symbolic exponent) or every prime in _PRIMES
+    divides a numerator or denominator of one of their constants."""
+    consts: set[int] = set()
+    names: set[str] = set()
+    stack = list(exprs)
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Rat):
+            consts.update((n.value.numerator, n.value.denominator))
+        elif isinstance(n, Sym):
+            names.add(n.name)
+        elif isinstance(n, Add):
+            stack.extend(n.terms)
+        elif isinstance(n, Mul):
+            stack.extend(n.factors)
+        elif isinstance(n, Pow) and isinstance(n.exponent, Rat) \
+                and n.exponent.value.denominator == 1:
+            stack.append(n.base)
+        else:
+            return None
+    consts.discard(0)
+    P = next((P for P in _PRIMES if all(c % P for c in consts)), None)
+    return None if P is None else (P, sorted(names))
+
+
+def _residue(e: Expr, pt: dict[str, int], P: int) -> int:
+    """The rational ``e`` at ``pt`` modulo P; ValueError where one of its
+    denominators vanishes."""
+    if isinstance(e, Rat):
+        v = e.value
+        if v.denominator == 1:
+            return v.numerator % P
+        return v.numerator * pow(v.denominator, -1, P) % P
+    if isinstance(e, Sym):
+        return pt[e.name]
+    if isinstance(e, Add):
+        return sum(_residue(t, pt, P) for t in e.terms) % P
+    if isinstance(e, Mul):
+        out = 1
+        for f in e.factors:
+            out = out * _residue(f, pt, P) % P
+        return out
+    return pow(_residue(e.base, pt, P), e.exponent.value.numerator, P)
+
+
+def _modular(exprs: list[Expr], witness) -> bool | None:
+    """Whether ``witness(residues, P)`` holds at some point, given the
+    residues of ``exprs`` at points of Z_P seeded from their rendered text
+    the way ``_points`` is seeded: True at the first point where it does,
+    False after _MOD_SAMPLES usable points where it does not, and None when
+    the expressions are not decided modulo a prime or more than
+    _MAX_ATTEMPTS points are skipped."""
+    found = _modulus(exprs)
+    if found is None:
+        return None
+    P, names = found
+    rng = _rng("; ".join(map(render, exprs)))
+    checked = 0
+    for _ in range(_MAX_ATTEMPTS + _MOD_SAMPLES):
+        pt = {n: rng.randrange(P) for n in names}
+        try:
+            values = [_residue(e, pt, P) for e in exprs]
+        except ValueError:
+            continue
+        if witness(values, P):
+            return True
+        checked += 1
+        if checked == _MOD_SAMPLES:
+            return False
+    return None
+
+
 def equiv(a: Expr, b: Expr) -> bool:
-    """True when a - b is zero structurally or at every sample point."""
+    """True when a - b is zero structurally, modulo a prime, or at every
+    sample point (see the module docstring for the order)."""
     d = a - b
     if d == ZERO:
         return True
     if isinstance(d, Rat):
         return False
+    nonzero = _modular([d], lambda v, P: v[0] != 0)
+    if nonzero is not None:
+        return not nonzero
     if clear_denominators(d) == ZERO:
         return True
     if not free_vars(d):
@@ -145,17 +254,42 @@ def _equilibrated(rows: list[list[float]]) -> list[list[float]]:
     return rows
 
 
+def _nonsingular_mod(rows: list[list[int]], P: int) -> bool:
+    """Whether the square matrix ``rows`` of residues is nonsingular modulo
+    P (eliminated in place)."""
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        inv = pow(top[col], -1, P)
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] * inv % P
+            if f:
+                rows[r] = [(a - f * b) % P for a, b in zip(rows[r], top)]
+    return True
+
+
 def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     """True when the square matrix ``mat`` is nonsingular at a sample point.
 
     The points are drawn as in ``equiv``, seeded from the rendered entries.
-    When every entry is rational at a point, exact elimination decides, so a
-    tiny nonzero determinant still counts.  Otherwise the entries are
+    When every entry is rational, elimination modulo a prime decides as it
+    does for ``equiv``: a nonzero determinant at one point proves ``mat``
+    nonsingular, and a zero one at _MOD_SAMPLES points makes it singular.
+    Otherwise, at a point where every entry is rational, exact elimination
+    decides, so a tiny nonzero determinant still counts; else the entries are
     evaluated in floats and equilibrated before elimination, so _TOLERANCE
     is relative to the size of the matrix.  False only after _SAMPLES usable
     points all give a singular matrix.
     """
     entries = [e for row in mat for e in row]
+    k = len(mat)
+    found = _modular(entries, lambda v, P: _nonsingular_mod(
+        [v[i:i + k] for i in range(0, len(v), k)], P))
+    if found is not None:
+        return found
     names = sorted(set().union(*map(free_vars, entries)))
     constraints = list(dict.fromkeys(c for e in entries
                                      for c in positivity_constraints(e)))

@@ -245,6 +245,21 @@ class TestEquiv:
         assert not equiv(x + rat(1, 10**12), x)
         assert is_zero(kernel("log", rat(4)) - 2 * kernel("log", rat(2)))
 
+    # Rational differences are decided modulo a prime, whatever their scale.
+    # The comment on each pair gives the verdict of the absolute 1e-9 float
+    # test that decided them before.
+    @pytest.mark.parametrize("a, b, same", [
+        ("10^(-12)*x", "0", False),  # True
+        ("x/(2^61 - 1)", "0", False),  # True
+        # The prime 2^61 - 1 divides the constant, so 2^89 - 1 decides.
+        ("(2^61 - 1)*x", "0", False),  # False
+        ("x + 10^(-12)*y", "x", False),  # True
+        ("10^12/(1 + x^2 + 1/(2 + y^2))",
+         "10^12*(2 + y^2)/((1 + x^2)*(2 + y^2) + 1)", True),  # True
+    ])
+    def test_rational_difference_is_exact(self, a, b, same):
+        assert equiv(parse_expr(a, {"x", "y"}), parse_expr(b, {"x", "y"})) is same
+
 
 class TestEvalNumeric:
     def test_reciprocal_gap(self):

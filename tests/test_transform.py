@@ -50,6 +50,12 @@ REGULARITY = [
                  id="tiny-rational-determinant"),
     pytest.param(ODE, {"r": "exp(x)/1000000000000"}, {"s": "y"}, True,
                  id="tiny-float-determinant"),
+    # The prime 2^61 - 1 divides the entry's denominator, so 2^89 - 1 decides.
+    pytest.param(ODE, {"r": "x/(2^61 - 1)"}, {"s": "y"}, True,
+                 id="mersenne-scaled-determinant"),
+    pytest.param(ODE, {"r": "1000000000000*x^2*y"},
+                 {"s": "1000000000000000000000000*x^4*y^2 + 1/1000000000000"}, False,
+                 id="huge-singular-rational"),
     pytest.param(ODE, {"r": "exp(x)*y"}, {"s": "1000000000000*exp(2*x)*y^2"},
                  False, id="huge-singular-with-kernels"),
     pytest.param(ODE, {"r": "x + y"}, {"s": "x*y"}, True,
