@@ -9,16 +9,18 @@ numeric fallback.
    evaluated modulo a prime P at _MOD_SAMPLES seeded points drawn uniformly
    from Z_P, with ``pow(b, k, P)`` for negative powers too.  A nonzero
    residue proves the numerator of d nonzero, so d is nonzero.  When every
-   residue is zero, d is zero; by the Schwartz-Zippel lemma (Schwartz 1980;
-   Zippel 1979) the chance of error is at most (deg/P)^_MOD_SAMPLES, where
-   deg is the degree of d's cleared numerator.  P is the first prime in
-   _PRIMES that divides no numerator or denominator of any constant of d; a
-   point where a denominator vanishes modulo P is skipped.  The verdict
-   assumes that P does not divide every coefficient of d's cleared
-   numerator, which the rule for P makes likely but does not prove:
-   1/(x + 1) - 1/(x + 2^61) has the numerator 2^61 - 1 and reads as zero.
-   When no prime qualifies, or more than _MAX_ATTEMPTS points are skipped,
-   d takes the numeric path.
+   residue is zero, one more point from the same stream is evaluated modulo
+   a second prime Q, and d is zero when that residue is zero too.  P and Q
+   are the first two primes in _PRIMES that divide no numerator or
+   denominator of any constant of d; a point where a denominator vanishes
+   is skipped.  When P does not divide the content (the gcd of the
+   coefficients) of d's cleared numerator, the Schwartz-Zippel lemma
+   (Schwartz 1980; Zippel 1979) bounds the chance of a false zero by
+   (deg/P)^_MOD_SAMPLES, where deg is the numerator's degree; when P
+   divides it but Q does not, as for 1/(x + 1) - 1/(x + 2^61) with the
+   numerator 2^61 - 1, by deg/Q.  The verdict assumes that P*Q does not
+   divide that content.  When fewer than two primes qualify, or more than
+   _MAX_ATTEMPTS points are skipped, d takes the numeric path.
 3. **Cleared denominators.**  Term-level denominators are multiplied away,
    and a result of 0 is zero.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
@@ -32,9 +34,10 @@ checksum of the rendered expression, so results do not depend on call order.
 
 The same points decide whether a square matrix of expressions (a chart's base
 Jacobian) is singular everywhere, by elimination at each point in O(k^3):
-modulo P when every entry is rational, else exactly in ``Fraction`` when
-every entry is rational at the rational point, else in floats.  The exact
-elimination, ``echelon``, also serves the algebra module's linear algebra.
+modulo P, with a singular verdict confirmed modulo Q, when every entry is
+rational, else exactly in ``Fraction`` when every entry is rational at the
+rational point, else in floats.  The exact elimination, ``echelon``, also
+serves the algebra module's linear algebra.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ _TOLERANCE = 1e-9
 _SEED = 20260809
 _MAX_ATTEMPTS = 80
 
-# Rational expressions are decided modulo the first of these Mersenne primes
-# that divides no constant of theirs, at _MOD_SAMPLES usable points.
+# Rational expressions are decided modulo the first two of these Mersenne
+# primes that divide no constant of theirs: at _MOD_SAMPLES usable points
+# modulo the first, and a "zero" or "singular" verdict at one more modulo
+# the second.
 _PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
 _MOD_SAMPLES = 4
 
@@ -80,35 +85,46 @@ def _draw(rng: random.Random, positive: bool) -> Fraction:
     return v
 
 
-def _points(text: str, names: list[str], constraints: list[Expr]):
-    """Seeded sample points for the expressions rendered as ``text``.
-
-    Every variable is drawn positive when any positivity constraint exists,
-    and a point that leaves a constraint's domain is skipped.  The caller
-    stops once it has used _SAMPLES points; SamplingDomainError is raised
-    when it asks for more than _MAX_ATTEMPTS + _SAMPLES draws.
-    """
-    rng = _rng(text)
-    positive = bool(constraints)
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS + _SAMPLES:
-            raise SamplingDomainError(f"sampling domain empty for {text!r}")
-        pt = {n: _draw(rng, positive) for n in names}
-        try:
-            if any(eval_numeric(c, pt) <= 1e-6 for c in constraints):
-                continue
-        except (DomainError, OverflowError):
-            continue
-        yield pt
+def _point(rng: random.Random, names: list[str],
+           constraints: list[Expr]) -> dict[str, Fraction] | None:
+    """A seeded rational sample point, or None when it leaves the domain of
+    a positivity constraint.  Every variable is drawn positive when any
+    positivity constraint exists."""
+    pt = {n: _draw(rng, bool(constraints)) for n in names}
+    try:
+        if any(eval_numeric(c, pt) <= 1e-6 for c in constraints):
+            return None
+    except (DomainError, OverflowError):
+        return None
+    return pt
 
 
-def _modulus(exprs: list[Expr]) -> tuple[int, list[str]] | None:
-    """The prime the rational ``exprs`` are decided modulo, and their sorted
-    variable names; None when some expression is not rational (it holds a
-    kernel, or a non-integer or symbolic exponent) or every prime in _PRIMES
-    divides a numerator or denominator of one of their constants."""
+def _sampled(rng: random.Random, draw, values, witness, needed: int) -> bool | None:
+    """Whether ``witness`` holds at a sample point: True at the first usable
+    point where it does, False after ``needed`` usable points where it does
+    not, and None once more than _MAX_ATTEMPTS points are unusable.  A point
+    is ``draw(rng)``, None when unusable, and ``values`` maps it to what
+    ``witness`` reads there, or to None when it is unusable after all."""
+    usable = unusable = 0
+    while usable < needed:
+        pt = draw(rng)
+        v = None if pt is None else values(pt)
+        if v is None:
+            unusable += 1
+            if unusable > _MAX_ATTEMPTS:
+                return None
+        elif witness(v):
+            return True
+        else:
+            usable += 1
+    return False
+
+
+def _modulus(exprs: list[Expr]) -> tuple[list[int], list[str]] | None:
+    """The primes in _PRIMES that divide no numerator or denominator of a
+    constant of the rational ``exprs``, and their sorted variable names; None
+    when some expression is not rational (it holds a kernel, or a
+    non-integer or symbolic exponent)."""
     consts: set[int] = set()
     names: set[str] = set()
     stack = list(exprs)
@@ -128,8 +144,7 @@ def _modulus(exprs: list[Expr]) -> tuple[int, list[str]] | None:
         else:
             return None
     consts.discard(0)
-    P = next((P for P in _PRIMES if all(c % P for c in consts)), None)
-    return None if P is None else (P, sorted(names))
+    return [P for P in _PRIMES if all(c % P for c in consts)], sorted(names)
 
 
 def _residue(e: Expr, pt: dict[str, int], P: int) -> int:
@@ -152,31 +167,35 @@ def _residue(e: Expr, pt: dict[str, int], P: int) -> int:
     return pow(_residue(e.base, pt, P), e.exponent.value.numerator, P)
 
 
+def _residues(exprs: list[Expr], pt: dict[str, int], P: int) -> list[int] | None:
+    """The residues of ``exprs`` at ``pt`` modulo P, or None where one of
+    their denominators vanishes."""
+    try:
+        return [_residue(e, pt, P) for e in exprs]
+    except ValueError:
+        return None
+
+
 def _modular(exprs: list[Expr], witness) -> bool | None:
     """Whether ``witness(residues, P)`` holds at some point, given the
-    residues of ``exprs`` at points of Z_P seeded from their rendered text
-    the way ``_points`` is seeded: True at the first point where it does,
-    False after _MOD_SAMPLES usable points where it does not, and None when
-    the expressions are not decided modulo a prime or more than
-    _MAX_ATTEMPTS points are skipped."""
+    residues of ``exprs`` at points of Z_P seeded from their rendered text:
+    True at the first point where it does, and False when it holds at none
+    of _MOD_SAMPLES usable points modulo the first qualifying prime P nor at
+    one more modulo the second, drawn from the same stream.  None when the
+    expressions are not rational, fewer than two primes qualify, or more
+    than _MAX_ATTEMPTS points are skipped."""
     found = _modulus(exprs)
-    if found is None:
+    if found is None or len(found[0]) < 2:
         return None
-    P, names = found
+    primes, names = found
     rng = _rng("; ".join(map(render, exprs)))
-    checked = 0
-    for _ in range(_MAX_ATTEMPTS + _MOD_SAMPLES):
-        pt = {n: rng.randrange(P) for n in names}
-        try:
-            values = [_residue(e, pt, P) for e in exprs]
-        except ValueError:
-            continue
-        if witness(values, P):
-            return True
-        checked += 1
-        if checked == _MOD_SAMPLES:
-            return False
-    return None
+    for P, needed in zip(primes, (_MOD_SAMPLES, 1)):
+        held = _sampled(rng, lambda r: {n: r.randrange(P) for n in names},
+                        lambda pt: _residues(exprs, pt, P),
+                        lambda v: witness(v, P), needed)
+        if held is not False:
+            return held
+    return False
 
 
 def equiv(a: Expr, b: Expr) -> bool:
@@ -198,19 +217,21 @@ def equiv(a: Expr, b: Expr) -> bool:
         except DomainError:
             raise SamplingDomainError(
                 f"constant expression {render(d)!r} leaves the real domain")
-    checked = 0
-    for pt in _points(render(d), sorted(free_vars(d)), positivity_constraints(d)):
+    text = render(d)
+    names, constraints = sorted(free_vars(d)), positivity_constraints(d)
+
+    def value(pt):
         try:
             v = eval_numeric(d, pt)
         except (DomainError, OverflowError):
-            continue
-        if not math.isfinite(v):
-            continue
-        if abs(v) > _TOLERANCE:
-            return False
-        checked += 1
-        if checked == _SAMPLES:
-            return True
+            return None
+        return v if math.isfinite(v) else None
+
+    nonzero = _sampled(_rng(text), lambda r: _point(r, names, constraints), value,
+                       lambda v: abs(v) > _TOLERANCE, _SAMPLES)
+    if nonzero is None:
+        raise SamplingDomainError(f"sampling domain empty for {text!r}")
+    return not nonzero
 
 
 def is_zero(e: Expr) -> bool:
@@ -277,7 +298,8 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     The points are drawn as in ``equiv``, seeded from the rendered entries.
     When every entry is rational, elimination modulo a prime decides as it
     does for ``equiv``: a nonzero determinant at one point proves ``mat``
-    nonsingular, and a zero one at _MOD_SAMPLES points makes it singular.
+    nonsingular, and a zero one at _MOD_SAMPLES points modulo the first
+    prime and at one more modulo the second makes it singular.
     Otherwise, at a point where every entry is rational, exact elimination
     decides, so a tiny nonzero determinant still counts; else the entries are
     evaluated in floats and equilibrated before elimination, so _TOLERANCE
@@ -293,24 +315,25 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     names = sorted(set().union(*map(free_vars, entries)))
     constraints = list(dict.fromkeys(c for e in entries
                                      for c in positivity_constraints(e)))
-    checked = 0
-    for pt in _points("; ".join(map(render, entries)), names, constraints):
+    text = "; ".join(map(render, entries))
+
+    def rows(pt):
         try:
             values = [[substitute(e, pt) for e in row] for row in mat]
         except DomainError:
-            continue
+            return None
         if all(isinstance(v, Rat) for row in values for v in row):
-            rows, tol = [[v.value for v in row] for row in values], 0
-        else:
-            try:
-                rows = [[eval_numeric(v, {}) for v in row] for row in values]
-            except (DomainError, OverflowError):
-                continue
-            if not all(math.isfinite(v) for row in rows for v in row):
-                continue
-            rows, tol = _equilibrated(rows), _TOLERANCE
-        if len(echelon(rows, tol)) == len(mat):
-            return True
-        checked += 1
-        if checked == _SAMPLES:
-            return False
+            return [[v.value for v in row] for row in values], 0
+        try:
+            out = [[eval_numeric(v, {}) for v in row] for row in values]
+        except (DomainError, OverflowError):
+            return None
+        if not all(math.isfinite(v) for row in out for v in row):
+            return None
+        return _equilibrated(out), _TOLERANCE
+
+    found = _sampled(_rng(text), lambda r: _point(r, names, constraints), rows,
+                     lambda rt: len(echelon(*rt)) == k, _SAMPLES)
+    if found is None:
+        raise SamplingDomainError(f"sampling domain empty for {text!r}")
+    return found

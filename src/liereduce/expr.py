@@ -246,55 +246,6 @@ def _base_exp(f: Expr) -> tuple[Expr, Expr]:
     return f, ONE
 
 
-def _plain(parts) -> tuple[Fraction | int, dict] | None:
-    """Split a product of plain factors into (coefficient, base map), or None.
-
-    A plain factor is a ``Sym`` or a non-``exp`` ``Kernel``, bare or raised
-    to a ``Rat`` power.  The map sends each base key to (base, summed
-    exponent, factor), where factor is the input factor when it can be kept
-    as is and None when it must be rebuilt.  Any other factor (a sum, an
-    exponential, a power of a sum, product or constant, a symbolic exponent)
-    needs the ``power`` rules that ``mul`` applies; in particular
-    ``_shifted`` builds raw powers of sums that only those rules expand.
-    """
-    coeff = 1
-    slots: dict[tuple, tuple] = {}
-    stack = list(parts)
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Rat):
-            v = f.value
-            coeff *= v.numerator if v.denominator == 1 else v
-            continue
-        if isinstance(f, Mul):
-            stack.extend(f.factors)
-            continue
-        if isinstance(f, Pow):
-            b, x = f.base, f.exponent
-            if not isinstance(x, Rat):
-                return None
-            q = x.value
-            if q.denominator == 1:
-                q = q.numerator
-            keep = f if q != 1 else None
-        else:
-            b, q, keep = f, 1, f
-        if not (isinstance(b, Sym) or isinstance(b, Kernel) and b.name != "exp"):
-            return None
-        old = slots.get(b._key)
-        slots[b._key] = (b, q, keep) if old is None else (b, old[1] + q, None)
-    return coeff, slots
-
-
-def _merged(left: dict, right: dict) -> dict:
-    """The base map of the product of two plain monomials' base maps."""
-    out = left.copy()
-    for k, s in right.items():
-        old = out.get(k)
-        out[k] = s if old is None else (s[0], old[1] + s[1], None)
-    return out
-
-
 def _monomial(slots: dict) -> tuple[Expr, ...]:
     """The sorted factors of a base map: an exponent sum of 0 drops the
     base, and a sum of 1 leaves it bare."""
@@ -308,34 +259,15 @@ def _monomial(slots: dict) -> tuple[Expr, ...]:
 
 
 def _distribute(terms, sums) -> Expr:
-    """Expand ``(sum of terms) * sums[0] * sums[1] * ...``.
-
-    Like terms are collected after each sum.  A pair of plain monomials is
-    multiplied by merging base maps; any other pair goes through ``mul``.
-    """
+    """Expand ``(sum of terms) * sums[0] * sums[1] * ...`` term by term with
+    ``mul``, collecting like terms after each sum."""
     acc = _collect(terms, {})
     for a in sums:
-        right = [(s, _plain((s,))) for s in a.terms]
         nxt: dict[tuple, list] = {}
         for c, mono in acc.values():
-            if c == 0:
-                continue
-            # Integer coefficients multiply as ints, far faster than Fractions
-            # (``_plain`` keeps them as ints too).
-            if c.denominator == 1:
-                c = c.numerator
-            p = _plain(mono)
-            for s, sp in right:
-                if p is None or sp is None:
-                    _collect((mul(_term_from(c, mono), s),), nxt)
-                    continue
-                m = _monomial(_merged(p[1], sp[1]))
-                k = tuple(f._key for f in m)
-                slot = nxt.get(k)
-                if slot is None:
-                    nxt[k] = [c * sp[0], m]
-                else:
-                    slot[0] += c * sp[0]
+            if c != 0:
+                t = _term_from(c, mono)
+                _collect([mul(t, s) for s in a.terms], nxt)
         acc = nxt
     return _sum(acc)
 
@@ -344,7 +276,8 @@ def mul(*parts) -> Expr:
     coeff = 1
     sums: list[Add] = []
     exp_args: list[Expr] = []
-    # Base key -> (base, exponent, factor), the layout of ``_plain``.  The
+    # Base key -> (base, exponent, factor), where factor is the input factor
+    # when it can be kept as is and None when it must be rebuilt.  The
     # exponent is an int or Fraction until a symbolic one joins it.  A plain
     # base (a Sym or a non-exp Kernel) with a numeric exponent is final as it
     # enters; any other slot is final once factor holds what ``power``

@@ -202,11 +202,14 @@ def verify_connection(parent: DESystem, reduced: ReducedSystem,
     constant shift in ``_SHIFTS``.  A reduced solution: it must solve the
     reduced system, and a supplied antiderivative must have exactly that
     gradient and, beside its parent components, solve the parent under each
-    shift.  The quadrature is never computed; candidates are only
-    differentiated.
+    shift; an antiderivative beside a parent solution is rejected.  The
+    quadrature is never computed; candidates are only differentiated.
     """
     if (parent_solution is None) == (reduced_solution is None):
         raise ReductionError("supply exactly one of a parent solution and a reduced solution")
+    if parent_solution is not None and antiderivative is not None:
+        raise ReductionError("an antiderivative goes with a reduced solution, "
+                             "not with a parent solution")
     conn = reduced.connection
     pspace = parent.space
     target = conn.eliminated

@@ -254,6 +254,8 @@ class TestEquiv:
         # The prime 2^61 - 1 divides the constant, so 2^89 - 1 decides.
         ("(2^61 - 1)*x", "0", False),  # False
         ("x + 10^(-12)*y", "x", False),  # True
+        # 2^61 - 1 divides the numerator 2^61 - 1, so 2^89 - 1 confirms.
+        ("1/(x + 1)", "1/(x + 2^61)", False),  # False
         ("10^12/(1 + x^2 + 1/(2 + y^2))",
          "10^12*(2 + y^2)/((1 + x^2)*(2 + y^2) + 1)", True),  # True
     ])

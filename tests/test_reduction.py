@@ -235,6 +235,11 @@ class TestVerifyConnection:
         with pytest.raises(ReductionError, match="supply"):
             verify_connection(self.parent, self.red)
 
+    def test_rejects_antiderivative_beside_parent_solution(self):
+        with pytest.raises(ReductionError, match="antiderivative"):
+            verify_connection(self.parent, self.red, parent_solution={"y": "-log(x)"},
+                              antiderivative="x^2")
+
     def test_rejects_both_directions(self):
         with pytest.raises(ReductionError, match="supply"):
             verify_connection(self.parent, self.red, parent_solution={"y": "-log(x)"},

@@ -74,6 +74,14 @@ class TestCheckPointSymmetry:
             assert check_point_symmetry(scaled, X).verdict == "symmetry"
             assert check_point_symmetry(scaled, W).verdict == "not-symmetry"
 
+    def test_derivative_consequence_of_a_solved_form(self):
+        # The prolonged field leaves -2*u_12 on u_11 = 0, which vanishes only
+        # through the total derivative D_1 of the solved form u_2 = 0.
+        sys_ = build(PDE, ["u_2 = 0", "u_11 = 0"])
+        rep = check_point_symmetry(sys_, VectorField.parse(PDE, {"x2": "x1"}))
+        assert rep.verdict == "symmetry"
+        assert rep.converged
+
     def test_u_free_equations_admit_u_translation(self):
         X = VectorField.parse(PDE, {"u": "1"})
         for eq in ["u_2 - u_1^2 - x1*u_11", "u_11 + u_22 - exp(x1)*u_1"]:

@@ -53,6 +53,9 @@ REGULARITY = [
     # The prime 2^61 - 1 divides the entry's denominator, so 2^89 - 1 decides.
     pytest.param(ODE, {"r": "x/(2^61 - 1)"}, {"s": "y"}, True,
                  id="mersenne-scaled-determinant"),
+    # The determinant 2^61 - 1 vanishes modulo 2^61 - 1, so 2^89 - 1 confirms.
+    pytest.param(ODE, {"r": "x^2/2 + 2^61*x + y"}, {"s": "x^2/2 + x + y"}, True,
+                 id="mersenne-determinant"),
     pytest.param(ODE, {"r": "1000000000000*x^2*y"},
                  {"s": "1000000000000000000000000*x^4*y^2 + 1/1000000000000"}, False,
                  id="huge-singular-rational"),
@@ -65,6 +68,16 @@ REGULARITY = [
     # The first sample point of this Jacobian is x = 1, a pole of 1/(x - 1)^2.
     pytest.param(ODE, {"r": "123*x - 1/(x - 1)"}, {"s": "y"}, True,
                  id="first-sample-point-on-a-pole"),
+    # sqrt(4*x^2) is rational at every rational sample point, so these are
+    # eliminated exactly in Fraction there: floats reject the nearly
+    # parallel chart, which is regular.
+    pytest.param(ODE, {"r": "sqrt(4*x^2) + y"},
+                 {"s": "sqrt(4*x^2) + y + y/1000000000000"}, True,
+                 id="nearly-parallel-exact-at-a-point"),
+    pytest.param(ODE, {"r": "sqrt(4*x^2) + y"}, {"s": "y"}, True,
+                 id="regular-exact-at-a-point"),
+    pytest.param(ODE, {"r": "sqrt(4*x^2)*y"}, {"s": "sqrt(4*x^2)*y + 1"}, False,
+                 id="singular-exact-at-a-point"),
     pytest.param(*_dense_chart(False), True, id="dense-10-regular"),
     pytest.param(*_dense_chart(True), False, id="dense-10-singular"),
 ]
