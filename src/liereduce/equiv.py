@@ -1,26 +1,19 @@
-"""Expression equivalence: structural and modular zero tests, with a seeded
+"""Expression equivalence: structural and exact zero tests, with a seeded
 numeric fallback.
 
 ``equiv(a, b)`` decides whether d = a - b is zero in this order:
 
 1. **Structural.**  d normalizes to 0 (zero), or to a nonzero rational
    constant (nonzero).  Neither gives a false verdict.
-2. **Modular.**  A *rational* d (no kernels, and only integer exponents) is
-   evaluated modulo a prime P at _MOD_SAMPLES seeded points drawn uniformly
-   from Z_P, with ``pow(b, k, P)`` for negative powers too.  A nonzero
-   residue proves the numerator of d nonzero, so d is nonzero.  When every
-   residue is zero, one more point from the same stream is evaluated modulo
-   a second prime Q, and d is zero when that residue is zero too.  P and Q
-   are the first two primes in _PRIMES that divide no numerator or
-   denominator of any constant of d; a point where a denominator vanishes
-   is skipped.  When P does not divide the content (the gcd of the
-   coefficients) of d's cleared numerator, the Schwartz-Zippel lemma
+2. **Exact.**  A *rational* d (no kernels, and only integer exponents) is
+   evaluated exactly, in Python integers, at _EXACT_SAMPLES seeded points
+   whose coordinates are drawn uniformly from the 2^62 integers in
+   [-2^61, 2^61); a point where a denominator vanishes is skipped.  A
+   nonzero value proves d nonzero, and d is zero when every value is zero.
+   With deg the degree of d's cleared numerator, the Schwartz-Zippel lemma
    (Schwartz 1980; Zippel 1979) bounds the chance of a false zero by
-   (deg/P)^_MOD_SAMPLES, where deg is the numerator's degree; when P
-   divides it but Q does not, as for 1/(x + 1) - 1/(x + 2^61) with the
-   numerator 2^61 - 1, by deg/Q.  The verdict assumes that P*Q does not
-   divide that content.  When fewer than two primes qualify, or more than
-   _MAX_ATTEMPTS points are skipped, d takes the numeric path.
+   (deg/2^62)^_EXACT_SAMPLES, with no assumption on d's constants.  When
+   more than _MAX_ATTEMPTS points are skipped, d takes the next path.
 3. **Cleared denominators.**  Term-level denominators are multiplied away,
    and a result of 0 is zero.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
@@ -34,10 +27,10 @@ checksum of the rendered expression, so results do not depend on call order.
 
 The same points decide whether a square matrix of expressions (a chart's base
 Jacobian) is singular everywhere, by elimination at each point in O(k^3):
-modulo P, with a singular verdict confirmed modulo Q, when every entry is
-rational, else exactly in ``Fraction`` when every entry is rational at the
-rational point, else in floats.  The exact elimination, ``echelon``, also
-serves the algebra module's linear algebra.
+fraction-free over the integers when every entry is rational, else exactly
+in ``Fraction`` when every entry is rational at the rational point, else in
+floats.  The ``Fraction`` elimination, ``echelon``, also serves the algebra
+module's linear algebra.
 """
 
 from __future__ import annotations
@@ -66,12 +59,10 @@ _TOLERANCE = 1e-9
 _SEED = 20260809
 _MAX_ATTEMPTS = 80
 
-# Rational expressions are decided modulo the first two of these Mersenne
-# primes that divide no constant of theirs: at _MOD_SAMPLES usable points
-# modulo the first, and a "zero" or "singular" verdict at one more modulo
-# the second.
-_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
-_MOD_SAMPLES = 4
+# Rational expressions are evaluated exactly at _EXACT_SAMPLES usable
+# integer points drawn uniformly from [-_EXACT_RANGE, _EXACT_RANGE).
+_EXACT_SAMPLES = 4
+_EXACT_RANGE = 2**61
 
 
 def _rng(text: str) -> random.Random:
@@ -120,19 +111,15 @@ def _sampled(rng: random.Random, draw, values, witness, needed: int) -> bool | N
     return False
 
 
-def _modulus(exprs: list[Expr]) -> tuple[list[int], list[str]] | None:
-    """The primes in _PRIMES that divide no numerator or denominator of a
-    constant of the rational ``exprs``, and their sorted variable names; None
-    when some expression is not rational (it holds a kernel, or a
-    non-integer or symbolic exponent)."""
-    consts: set[int] = set()
+def _rational_names(exprs: list[Expr]) -> list[str] | None:
+    """The sorted variable names of the rational ``exprs``, or None when
+    some expression is not rational (it holds a kernel, or a non-integer or
+    symbolic exponent)."""
     names: set[str] = set()
     stack = list(exprs)
     while stack:
         n = stack.pop()
-        if isinstance(n, Rat):
-            consts.update((n.value.numerator, n.value.denominator))
-        elif isinstance(n, Sym):
+        if isinstance(n, Sym):
             names.add(n.name)
         elif isinstance(n, Add):
             stack.extend(n.terms)
@@ -141,72 +128,73 @@ def _modulus(exprs: list[Expr]) -> tuple[list[int], list[str]] | None:
         elif isinstance(n, Pow) and isinstance(n.exponent, Rat) \
                 and n.exponent.value.denominator == 1:
             stack.append(n.base)
-        else:
+        elif not isinstance(n, Rat):
             return None
-    consts.discard(0)
-    return [P for P in _PRIMES if all(c % P for c in consts)], sorted(names)
+    return sorted(names)
 
 
-def _residue(e: Expr, pt: dict[str, int], P: int) -> int:
-    """The rational ``e`` at ``pt`` modulo P; ValueError where one of its
-    denominators vanishes."""
+def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
+    """The rational ``e`` at the integer point ``pt``, exactly, as an
+    unreduced (numerator, denominator) pair; ZeroDivisionError where one of
+    its denominators vanishes."""
     if isinstance(e, Rat):
-        v = e.value
-        if v.denominator == 1:
-            return v.numerator % P
-        return v.numerator * pow(v.denominator, -1, P) % P
+        return e.value.numerator, e.value.denominator
     if isinstance(e, Sym):
-        return pt[e.name]
+        return pt[e.name], 1
     if isinstance(e, Add):
-        return sum(_residue(t, pt, P) for t in e.terms) % P
+        num, den = 0, 1
+        for t in e.terms:
+            a, b = _value(t, pt)
+            num, den = num * b + a * den, den * b
+        return num, den
     if isinstance(e, Mul):
-        out = 1
+        num, den = 1, 1
         for f in e.factors:
-            out = out * _residue(f, pt, P) % P
-        return out
-    return pow(_residue(e.base, pt, P), e.exponent.value.numerator, P)
+            a, b = _value(f, pt)
+            num, den = num * a, den * b
+        return num, den
+    num, den = _value(e.base, pt)
+    k = e.exponent.value.numerator
+    if k < 0:
+        if num == 0:
+            raise ZeroDivisionError("pole")
+        num, den, k = den, num, -k
+    return num ** k, den ** k
 
 
-def _residues(exprs: list[Expr], pt: dict[str, int], P: int) -> list[int] | None:
-    """The residues of ``exprs`` at ``pt`` modulo P, or None where one of
-    their denominators vanishes."""
-    try:
-        return [_residue(e, pt, P) for e in exprs]
-    except ValueError:
+def _exact(exprs: list[Expr], witness) -> bool | None:
+    """Whether ``witness`` holds for the exact values of ``exprs`` (a list of
+    ``_value`` pairs) at some integer point drawn uniformly from
+    [-_EXACT_RANGE, _EXACT_RANGE), seeded from their rendered text: True at
+    the first point where it does, and False when it holds at none of
+    _EXACT_SAMPLES usable points.  None when the expressions are not
+    rational, or more than _MAX_ATTEMPTS points hit a vanishing
+    denominator."""
+    names = _rational_names(exprs)
+    if names is None:
         return None
 
+    def values(pt):
+        try:
+            return [_value(e, pt) for e in exprs]
+        except ZeroDivisionError:
+            return None
 
-def _modular(exprs: list[Expr], witness) -> bool | None:
-    """Whether ``witness(residues, P)`` holds at some point, given the
-    residues of ``exprs`` at points of Z_P seeded from their rendered text:
-    True at the first point where it does, and False when it holds at none
-    of _MOD_SAMPLES usable points modulo the first qualifying prime P nor at
-    one more modulo the second, drawn from the same stream.  None when the
-    expressions are not rational, fewer than two primes qualify, or more
-    than _MAX_ATTEMPTS points are skipped."""
-    found = _modulus(exprs)
-    if found is None or len(found[0]) < 2:
-        return None
-    primes, names = found
-    rng = _rng("; ".join(map(render, exprs)))
-    for P, needed in zip(primes, (_MOD_SAMPLES, 1)):
-        held = _sampled(rng, lambda r: {n: r.randrange(P) for n in names},
-                        lambda pt: _residues(exprs, pt, P),
-                        lambda v: witness(v, P), needed)
-        if held is not False:
-            return held
-    return False
+    return _sampled(_rng("; ".join(map(render, exprs))),
+                    lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
+                               for n in names},
+                    values, witness, _EXACT_SAMPLES)
 
 
 def equiv(a: Expr, b: Expr) -> bool:
-    """True when a - b is zero structurally, modulo a prime, or at every
-    sample point (see the module docstring for the order)."""
+    """True when a - b is zero structurally, exactly at integer points, or at
+    every sample point (see the module docstring for the order)."""
     d = a - b
     if d == ZERO:
         return True
     if isinstance(d, Rat):
         return False
-    nonzero = _modular([d], lambda v, P: v[0] != 0)
+    nonzero = _exact([d], lambda v: v[0][0] != 0)
     if nonzero is not None:
         return not nonzero
     if clear_denominators(d) == ZERO:
@@ -275,20 +263,27 @@ def _equilibrated(rows: list[list[float]]) -> list[list[float]]:
     return rows
 
 
-def _nonsingular_mod(rows: list[list[int]], P: int) -> bool:
-    """Whether the square matrix ``rows`` of residues is nonsingular modulo
-    P (eliminated in place)."""
-    for col in range(len(rows)):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+def _nonsingular(rows: list[list[tuple[int, int]]]) -> bool:
+    """Whether the square matrix ``rows`` of exact values, as (numerator,
+    denominator) pairs, is nonsingular.  Each row is scaled to integers by
+    the product of its denominators, then eliminated fraction-free
+    (Bareiss), so every division is exact."""
+    m = []
+    for row in rows:
+        scale = math.prod(d for _, d in row)
+        m.append([n * (scale // d) for n, d in row])
+    prev = 1
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
         if piv is None:
             return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = rows[col]
-        inv = pow(top[col], -1, P)
-        for r in range(col + 1, len(rows)):
-            f = rows[r][col] * inv % P
-            if f:
-                rows[r] = [(a - f * b) % P for a, b in zip(rows[r], top)]
+        m[col], m[piv] = m[piv], m[col]
+        top = m[col]
+        p = top[col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
     return True
 
 
@@ -296,20 +291,21 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     """True when the square matrix ``mat`` is nonsingular at a sample point.
 
     The points are drawn as in ``equiv``, seeded from the rendered entries.
-    When every entry is rational, elimination modulo a prime decides as it
-    does for ``equiv``: a nonzero determinant at one point proves ``mat``
-    nonsingular, and a zero one at _MOD_SAMPLES points modulo the first
-    prime and at one more modulo the second makes it singular.
+    When every entry is rational, exact integer elimination decides as the
+    exact path does for ``equiv``: a nonzero determinant at one integer
+    point proves ``mat`` nonsingular, and a zero one at _EXACT_SAMPLES
+    points makes it singular, wrongly with chance at most
+    (deg/2^62)^_EXACT_SAMPLES for a determinant numerator of degree deg.
     Otherwise, at a point where every entry is rational, exact elimination
-    decides, so a tiny nonzero determinant still counts; else the entries are
-    evaluated in floats and equilibrated before elimination, so _TOLERANCE
-    is relative to the size of the matrix.  False only after _SAMPLES usable
+    in ``Fraction`` decides, so a tiny nonzero determinant still counts;
+    else the entries are evaluated in floats and equilibrated before
+    elimination, so _TOLERANCE is relative to the size of the matrix.  False only after _SAMPLES usable
     points all give a singular matrix.
     """
     entries = [e for row in mat for e in row]
     k = len(mat)
-    found = _modular(entries, lambda v, P: _nonsingular_mod(
-        [v[i:i + k] for i in range(0, len(v), k)], P))
+    found = _exact(entries, lambda v: _nonsingular(
+        [v[i:i + k] for i in range(0, len(v), k)]))
     if found is not None:
         return found
     names = sorted(set().union(*map(free_vars, entries)))

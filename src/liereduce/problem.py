@@ -331,6 +331,8 @@ def load_problem(path) -> ProblemFile:
         if kind not in ("parent", "reduced"):
             raise ProblemError(f"{w}: kind must be parent or reduced")
         anti = _single(kv, "antiderivative", w)
+        if anti is not None and kind != "reduced":
+            raise ProblemError(f"{w}: an antiderivative needs kind = reduced")
         values = {k: v for k, v in _unique(kv, w).items()
                   if k not in ("kind", "antiderivative")}
         if not values:
@@ -357,7 +359,9 @@ def _validate_references(pf: ProblemFile, operations):
     """Every expect must use only the keys its operation reads, each once
     except ``equation``, give it the number and kinds of arguments it takes,
     have integer values that parse and true/false values that are one of
-    those words, and name a reduction that fits the space."""
+    those words, name a reduction that fits the space, give prolongation
+    coefficients only of coordinates within its order, and check only a
+    parent solution against the system."""
     declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
                 "target": pf.space.dependent}
 
@@ -385,8 +389,7 @@ def _validate_references(pf: ProblemFile, operations):
             raise ProblemError(f"{w}: expected '[expect {' '.join(form)}]'")
         for kind, name in zip(op.args, e.args):
             check(kind, name, w)
-        if e.one("order"):
-            _integer(e.one("order"), w)
+        order = _integer(e.one("order"), w) if e.one("order") else pf.space.order
         if e.one("integrability") is not None:
             _integer(e.one("integrability"), w, "integrability")
         for n in (e.one("series") or "").split():
@@ -416,5 +419,14 @@ def _validate_references(pf: ProblemFile, operations):
                 pair = head.split()
                 if len(pair) != 2 or not set(pair) <= set(names or pf.fields):
                     raise ProblemError(f"{w}: bracket {head!r} needs two fields from the list")
+        if e.op == "prolong":
+            for name, _ in e.prefixed("coeff"):
+                info = pf.space.jet_info(name)
+                if name not in pf.space.independent and (info is None or len(info[1]) > order):
+                    raise ProblemError(f"{w}: coeff {name!r} is not a coordinate of order "
+                                       f"at most {order}")
+        if e.op == "solution" and pf.solutions[e.args[0]].kind != "parent":
+            raise ProblemError(f"{w}: solution {e.args[0]!r} has kind reduced; "
+                               "a solution check needs kind = parent")
         if e.op == "lift" and pf.parent is None:
             raise ProblemError(f"{w}: lift needs a [parent] section")

@@ -1,8 +1,8 @@
 """Acceptance suite: the shipped corpus' headline results, one criterion per
 test, each printing a pass/fail line.  The zero test runs at its fixed
-settings: a rational difference is decided modulo the first of three
-Mersenne primes that divides none of its constants, at 4 seeded points, and
-any other difference within 1e-9 at 16 rational sample points.  Structural
+settings: a rational difference is evaluated exactly at 4 seeded integer
+points drawn from [-2^61, 2^61), and any other difference within 1e-9 at 16
+rational sample points.  Structural
 assertions use exact equality of normalized expressions.
 """
 
@@ -17,13 +17,13 @@ from liereduce import (DESystem, JetSpace, VectorField,
                        structure_constants, total_derivative,
                        verify_canonical, verify_connection)
 from liereduce.corpus import corpus_dir, equation_matches, run_corpus, systems_match
-from liereduce.equiv import (_MAX_ATTEMPTS, _MOD_SAMPLES, _PRIMES, _SAMPLES, _SEED,
-                             _TOLERANCE)
+from liereduce.equiv import (_EXACT_RANGE, _EXACT_SAMPLES, _MAX_ATTEMPTS, _SAMPLES,
+                             _SEED, _TOLERANCE)
 from liereduce.reduction import _SHIFTS
 from genexpr import random_expr, random_polynomial, small_rat
 
 assert (_TOLERANCE, _SAMPLES, _SEED, _MAX_ATTEMPTS) == (1e-9, 16, 20260809, 80)
-assert (_PRIMES, _MOD_SAMPLES) == ((2**61 - 1, 2**89 - 1, 2**127 - 1), 4)
+assert (_EXACT_SAMPLES, _EXACT_RANGE) == (4, 2**61)
 
 
 @contextmanager

@@ -336,6 +336,26 @@ MALFORMED = {
     # bracket outside the span.
     "algebra-jacobi-false-on-lie-algebra":
         (BASE + "[expect algebra]\ntag = oracle\njacobi = false\n", "algebra", "jacobi=ok"),
+    # A solution's kind decides how it is checked: an antiderivative belongs
+    # to a reduced solution, and a solution check takes a parent one.
+    "solution-parent-with-antiderivative":
+        (BASE.replace("y = exp(x)", "y = exp(x)\nantiderivative = x^2"),
+         "load", "bad.prob [solution s]: an antiderivative needs kind = reduced"),
+    "solution-check-of-reduced-solution":
+        (BASE + "[solution r]\nkind = reduced\nalpha = x\n"
+         "[expect solution r]\ntag = oracle\nverdict = true\n",
+         "load", "bad.prob [expect solution r]: solution 'r' has kind reduced"),
+    # A prolongation coefficient names a coordinate within the expect's
+    # order, which defaults to the space's.
+    "prolong-coeff-above-space-order":
+        (BASE + "[expect prolong T]\ntag = oracle\ncoeff y'' = 0\n",
+         "load", "bad.prob [expect prolong T]: coeff \"y''\" is not a coordinate of order at most 1"),
+    "prolong-coeff-above-expect-order":
+        (BASE + "[expect prolong T]\ntag = oracle\norder = 2\ncoeff y''' = 0\n",
+         "load", "bad.prob [expect prolong T]: coeff \"y'''\" is not a coordinate of order at most 2"),
+    "prolong-coeff-unknown-variable":
+        (BASE + "[expect prolong T]\ntag = oracle\ncoeff w' = 0\n",
+         "load", "bad.prob [expect prolong T]: coeff \"w'\" is not a coordinate"),
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),

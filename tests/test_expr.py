@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liereduce import (Add, DomainError, ExprError, ParseError, Pow, Rat,
-                       ZERO, ONE, add, clear_denominators, diff, equiv,
+                       SamplingDomainError, ZERO, ONE, add, clear_denominators, diff, equiv,
                        eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
 from genexpr import random_expr
@@ -245,22 +245,33 @@ class TestEquiv:
         assert not equiv(x + rat(1, 10**12), x)
         assert is_zero(kernel("log", rat(4)) - 2 * kernel("log", rat(2)))
 
-    # Rational differences are decided modulo a prime, whatever their scale.
-    # The comment on each pair gives the verdict of the absolute 1e-9 float
-    # test that decided them before.
+    # Rational differences are evaluated exactly at integer points, whatever
+    # their scale.  The comment on each pair gives the verdict of the
+    # absolute 1e-9 float test that decided them before.
     @pytest.mark.parametrize("a, b, same", [
         ("10^(-12)*x", "0", False),  # True
         ("x/(2^61 - 1)", "0", False),  # True
-        # The prime 2^61 - 1 divides the constant, so 2^89 - 1 decides.
+        # Constants with Mersenne-prime factors, and numerators whose content
+        # is such a prime or a product of two, are exact like any other.
         ("(2^61 - 1)*x", "0", False),  # False
         ("x + 10^(-12)*y", "x", False),  # True
-        # 2^61 - 1 divides the numerator 2^61 - 1, so 2^89 - 1 confirms.
         ("1/(x + 1)", "1/(x + 2^61)", False),  # False
+        ("1/(x + 1)", "1/(x + 1 + (2^61 - 1)*(2^89 - 1))", False),  # False
+        ("x/((2^61 - 1)*(2^89 - 1))", "0", False),  # True
         ("10^12/(1 + x^2 + 1/(2 + y^2))",
          "10^12*(2 + y^2)/((1 + x^2)*(2 + y^2) + 1)", True),  # True
     ])
     def test_rational_difference_is_exact(self, a, b, same):
         assert equiv(parse_expr(a, {"x", "y"}), parse_expr(b, {"x", "y"})) is same
+
+    def test_empty_sampling_domain(self):
+        # log(-1 - x^2) is real nowhere, so no float sample point is usable.
+        with pytest.raises(SamplingDomainError, match="sampling domain empty"):
+            equiv(parse_expr("log(-1 - x^2)", {"x"}), ZERO)
+
+    def test_constant_outside_the_real_domain(self):
+        with pytest.raises(SamplingDomainError, match="leaves the real domain"):
+            is_zero(kernel("log", rat(-2)))
 
 
 class TestEvalNumeric:

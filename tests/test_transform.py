@@ -50,12 +50,15 @@ REGULARITY = [
                  id="tiny-rational-determinant"),
     pytest.param(ODE, {"r": "exp(x)/1000000000000"}, {"s": "y"}, True,
                  id="tiny-float-determinant"),
-    # The prime 2^61 - 1 divides the entry's denominator, so 2^89 - 1 decides.
+    # Determinants 1/(2^61 - 1), 2^61 - 1 and (2^61 - 1)*(2^89 - 1): exact
+    # integer elimination sees each as the nonzero constant it is.
     pytest.param(ODE, {"r": "x/(2^61 - 1)"}, {"s": "y"}, True,
                  id="mersenne-scaled-determinant"),
-    # The determinant 2^61 - 1 vanishes modulo 2^61 - 1, so 2^89 - 1 confirms.
     pytest.param(ODE, {"r": "x^2/2 + 2^61*x + y"}, {"s": "x^2/2 + x + y"}, True,
                  id="mersenne-determinant"),
+    pytest.param(ODE, {"r": "x^2/2 + ((2^61-1)*(2^89-1) + 1)*x + y"},
+                 {"s": "x^2/2 + x + y"}, True,
+                 id="mersenne-product-determinant"),
     pytest.param(ODE, {"r": "1000000000000*x^2*y"},
                  {"s": "1000000000000000000000000*x^4*y^2 + 1/1000000000000"}, False,
                  id="huge-singular-rational"),
@@ -65,8 +68,9 @@ REGULARITY = [
                  id="determinant-vanishes-on-a-line"),
     pytest.param(ODE, {"r": "x + y"}, {"s": "x + y + y/1000000000000"}, True,
                  id="nearly-parallel-rational-rows"),
-    # The first sample point of this Jacobian is x = 1, a pole of 1/(x - 1)^2.
-    pytest.param(ODE, {"r": "123*x - 1/(x - 1)"}, {"s": "y"}, True,
+    # exp(x) sends this Jacobian to the float path, whose first sample point
+    # is x = 5/4, a pole of 1/(x - 5/4)^2; that point is skipped.
+    pytest.param(ODE, {"r": "102*x - 1/(x - 5/4)"}, {"s": "y + exp(x)"}, True,
                  id="first-sample-point-on-a-pole"),
     # sqrt(4*x^2) is rational at every rational sample point, so these are
     # eliminated exactly in Fraction there: floats reject the nearly
