@@ -186,6 +186,21 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
                     values, witness, _EXACT_SAMPLES)
 
 
+def _floating(exprs: list[Expr], values, witness) -> bool:
+    """``_sampled`` over _SAMPLES usable rational points in the domain of
+    every positivity constraint of ``exprs``, seeded from their rendered
+    text; SamplingDomainError when more than _MAX_ATTEMPTS are unusable."""
+    names = sorted(set().union(*map(free_vars, exprs)))
+    constraints = list(dict.fromkeys(c for e in exprs
+                                     for c in positivity_constraints(e)))
+    text = "; ".join(map(render, exprs))
+    found = _sampled(_rng(text), lambda r: _point(r, names, constraints), values,
+                     witness, _SAMPLES)
+    if found is None:
+        raise SamplingDomainError(f"sampling domain empty for {text!r}")
+    return found
+
+
 def equiv(a: Expr, b: Expr) -> bool:
     """True when a - b is zero structurally, exactly at integer points, or at
     every sample point (see the module docstring for the order)."""
@@ -205,8 +220,6 @@ def equiv(a: Expr, b: Expr) -> bool:
         except DomainError:
             raise SamplingDomainError(
                 f"constant expression {render(d)!r} leaves the real domain")
-    text = render(d)
-    names, constraints = sorted(free_vars(d)), positivity_constraints(d)
 
     def value(pt):
         try:
@@ -215,11 +228,7 @@ def equiv(a: Expr, b: Expr) -> bool:
             return None
         return v if math.isfinite(v) else None
 
-    nonzero = _sampled(_rng(text), lambda r: _point(r, names, constraints), value,
-                       lambda v: abs(v) > _TOLERANCE, _SAMPLES)
-    if nonzero is None:
-        raise SamplingDomainError(f"sampling domain empty for {text!r}")
-    return not nonzero
+    return not _floating([d], value, lambda v: abs(v) > _TOLERANCE)
 
 
 def is_zero(e: Expr) -> bool:
@@ -308,10 +317,6 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
         [v[i:i + k] for i in range(0, len(v), k)]))
     if found is not None:
         return found
-    names = sorted(set().union(*map(free_vars, entries)))
-    constraints = list(dict.fromkeys(c for e in entries
-                                     for c in positivity_constraints(e)))
-    text = "; ".join(map(render, entries))
 
     def rows(pt):
         try:
@@ -328,8 +333,4 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
             return None
         return _equilibrated(out), _TOLERANCE
 
-    found = _sampled(_rng(text), lambda r: _point(r, names, constraints), rows,
-                     lambda rt: len(echelon(*rt)) == k, _SAMPLES)
-    if found is None:
-        raise SamplingDomainError(f"sampling domain empty for {text!r}")
-    return found
+    return _floating(entries, rows, lambda rt: len(echelon(*rt)) == k)

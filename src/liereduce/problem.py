@@ -337,6 +337,9 @@ def load_problem(path) -> ProblemFile:
                   if k not in ("kind", "antiderivative")}
         if not values:
             raise ProblemError(f"{w}: no component expressions")
+        stray = [k for k in values if k not in space.dependent]
+        if kind == "parent" and stray:
+            raise ProblemError(f"{w}: {stray[0]!r} is not a dependent variable")
         solutions[name] = Solution(name, kind, values, anti)
 
     expects: list[Expect] = []

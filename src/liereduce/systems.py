@@ -7,7 +7,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .equiv import is_zero
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, power,
-                   render, substitute, _coerce)
+                   substitute, _coerce)
 from .jets import JetError, JetSpace, VectorField, prolong, total_derivative
 from .parse import parse_expr
 
@@ -25,8 +25,9 @@ def _parse_equation(space: JetSpace, text: str) -> Expr:
 
 
 def _solved_form_candidates(space: JetSpace, eq: Expr) -> Iterator[tuple[str, Expr]]:
-    """Ways to solve eq = 0 for a highest-order jet variable it is affine in,
-    solved one at a time as the caller asks for them."""
+    """Ways to solve eq = 0 for a highest-order jet variable v it is affine
+    in, one at a time as the caller asks: a = d(eq)/dv is free of v, so
+    v = -eq|v=0 * a^(-1) satisfies eq by construction."""
     jet_vars = [v for v in free_vars(eq) if space.jet_info(v) and space.jet_info(v)[1]]
     if not jet_vars:
         return
@@ -71,12 +72,7 @@ class DESystem:
             raise SystemError_(
                 "could not derive distinct solved forms: some equation is not "
                 "affine in any of its highest-order jet variables")
-        lead_names = tuple(v for v, _ in chosen)
-        rhss = tuple(r for _, r in chosen)
-        for eq, v, r in zip(eqs, lead_names, rhss):
-            if not is_zero(substitute(eq, {v: r})):
-                raise SystemError_(f"solved form {v} = {render(r)} does not satisfy its equation")
-        return cls(space, eqs, lead_names, rhss)
+        return cls(space, eqs, tuple(v for v, _ in chosen), tuple(r for _, r in chosen))
 
     @property
     def order(self) -> int:

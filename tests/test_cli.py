@@ -337,7 +337,8 @@ MALFORMED = {
     "algebra-jacobi-false-on-lie-algebra":
         (BASE + "[expect algebra]\ntag = oracle\njacobi = false\n", "algebra", "jacobi=ok"),
     # A solution's kind decides how it is checked: an antiderivative belongs
-    # to a reduced solution, and a solution check takes a parent one.
+    # to a reduced solution, and a solution check takes a parent one, whose
+    # components are dependent variables of the space.
     "solution-parent-with-antiderivative":
         (BASE.replace("y = exp(x)", "y = exp(x)\nantiderivative = x^2"),
          "load", "bad.prob [solution s]: an antiderivative needs kind = reduced"),
@@ -345,6 +346,9 @@ MALFORMED = {
         (BASE + "[solution r]\nkind = reduced\nalpha = x\n"
          "[expect solution r]\ntag = oracle\nverdict = true\n",
          "load", "bad.prob [expect solution r]: solution 'r' has kind reduced"),
+    "parent-solution-unknown-component":
+        (BASE.replace("y = exp(x)", "alpha = x") + "[expect solution s]\ntag = oracle\n",
+         "load", "bad.prob [solution s]: 'alpha' is not a dependent variable"),
     # A prolongation coefficient names a coordinate within the expect's
     # order, which defaults to the space's.
     "prolong-coeff-above-space-order":

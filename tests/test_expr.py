@@ -264,6 +264,16 @@ class TestEquiv:
     def test_rational_difference_is_exact(self, a, b, same):
         assert equiv(parse_expr(a, {"x", "y"}), parse_expr(b, {"x", "y"})) is same
 
+    # Kernel identities at 10^12 that hold once their denominators are
+    # cleared; the absolute 1e-9 float test alone cannot confirm them.
+    @pytest.mark.parametrize("a", [
+        "10^12*exp(x)/(exp(x) + 1) + 10^12/(exp(x) + 1)",
+        "10^12*sin(x)/(sin(x) + 2) + 2*10^12/(sin(x) + 2)",
+        "10^12*x^(1/2)/(x^(1/2) + y) + 10^12*y/(x^(1/2) + y)",
+    ])
+    def test_scaled_kernel_identity(self, a):
+        assert equiv(parse_expr(a, {"x", "y"}), rat(10**12))
+
     def test_empty_sampling_domain(self):
         # log(-1 - x^2) is real nowhere, so no float sample point is usable.
         with pytest.raises(SamplingDomainError, match="sampling domain empty"):

@@ -38,6 +38,14 @@ class TestSolvedForms:
         from liereduce import substitute, is_zero
         assert is_zero(substitute(sys_.equations[0], {sys_.leads[0]: sys_.rhss[0]}))
 
+    def test_build_makes_no_zero_test(self, monkeypatch):
+        # A solved form satisfies its equation by construction.
+        def refuse(e):
+            raise AssertionError("DESystem.build ran a zero test")
+        monkeypatch.setattr("liereduce.systems.is_zero", refuse)
+        sys_ = build(ODE, ["x*y^2*y'' + x*y' - y = 0"])
+        assert sys_.leads == ("y''",)
+
 
 class TestCheckPointSymmetry:
     def test_translation(self):
