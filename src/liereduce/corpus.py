@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -76,7 +76,7 @@ def equation_matches(eqA: Expr, eqB: Expr) -> bool:
     the two solved forms for a shared affine variable."""
     if equiv(eqA, eqB):
         return True
-    for v in sorted(set(free_vars(eqA)) | set(free_vars(eqB))):
+    for v in sorted(free_vars(eqA) & free_vars(eqB)):
         cA = diff(eqA, v)
         cB = diff(eqB, v)
         if cA == ZERO or cB == ZERO:
@@ -92,14 +92,17 @@ def equation_matches(eqA: Expr, eqB: Expr) -> bool:
 
 
 def systems_match(computed: DESystem, expected: list[Expr]) -> bool:
-    if len(computed.equations) != len(expected):
-        return False
-    n = len(expected)
-    for perm in permutations(range(n)):
-        if all(equation_matches(computed.equations[i], expected[perm[i]])
-               for i in range(n)):
-            return True
-    return False
+    """True when the equations pair one-to-one, in any order, under
+    ``equation_matches``.  Each pair is compared at most once, and each set
+    of expected equations left unpaired is searched once."""
+    eqs = computed.equations
+    pair = cache(lambda i, j: equation_matches(eqs[i], expected[j]))
+
+    @cache
+    def pairs(free: frozenset[int]) -> bool:
+        i = len(eqs) - len(free)  # the next computed equation to pair
+        return not free or any(pair(i, j) and pairs(free - {j}) for j in sorted(free))
+    return len(eqs) == len(expected) and pairs(frozenset(range(len(expected))))
 
 
 def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
@@ -168,36 +171,29 @@ def _ex_canonical(pf: ProblemFile, exp: Expect):
     return _verdict(exp, verify_canonical(pf.fields[exp.args[0]], pf.charts[exp.args[1]]))
 
 
-def _expected_equations(exp: Expect, space) -> list[Expr]:
-    return [_parse_equation(space, line) for line in exp.many("equation")]
+def _matched(system: DESystem, exp: Expect):
+    """(ok, computed, expected) for ``system`` against the expect's
+    ``equation`` lines."""
+    expected = [_parse_equation(system.space, line) for line in exp.many("equation")]
+    return systems_match(system, expected), "; ".join(map(render, system.equations)), \
+        "; ".join(map(render, expected))
 
 
 def _ex_transform(pf: ProblemFile, exp: Expect):
-    out = pf.transformed(exp.args[0])
-    expected = _expected_equations(exp, out.space)
-    ok = systems_match(out, expected)
-    return ok, "; ".join(render(e) for e in out.equations), \
-        "; ".join(render(e) for e in expected)
+    return _matched(pf.transformed(exp.args[0]), exp)
 
 
 def _ex_reduce(pf: ProblemFile, exp: Expect):
     red = _reduced(pf, exp, exp.args)
-    expected = _expected_equations(exp, red.system.space)
-    ok = systems_match(red.system, expected) if expected else True
+    ok, shown, want = _matched(red.system, exp)
     count = exp.one("integrability")
-    if count is not None:
-        ok = ok and red.integrability_count == int(count)
-    shown = "; ".join(render(e) for e in red.system.equations)
-    want = "; ".join(render(e) for e in expected) if expected else f"{count} integrability conditions"
-    return ok, shown, want
+    if count is not None:  # without equation lines only the count is checked
+        ok = (ok or not want) and red.integrability_count == int(count)
+    return ok, shown, want or f"{count} integrability conditions"
 
 
 def _ex_lie_reduce(pf: ProblemFile, exp: Expect):
-    red = pf.lie_reduction(exp.args[0], exp.one("aux", "").split())
-    expected = _expected_equations(exp, red.system.space)
-    ok = systems_match(red.system, expected)
-    return ok, "; ".join(render(e) for e in red.system.equations), \
-        "; ".join(render(e) for e in expected)
+    return _matched(pf.lie_reduction(exp.args[0], exp.one("aux", "").split()).system, exp)
 
 
 def _ex_pushforward(pf: ProblemFile, exp: Expect):
@@ -317,31 +313,39 @@ class Operation(NamedTuple):
     optional ``target`` a dependent variable.  ``keys`` are the body keys it
     reads besides tag, note and stated; a key ending in `` *`` takes a name
     after its first word (``coeff y'``).  ``flags`` are the keys among them
-    that take only ``true`` or ``false``."""
+    that take only ``true`` or ``false``.  An expect must give at least one
+    of the keys in ``needs``, when there are any; without one it checks
+    nothing."""
     run: Callable[[ProblemFile, Expect], tuple[bool, str, str]]
     args: tuple[str, ...]
     keys: tuple[str, ...]
     flags: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
 
 
 # The loader checks every expect against this table.
 OPERATIONS = {
-    "prolong": Operation(_ex_prolong, ("field",), ("order", "coeff *")),
+    "prolong": Operation(_ex_prolong, ("field",), ("order", "coeff *"), needs=("coeff *",)),
     "symmetry": Operation(_ex_symmetry, ("field",), ("verdict", "residual")),
     "canonical": Operation(_ex_canonical, ("field", "chart"), ("verdict",), ("verdict",)),
-    "transform": Operation(_ex_transform, ("chart",), ("equation",)),
-    "reduce-ode": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
-    "reduce-pde": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability")),
-    "lie-reduce": Operation(_ex_lie_reduce, ("chart",), ("aux", "equation")),
+    "transform": Operation(_ex_transform, ("chart",), ("equation",), needs=("equation",)),
+    "reduce-ode": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability"),
+                            needs=("equation", "integrability")),
+    "reduce-pde": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability"),
+                            needs=("equation", "integrability")),
+    "lie-reduce": Operation(_ex_lie_reduce, ("chart",), ("aux", "equation"),
+                            needs=("equation",)),
     "pushforward": Operation(_ex_pushforward, ("field", "chart"), ("flagged", "coeff *"),
                              ("flagged",)),
     "classify": Operation(_ex_classify, ("field", "chart"), ("verdict", "witness")),
     "lift": Operation(_ex_lift, ("field",), ("verdict",)),
-    "commutator": Operation(_ex_commutator, ("field", "field"), ("result",)),
+    "commutator": Operation(_ex_commutator, ("field", "field"), ("result",),
+                            needs=("result",)),
     "algebra": Operation(_ex_algebra, (), ("fields", "closed", "bracket *", "solvable",
                                            "series", "jacobi"),
-                         ("closed", "solvable", "jacobi")),
-    "advice": Operation(_ex_advice, ("field", "field"), ("first",)),
+                         ("closed", "solvable", "jacobi"),
+                         needs=("closed", "bracket *", "solvable", "series", "jacobi")),
+    "advice": Operation(_ex_advice, ("field", "field"), ("first",), needs=("first",)),
     "connection": Operation(_ex_connection, ("solution",), ("reduce", "aux", "verdict"),
                             ("verdict",)),
     "solution": Operation(_ex_solution, ("solution",), ("verdict",), ("verdict",)),

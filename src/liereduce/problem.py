@@ -363,8 +363,9 @@ def _validate_references(pf: ProblemFile, operations):
     except ``equation``, give it the number and kinds of arguments it takes,
     have integer values that parse and true/false values that are one of
     those words, name a reduction that fits the space, give prolongation
-    coefficients only of coordinates within its order, and check only a
-    parent solution against the system."""
+    coefficients only of coordinates within its order, check only a parent
+    solution against the system, and give one of the keys without which it
+    checks nothing."""
     declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
                 "target": pf.space.dependent}
 
@@ -376,10 +377,13 @@ def _validate_references(pf: ProblemFile, operations):
     for e in pf.expects:
         w = f"{Path(pf.path).name} [expect {e.label}]"
         op = operations[e.op]
+        given = set()
         for k, vals in e.body.items():
             head, _, rest = k.partition(" ")
-            if (f"{head} *" if rest else k) not in op.keys + ("stated",):
+            key = f"{head} *" if rest else k
+            if key not in op.keys + ("stated",):
                 raise ProblemError(f"{w}: unknown key {k!r}")
+            given.add(key)
             if len(vals) > 1 and k != "equation":
                 raise ProblemError(f"{w}: duplicate key {k!r}")
         for k in op.flags:
@@ -433,3 +437,6 @@ def _validate_references(pf: ProblemFile, operations):
                                "a solution check needs kind = parent")
         if e.op == "lift" and pf.parent is None:
             raise ProblemError(f"{w}: lift needs a [parent] section")
+        if op.needs and given.isdisjoint(op.needs):
+            raise ProblemError(f"{w}: checks nothing; give "
+                               + " or ".join(repr(k) for k in op.needs))

@@ -3,7 +3,7 @@
 import pytest
 
 from liereduce import (ClassifyError, DESystem, JetSpace, PointTransformation,
-                       VectorField, check_point_symmetry, classify_pushforward,
+                       Pushforward, VectorField, check_point_symmetry, classify_pushforward,
                        gradient_poly,
                        lie_reduce, lift_test, pushforward_field, rat,
                        reduce_ode, reduce_pde, sym)
@@ -68,6 +68,14 @@ class TestClassifyPushforward:
         red = lie_reduce(SCALING_ODE, CHART2)
         got = classify_pushforward(pushforward_field(rat(3) * X1, CHART2), CHART2, red)
         assert got.verdict == "nonlocal"
+
+    def test_local_coefficients_that_are_no_symmetry(self):
+        red = lie_reduce(SCALING_ODE, CHART1)
+        pushed = Pushforward(red.system.space.base_names, {"r": sym("r")})
+        got = classify_pushforward(pushed, CHART1, red)
+        assert (got.verdict, got.criterion) == (
+            "inconclusive", "local coefficients but residual does not vanish")
+        assert got.witness == "alpha^2*r^(-2)"
 
     def test_inconclusive_without_inverse(self):
         chart = PointTransformation.parse(

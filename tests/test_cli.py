@@ -139,6 +139,15 @@ class TestSubcommands:
                    "--fields", "X1,NoSuch"])
         assert (rc, capsys.readouterr().err) == (1, "error: unknown name 'NoSuch'\n")
 
+    def test_reduction_target_needed_with_several_dependents(self, capsys):
+        rc = main(["reduce-pde", "--problem", prob("power-diffusion-gradient.prob")])
+        assert (rc, capsys.readouterr().err) == (
+            1, "error: several dependent variables; name the reduction target\n")
+
+    def test_algebra_without_fields_is_error(self, capsys):
+        rc = main(["algebra", "--problem", prob("laplace-3d.prob")])
+        assert (rc, capsys.readouterr().err) == (1, "error: need at least one generator\n")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
@@ -360,6 +369,31 @@ MALFORMED = {
     "prolong-coeff-unknown-variable":
         (BASE + "[expect prolong T]\ntag = oracle\ncoeff w' = 0\n",
          "load", "bad.prob [expect prolong T]: coeff \"w'\" is not a coordinate"),
+    # An expect must give one of the keys its operation checks: without
+    # one it would pass, or fail only when it runs.
+    "prolong-checks-nothing":
+        (BASE + "[expect prolong T]\ntag = oracle\norder = 1\n",
+         "load", "bad.prob [expect prolong T]: checks nothing; give 'coeff *'"),
+    "algebra-checks-nothing":
+        (BASE + "[expect algebra]\ntag = oracle\nfields = T\n",
+         "load", "bad.prob [expect algebra]: checks nothing; give 'closed' or 'bracket *' or "
+         "'solvable' or 'series' or 'jacobi'"),
+    "reduce-ode-checks-nothing":
+        (BASE.replace("y' = y", "y' = 1") + "[expect reduce-ode]\ntag = oracle\naux = a\n",
+         "load", "bad.prob [expect reduce-ode]: checks nothing; give 'equation' or "
+         "'integrability'"),
+    "transform-checks-nothing":
+        (BASE + CHART + "inverse x = r\ninverse y = v\n[expect transform c]\ntag = oracle\n",
+         "load", "bad.prob [expect transform c]: checks nothing; give 'equation'"),
+    "lie-reduce-checks-nothing":
+        (BASE + CHART + "canonical = v\n[expect lie-reduce c]\ntag = oracle\n",
+         "load", "bad.prob [expect lie-reduce c]: checks nothing; give 'equation'"),
+    "advice-checks-nothing":
+        (BASE + "[expect advice T T]\ntag = oracle\n",
+         "load", "bad.prob [expect advice T T]: checks nothing; give 'first'"),
+    "commutator-checks-nothing":
+        (BASE + "[expect commutator T T]\ntag = oracle\n",
+         "load", "bad.prob [expect commutator T T]: checks nothing; give 'result'"),
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),

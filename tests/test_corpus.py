@@ -1,13 +1,14 @@
 """Corpus runner: a record does not depend on which checks ran before it on
-the same loaded problem, and each derived artifact is computed once."""
+the same loaded problem, each derived artifact is computed once, and an
+expected system matches in any order with each equation pair compared once."""
 
 import sys
 
 import pytest
 
-from liereduce import ExprError, algebra, lie_reduce, problem
+from liereduce import DESystem, ExprError, algebra, corpus, lie_reduce, problem, render
 from liereduce.cli import main
-from liereduce.corpus import corpus_dir, run_corpus, run_expect
+from liereduce.corpus import corpus_dir, run_corpus, run_expect, systems_match
 from liereduce.problem import load_problem
 
 PATHS = sorted(corpus_dir().glob("*.prob"))
@@ -146,3 +147,34 @@ def test_failed_pushforward_makes_classify_inconclusive(tmp_path, capsys):
     rc = main(["classify", "--problem", str(path), "--field", "X2", "--chart", "chart1"])
     assert rc == 0
     assert capsys.readouterr().out == f"X2 / chart1: {verdict}\n"
+
+
+# laplace-5d's gradient reduction: the reduced equation and its ten
+# integrability conditions; SIX holds the first six of them.
+LAPLACE_5D = load_problem(corpus_dir() / "laplace-5d.prob").gradient_reduction("u", ()).system
+SIX = DESystem.build(LAPLACE_5D.space, LAPLACE_5D.equations[:6])
+
+
+@pytest.mark.parametrize("order", [(5, 4, 3, 2, 1, 0), (3, 0, 5, 1, 4, 2)],
+                         ids=["reversed", "shuffled"])
+def test_systems_match_compares_each_pair_once(monkeypatch, order):
+    calls = _calls(monkeypatch, "equation_matches", corpus)
+    assert systems_match(SIX, [SIX.equations[i] for i in order])
+    assert len(calls) <= 6 ** 2 and len(set(calls)) == len(calls)
+
+
+def test_systems_match_needs_a_one_to_one_pairing(monkeypatch):
+    calls = _calls(monkeypatch, "equation_matches", corpus)
+    doubled = list(reversed(SIX.equations))
+    doubled[0] = doubled[1]  # every expected equation matches, one of them twice
+    assert not systems_match(SIX, doubled)
+    assert len(calls) <= 6 ** 2
+
+
+def test_reversed_expected_system_passes(tmp_path, capsys):
+    text = (corpus_dir() / "laplace-5d.prob").read_text()
+    text += "".join(f"equation = {render(e)}\n" for e in reversed(LAPLACE_5D.equations))
+    (tmp_path / "laplace-5d.prob").write_text(text)
+    rc = main(["run-corpus", str(tmp_path)])
+    assert rc == 0
+    assert "[PASS] laplace-5d: reduce-pde u" in capsys.readouterr().out

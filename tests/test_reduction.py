@@ -212,6 +212,9 @@ class TestVerifyConnection:
         assert verify_connection(self.parent, self.red,
                                  reduced_solution={"alpha": "1/(exp(-x)-x)"})
 
+    def test_reduced_solution_of_another_equation_fails(self):
+        assert not verify_connection(self.parent, self.red, reduced_solution={"alpha": "x"})
+
     def test_wrong_antiderivative_fails(self):
         assert not verify_connection(self.parent, self.red,
                                      reduced_solution={"alpha": "-1/x"},

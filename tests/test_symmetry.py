@@ -29,6 +29,11 @@ class TestSolvedForms:
         sys_ = build(sp, ["beta = alpha^(-4/3)*alpha_1", "alpha_2 = beta_1"])
         assert sys_.leads == ("alpha_1", "alpha_2")
 
+    def test_backtracks_when_leads_collide(self):
+        # Both equations solve first for u'; the first takes v' instead.
+        sys_ = build(JetSpace(("x",), ("u", "v"), 1), ["u' + v'", "u' - x"])
+        assert sys_.leads == ("v'", "u'")
+
     def test_not_affine_raises(self):
         with pytest.raises(SystemError_, match="affine"):
             build(ODE, ["y''^2 + y = 0"])

@@ -117,6 +117,13 @@ class TestPointTransformation:
                 ODE, independent={"r": "y/x"}, dependent={"s": "-1/x"},
                 inverse={"x": "s", "y": "r"})
 
+    def test_forward_map_must_invert_inverse(self):
+        # The normal form takes the positive branch, so x = -sqrt(r) passes
+        # the inverse check; only the forward check rejects it.
+        with pytest.raises(ChartError, match="forward map does not invert source 'x'"):
+            PointTransformation.parse(ODE, independent={"r": "x^2"}, dependent={"s": "y"},
+                                      inverse={"x": "-sqrt(r)", "y": "s"})
+
     def test_jet_coordinates_rejected_in_targets(self):
         with pytest.raises(ChartError, match="non-base"):
             PointTransformation.parse(ODE, independent={"r": "y'"},
