@@ -92,6 +92,12 @@ def classify_pushforward(pf: Pushforward, T: PointTransformation,
     if extra:
         return Classification("inconclusive", witness=sorted(extra)[0],
                               criterion="push-forward coordinates do not match the reduced system")
+    # A coordinate the chart does not define has no coefficient, and reading
+    # it as zero would test a different field.
+    missing = [n for n in space.dependent if n not in pf.coords]
+    if missing:
+        return Classification("inconclusive", witness=missing[0],
+                              criterion=f"chart defines no auxiliary {missing[0]}")
     try:
         Y = VectorField(space, {n: c for n, c in pf.coeffs.items() if c != ZERO})
         rep = check_point_symmetry(reduced.system, Y)

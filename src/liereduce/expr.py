@@ -207,9 +207,11 @@ def _term_from(coeff: Fraction, mono: tuple[Expr, ...]) -> Expr:
     return Mul((Rat(coeff),) + mono)
 
 
-def _collect(parts, acc: dict) -> dict:
-    """Fold terms into ``acc`` (monomial key -> [coefficient, factors]),
-    flattening sums; the key is the tuple of the factors' keys."""
+def _collect(parts, acc: dict, scale=1) -> dict:
+    """Fold terms, each times ``scale``, into ``acc`` (monomial key ->
+    [coefficient, factors, term]), flattening sums; the key is the tuple of
+    the factors' keys, and term is the input term as long as no like term
+    and no scale other than 1 changed it."""
     stack = list(parts)
     while stack:
         t = stack.pop()
@@ -217,18 +219,23 @@ def _collect(parts, acc: dict) -> dict:
             stack.extend(t.terms)
             continue
         c, mono = _coeff_monomial(t)
+        if scale != 1:
+            c *= scale
+            t = None
         k = tuple(f._key for f in mono)
         slot = acc.get(k)
         if slot is None:
-            acc[k] = [c, mono]
+            acc[k] = [c, mono, t]
         else:
             slot[0] += c
+            slot[2] = None
     return acc
 
 
 def _sum(acc: dict) -> Expr:
     """The normalized sum of the terms collected by ``_collect``."""
-    out = [(k, _term_from(c, mono)) for k, (c, mono) in acc.items() if c != 0]
+    out = [(k, t if t is not None else _term_from(c, mono))
+           for k, (c, mono, t) in acc.items() if c != 0]
     if not out:
         return ZERO
     out.sort(key=lambda km: km[0])
@@ -259,15 +266,20 @@ def _monomial(slots: dict) -> tuple[Expr, ...]:
 
 
 def _distribute(terms, sums) -> Expr:
-    """Expand ``(sum of terms) * sums[0] * sums[1] * ...`` term by term with
-    ``mul``, collecting like terms after each sum."""
+    """Expand ``(sum of terms) * sums[0] * sums[1] * ...`` term by term,
+    collecting like terms after each sum: a rational constant scales the
+    next sum's coefficients, and any other term multiplies through ``mul``."""
     acc = _collect(terms, {})
     for a in sums:
         nxt: dict[tuple, list] = {}
-        for c, mono in acc.values():
-            if c != 0:
-                t = _term_from(c, mono)
+        for c, mono, t in acc.values():
+            if c == 0:
+                continue
+            if mono:
+                t = t if t is not None else _term_from(c, mono)
                 _collect([mul(t, s) for s in a.terms], nxt)
+            else:
+                _collect(a.terms, nxt, c)
         acc = nxt
     return _sum(acc)
 
@@ -279,10 +291,11 @@ def mul(*parts) -> Expr:
     # Base key -> (base, exponent, factor), where factor is the input factor
     # when it can be kept as is and None when it must be rebuilt.  The
     # exponent is an int or Fraction until a symbolic one joins it.  A plain
-    # base (a Sym or a non-exp Kernel) with a numeric exponent is final as it
-    # enters; any other slot is final once factor holds what ``power``
-    # returned for it.  Sums are bases too, so B * B^(-1) cancels before any
-    # distribution happens.
+    # base (a Sym or a non-exp Kernel) and a power with a numeric exponent are
+    # final as they enter (every such power was built by ``power``, which
+    # returns it unchanged); any other slot, and a slot two factors share, is
+    # final once factor holds what ``power`` returned for it.  Sums are bases
+    # too, so B * B^(-1) cancels before any distribution happens.
     slots: dict[tuple, tuple] = {}
     queue = [_coerce(p) for p in parts]
     settle = False  # whether some slot may still need ``power``
@@ -315,7 +328,8 @@ def mul(*parts) -> Expr:
                 b, q, keep = f, 1, f
             if not isinstance(b, Sym):
                 if not isinstance(b, Kernel):
-                    keep, settle = None, True
+                    if f is b or keep is None:
+                        keep, settle = None, True
                 elif b.name == "exp":
                     exp_args.append(b.arg if f is b else mul(f.exponent, b.arg))
                     continue
@@ -326,7 +340,7 @@ def mul(*parts) -> Expr:
                 # A symbolic exponent makes the sum an Expr (``Expr.__add__``).
                 q = old[1] + q
                 slots[b._key] = (b, q, None)
-                settle = settle or isinstance(q, Expr)
+                settle = settle or isinstance(q, Expr) or not isinstance(b, (Sym, Kernel))
         if settle:
             settle = False
             pending = [k for k, (b, q, f) in slots.items() if f is None
@@ -408,8 +422,17 @@ def _shifted(monomials, shift: dict) -> Expr:
     ``b^m`` for every ``(b, m)`` in ``shift`` (keyed by base key).
 
     Exponents add term by term, so a base cancels exactly against its own
-    power before anything expands.
+    power before anything expands.  Each power comes from ``power``, since
+    ``mul`` keeps a power as it is given, and is built once per call.
     """
+    built: dict[tuple, Expr] = {}
+
+    def powered(b: Expr, q: Fraction) -> Expr:
+        f = built.get((b._key, q))
+        if f is None:
+            f = built[b._key, q] = power(b, Rat(q))
+        return f
+
     out = []
     for c, mono in monomials:
         fs = []
@@ -417,16 +440,12 @@ def _shifted(monomials, shift: dict) -> Expr:
         for f in mono:
             b, x = _base_exp(f)
             k = b._key
-            if k in shift and isinstance(x, Rat):
+            if k in shift:
                 seen.add(k)
-                nx = x.value + shift[k][1]
-                if nx != 0:
-                    fs.append(b if nx == 1 else Pow(b, Rat(nx)))
-            else:
-                fs.append(f)
-        for k, (b, m) in shift.items():
-            if k not in seen:
-                fs.append(b if m == 1 else Pow(b, Rat(m)))
+                m = shift[k][1]
+                f = powered(b, x.value + m) if isinstance(x, Rat) else power(b, x + m)
+            fs.append(f)
+        fs.extend(powered(b, m) for k, (b, m) in shift.items() if k not in seen)
         out.append(mul(Rat(c), *fs))
     return add(*out)
 

@@ -29,24 +29,31 @@ class ParseError(ExprError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+(?:\.\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<op>\^|\*|/|\+|-|\(|\))
-""", re.VERBOSE)
+# Whitespace, then one token: a number, a name or an operator.
+_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*'*)|([-+*/^()]))")
+_SPACE = re.compile(r"\s*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text)).
+
+    ``findall`` passes over a character that starts no token, so the matches
+    and the trailing whitespace cover the text only when there is none;
+    otherwise a token-by-token rescan finds the first one.
+    """
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", text, i)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), i))
-        i = m.end()
+    pos = 0
+    for space, num, name, op in _TOKEN.findall(text):
+        pos += len(space)
+        kind, tok = ("op", op) if op else ("name", name) if name else ("num", num)
+        out.append((kind, tok, pos))
+        pos += len(tok)
+    if _SPACE.match(text, pos).end() != len(text):
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            pos = m.end()
+        pos = _SPACE.match(text, pos).end()
+        raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
     out.append(("end", "", len(text)))
     return out
 
@@ -147,7 +154,7 @@ class _Parser:
     def primary(self) -> Expr:
         kind, val, pos = self.take()
         if kind == "num":
-            return Rat(Fraction(val))
+            return Rat(Fraction(val) if "." in val else int(val))
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")

@@ -90,6 +90,14 @@ class TestSubcommands:
             rec = json.loads(capsys.readouterr().out)
             assert rc == 0 and rec["verdict"] == verdict and rec["witness"] == witness
 
+    def test_classify_on_chart_without_aux(self, capsys):
+        # hodo declares no auxiliary, so X2's slope coefficient is unknown;
+        # without it, -r d/dr alone is no symmetry of the reduced equation.
+        rc = main(["classify", "--problem", prob("blasius.prob"),
+                   "--field", "X2", "--chart", "hodo"])
+        assert (rc, capsys.readouterr().out) == (
+            0, "X2 / hodo: inconclusive witness=alpha by chart defines no auxiliary alpha\n")
+
     def test_lift_test(self, capsys):
         rc = main(["lift-test", "--problem", prob("bernoulli-reduced.prob"),
                    "--field", "Y", "--json"])

@@ -2,15 +2,16 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from liereduce import (Add, DomainError, ExprError, ParseError, Pow, Rat,
+from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow, Rat,
                        SamplingDomainError, ZERO, ONE, add, clear_denominators, diff, equiv,
                        eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
-from genexpr import random_expr
+from genexpr import random_expr, small_rat
 
 x, y, u = sym("x"), sym("y"), sym("u")
 yp = sym("y'")
@@ -58,6 +59,42 @@ class TestParse:
 
     def test_unary_minus_binds_outside_power(self):
         assert parse_expr("-x^2", {"x"}) == mul(-1, power(x, rat(2)))
+
+    # Whitespace separates tokens and is never one; every error names the
+    # offset of the offending character, or the input's length at its end.
+    @pytest.mark.parametrize("text, message", [
+        ("x @", "unexpected character '@' at position 2"),
+        ("x +\t#", "unexpected character '#' at position 4"),
+        ("x\n\n$ y", "unexpected character '$' at position 3"),
+        ("1.", "unexpected character '.' at position 1"),
+        ("x y", "unexpected 'y' at position 2"),
+        ("   ", "unexpected end of input at position 3"),
+        (" \t\n", "unexpected end of input at position 3"),
+        ("x + ", "unexpected end of input at position 4"),
+        ("x*(y ", "expected ')' at position 5"),
+    ])
+    def test_tokenizer_errors(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_expr(text, {"x", "y"})
+        assert exc.value.pos == int(message.rsplit(" ", 1)[1])
+
+    @pytest.mark.parametrize("text, value", [
+        ("0.1", Fraction(1, 10)),
+        ("2.50", Fraction(5, 2)),
+        (" 007 ", Fraction(7)),
+        ("1234567890123456789012345678901234567890",
+         Fraction(1234567890123456789012345678901234567890)),
+        ("-1234567890123456789012345678901234567890/3",
+         Fraction(-411522630041152263004115226300411522630)),
+    ])
+    def test_number_literals_are_exact(self, text, value):
+        e = parse_expr(text, set())
+        assert isinstance(e, Rat) and e.value == value
+
+    def test_primed_names(self):
+        e = parse_expr(" u''\t+ u' ", {"u'", "u''"})
+        assert e == sym("u''") + sym("u'")
+        assert free_vars(e) == {"u'", "u''"}
 
 
 class TestNormalForm:
@@ -147,6 +184,58 @@ class TestNormalForm:
         with pytest.raises(DomainError, match="zero raised to a negative power"):
             parse_expr("1/0")
         assert power(ZERO, rat(1, 2)) == ZERO
+
+
+def _features(s):
+    """Which of the shapes the sum fast paths must keep intact occur among
+    the factors of the sum's terms."""
+    out = set()
+    for t in s.terms:
+        for f in t.factors if isinstance(t, Mul) else (t,):
+            if isinstance(f, Pow):
+                out.add("power of a sum" if isinstance(f.base, Add) else
+                        "symbolic exponent" if not isinstance(f.exponent, Rat) else "power")
+            elif isinstance(f, Kernel):
+                out.add(f.name if f.name in ("exp", "log") else "kernel")
+    return out
+
+
+class TestSumFastPaths:
+    """A rational multiple of a sum scales each term's coefficient, and a
+    sum rebuilt from its own terms reuses them: both shortcuts must give
+    exactly what multiplying or adding term by term gives."""
+
+    ROWS = ["(1 + x + y)^(1/2)*u - 3*(x - y)^(-2) + x",
+            "exp(x + y)*u - 3*exp(-x) + 2",
+            "x^y*u + 2*x^(1 + y) - y",
+            "log(x)*y + 2*log(u) - 1/3*x"]
+
+    @staticmethod
+    def check(c, s):
+        assert mul(c, s).key() == add(*[mul(c, t) for t in s.terms]).key()
+        assert add(*s.terms).key() == s.key()
+
+    @pytest.mark.parametrize("text", ROWS)
+    def test_rows(self, text):
+        s = parse_expr(text, {"x", "y", "u"})
+        assert isinstance(s, Add)
+        for c in (rat(1), rat(-1), rat(3, 2), rat(-7, 10**12), ZERO):
+            self.check(c, s)
+
+    def test_rows_cover_every_shape(self):
+        shapes = set().union(*[_features(parse_expr(t)) for t in self.ROWS])
+        assert {"power of a sum", "exp", "symbolic exponent", "log"} <= shapes
+
+    def test_random_sums(self):
+        rng = random.Random(2027)
+        shapes, drawn = set(), 0
+        while drawn < 2000:
+            s = random_expr(rng, ["x", "y", "u"])
+            if isinstance(s, Add):
+                drawn += 1
+                shapes |= _features(s)
+                self.check(rat(small_rat(rng)), s)
+        assert {"power of a sum", "exp", "log"} <= shapes
 
 
 class TestDiff:
@@ -356,3 +445,15 @@ class TestClearDenominators:
         a = sym("a")
         e = power(u, rat(-4, 3)) * x - a
         assert clear_denominators(e) == x - a * power(u, rat(4, 3))
+
+    # A power that several terms need is built once and shared; a base with
+    # a symbolic exponent still has the shift added to that exponent.
+    @pytest.mark.parametrize("text, cleared", [
+        ("(1+x)^y + (1+x)^(-2)", "1 + (1 + x)^(2 + y)"),
+        ("(1+x)^(-2)*y + (1+x)^(4/3) + x", "x + y + 2*x^2 + x^3 + (1 + x)^(10/3)"),
+        ("(1+x)^(-1/2)*y + (1+x)^(1/2)", "1 + x + y"),
+        ("(x+y)^(-1)*(1+x)^(-3) + (1+x)^(-1) + 2",
+         "1 + 3*x + 8*x*y + 3*y + 8*x^2 + 7*x^2*y + 7*x^3 + 2*x^3*y + 2*x^4"),
+    ])
+    def test_shared_powers(self, text, cleared):
+        assert render(clear_denominators(parse_expr(text))) == cleared
