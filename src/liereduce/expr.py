@@ -291,11 +291,10 @@ def mul(*parts) -> Expr:
     # Base key -> (base, exponent, factor), where factor is the input factor
     # when it can be kept as is and None when it must be rebuilt.  The
     # exponent is an int or Fraction until a symbolic one joins it.  A plain
-    # base (a Sym or a non-exp Kernel) and a power with a numeric exponent are
-    # final as they enter (every such power was built by ``power``, which
-    # returns it unchanged); any other slot, and a slot two factors share, is
-    # final once factor holds what ``power`` returned for it.  Sums are bases
-    # too, so B * B^(-1) cancels before any distribution happens.
+    # base (a Sym or a non-exp Kernel) with a numeric exponent is final as it
+    # enters; any other slot is final once factor holds what ``power``
+    # returned for it.  Sums are bases too, so B * B^(-1) cancels before any
+    # distribution happens.
     slots: dict[tuple, tuple] = {}
     queue = [_coerce(p) for p in parts]
     settle = False  # whether some slot may still need ``power``
@@ -328,8 +327,7 @@ def mul(*parts) -> Expr:
                 b, q, keep = f, 1, f
             if not isinstance(b, Sym):
                 if not isinstance(b, Kernel):
-                    if f is b or keep is None:
-                        keep, settle = None, True
+                    keep, settle = None, True
                 elif b.name == "exp":
                     exp_args.append(b.arg if f is b else mul(f.exponent, b.arg))
                     continue
@@ -340,7 +338,7 @@ def mul(*parts) -> Expr:
                 # A symbolic exponent makes the sum an Expr (``Expr.__add__``).
                 q = old[1] + q
                 slots[b._key] = (b, q, None)
-                settle = settle or isinstance(q, Expr) or not isinstance(b, (Sym, Kernel))
+                settle = settle or isinstance(q, Expr)
         if settle:
             settle = False
             pending = [k for k, (b, q, f) in slots.items() if f is None
@@ -422,17 +420,8 @@ def _shifted(monomials, shift: dict) -> Expr:
     ``b^m`` for every ``(b, m)`` in ``shift`` (keyed by base key).
 
     Exponents add term by term, so a base cancels exactly against its own
-    power before anything expands.  Each power comes from ``power``, since
-    ``mul`` keeps a power as it is given, and is built once per call.
+    power before anything expands.
     """
-    built: dict[tuple, Expr] = {}
-
-    def powered(b: Expr, q: Fraction) -> Expr:
-        f = built.get((b._key, q))
-        if f is None:
-            f = built[b._key, q] = power(b, Rat(q))
-        return f
-
     out = []
     for c, mono in monomials:
         fs = []
@@ -440,12 +429,16 @@ def _shifted(monomials, shift: dict) -> Expr:
         for f in mono:
             b, x = _base_exp(f)
             k = b._key
-            if k in shift:
+            if k in shift and isinstance(x, Rat):
                 seen.add(k)
-                m = shift[k][1]
-                f = powered(b, x.value + m) if isinstance(x, Rat) else power(b, x + m)
-            fs.append(f)
-        fs.extend(powered(b, m) for k, (b, m) in shift.items() if k not in seen)
+                nx = x.value + shift[k][1]
+                if nx != 0:
+                    fs.append(b if nx == 1 else Pow(b, Rat(nx)))
+            else:
+                fs.append(f)
+        for k, (b, m) in shift.items():
+            if k not in seen:
+                fs.append(b if m == 1 else Pow(b, Rat(m)))
         out.append(mul(Rat(c), *fs))
     return add(*out)
 

@@ -29,31 +29,27 @@ class ParseError(ExprError):
         self.pos = pos
 
 
-# Whitespace, then one token: a number, a name or an operator.
-_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*'*)|([-+*/^()]))")
-_SPACE = re.compile(r"\s*")
+# Whitespace, then one token: a number, a name, an operator, or any other
+# visible character, which is an error.  Trailing whitespace matches nothing.
+_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*'*)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of each token, then ("end", "", len(text)).
-
-    ``findall`` passes over a character that starts no token, so the matches
-    and the trailing whitespace cover the text only when there is none;
-    otherwise a token-by-token rescan finds the first one.
-    """
+    """(kind, text, position) of each token, then ("end", "", len(text))."""
     out = []
     pos = 0
-    for space, num, name, op in _TOKEN.findall(text):
+    for space, num, name, op, bad in _TOKEN.findall(text):
         pos += len(space)
-        kind, tok = ("op", op) if op else ("name", name) if name else ("num", num)
+        if op:
+            kind, tok = "op", op
+        elif name:
+            kind, tok = "name", name
+        elif num:
+            kind, tok = "num", num
+        else:
+            raise ParseError(f"unexpected character {bad!r}", text, pos)
         out.append((kind, tok, pos))
         pos += len(tok)
-    if _SPACE.match(text, pos).end() != len(text):
-        pos = 0
-        while m := _TOKEN.match(text, pos):
-            pos = m.end()
-        pos = _SPACE.match(text, pos).end()
-        raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
     out.append(("end", "", len(text)))
     return out
 

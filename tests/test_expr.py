@@ -446,8 +446,8 @@ class TestClearDenominators:
         e = power(u, rat(-4, 3)) * x - a
         assert clear_denominators(e) == x - a * power(u, rat(4, 3))
 
-    # A power that several terms need is built once and shared; a base with
-    # a symbolic exponent still has the shift added to that exponent.
+    # A power that several terms lack multiplies each of them; a base with a
+    # symbolic exponent has the shift added to that exponent.
     @pytest.mark.parametrize("text, cleared", [
         ("(1+x)^y + (1+x)^(-2)", "1 + (1 + x)^(2 + y)"),
         ("(1+x)^(-2)*y + (1+x)^(4/3) + x", "x + y + 2*x^2 + x^3 + (1 + x)^(10/3)"),
