@@ -19,8 +19,11 @@ numeric fallback.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
    drawn from the safe domain of every kernel and fractional power present
    (all variables positive once any such constraint exists, and the
-   constraints rechecked numerically).  d is zero when it stays within the
-   absolute _TOLERANCE at _SAMPLES points.  A constant d is evaluated once.
+   constraints rechecked numerically).  d and each constraint are compiled
+   once by ``numeric``; a point where a value overflows a double is
+   unusable.  d is zero when it stays within the absolute _TOLERANCE at
+   _SAMPLES points.  A constant d is evaluated once, and raises
+   SamplingDomainError when it leaves the real domain or a double's range.
 
 Sampling is deterministic: each RNG is seeded from a fixed seed and a
 checksum of the rendered expression, so results do not depend on call order.
@@ -39,9 +42,10 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from typing import Callable
 
 from .expr import (Add, DomainError, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO,
-                   clear_denominators, eval_numeric, free_vars,
+                   clear_denominators, eval_numeric, free_vars, numeric,
                    positivity_constraints, render, substitute)
 
 
@@ -76,18 +80,20 @@ def _draw(rng: random.Random, positive: bool) -> Fraction:
     return v
 
 
-def _point(rng: random.Random, names: list[str],
-           constraints: list[Expr]) -> dict[str, Fraction] | None:
-    """A seeded rational sample point, or None when it leaves the domain of
-    a positivity constraint.  Every variable is drawn positive when any
-    positivity constraint exists."""
+def _point(rng: random.Random, names: list[str], constraints: list[Callable]
+           ) -> tuple[dict[str, Fraction], dict[str, float]] | None:
+    """A seeded rational sample point and its floats, or None when it leaves
+    the domain of a positivity constraint (each compiled by ``numeric``).
+    Every variable is drawn positive when any positivity constraint
+    exists."""
     pt = {n: _draw(rng, bool(constraints)) for n in names}
+    floats = {n: float(v) for n, v in pt.items()}
     try:
-        if any(eval_numeric(c, pt) <= 1e-6 for c in constraints):
+        if any(c(floats) <= 1e-6 for c in constraints):
             return None
     except (DomainError, OverflowError):
         return None
-    return pt
+    return pt, floats
 
 
 def _sampled(rng: random.Random, draw, values, witness, needed: int) -> bool | None:
@@ -191,8 +197,8 @@ def _floating(exprs: list[Expr], values, witness) -> bool:
     every positivity constraint of ``exprs``, seeded from their rendered
     text; SamplingDomainError when more than _MAX_ATTEMPTS are unusable."""
     names = sorted(set().union(*map(free_vars, exprs)))
-    constraints = list(dict.fromkeys(c for e in exprs
-                                     for c in positivity_constraints(e)))
+    constraints = [numeric(c) for c in dict.fromkeys(
+        c for e in exprs for c in positivity_constraints(e))]
     text = "; ".join(map(render, exprs))
     found = _sampled(_rng(text), lambda r: _point(r, names, constraints), values,
                      witness, _SAMPLES)
@@ -220,10 +226,15 @@ def equiv(a: Expr, b: Expr) -> bool:
         except DomainError:
             raise SamplingDomainError(
                 f"constant expression {render(d)!r} leaves the real domain")
+        except OverflowError:
+            raise SamplingDomainError(
+                f"constant expression {render(d)!r} overflows a double")
 
-    def value(pt):
+    at = numeric(d)
+
+    def value(p):
         try:
-            v = eval_numeric(d, pt)
+            v = at(p[1])
         except (DomainError, OverflowError):
             return None
         return v if math.isfinite(v) else None
@@ -318,9 +329,9 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     if found is not None:
         return found
 
-    def rows(pt):
+    def rows(p):
         try:
-            values = [[substitute(e, pt) for e in row] for row in mat]
+            values = [[substitute(e, p[0]) for e in row] for row in mat]
         except DomainError:
             return None
         if all(isinstance(v, Rat) for row in values for v in row):

@@ -698,43 +698,78 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
-def eval_numeric(e: Expr, point: Mapping) -> float:
-    """IEEE double evaluation; raises DomainError off the real branch."""
-    pt = {_name_of(k): float(v) for k, v in point.items()}
+def numeric(e: Expr) -> Callable[[Mapping[str, float]], float]:
+    """``e`` compiled once into an IEEE double evaluator of a point (variable
+    name -> float).  Evaluation raises DomainError off the real branch, and
+    OverflowError where a constant, a power, a kernel or a sum leaves the
+    range of a double."""
+    if isinstance(e, Rat):
+        q = e.value
+        try:
+            v = float(q)
+        except OverflowError:
+            return lambda pt: float(q)  # raises when evaluated
+        return lambda pt: v
+    if isinstance(e, Sym):
+        name = e.name
 
-    def go(e: Expr) -> float:
-        if isinstance(e, Rat):
-            return float(e.value)
-        if isinstance(e, Sym):
+        def f(pt):
             try:
-                return pt[e.name]
+                return pt[name]
             except KeyError:
-                raise ExprError(f"unbound variable {e.name!r}") from None
-        if isinstance(e, Add):
-            return math.fsum(go(t) for t in e.terms)
-        if isinstance(e, Mul):
+                raise ExprError(f"unbound variable {name!r}") from None
+        return f
+    if isinstance(e, Add):
+        terms = [numeric(t) for t in e.terms]
+
+        def f(pt):
+            try:
+                return math.fsum(t(pt) for t in terms)
+            except ValueError as err:  # infinities of both signs
+                raise OverflowError(str(err)) from None
+        return f
+    if isinstance(e, Mul):
+        factors = [numeric(t) for t in e.factors]
+
+        def f(pt):
             out = 1.0
-            for f in e.factors:
-                out *= go(f)
+            for g in factors:
+                out *= g(pt)
             return out
-        if isinstance(e, Pow):
-            b = go(e.base)
-            if isinstance(e.exponent, Rat) and e.exponent.value.denominator == 1:
-                x = int(e.exponent.value)
-                if b == 0.0 and x < 0:
+        return f
+    if isinstance(e, Pow):
+        base = numeric(e.base)
+        if isinstance(e.exponent, Rat) and e.exponent.value.denominator == 1:
+            n = int(e.exponent.value)
+
+            def f(pt):
+                b = base(pt)
+                if b == 0.0 and n < 0:
                     raise DomainError("zero raised to a negative power")
-                return b**x
-            x = go(e.exponent)
+                return b**n
+            return f
+        exponent = numeric(e.exponent)
+
+        def f(pt):
+            b = base(pt)
+            x = exponent(pt)
             if b < 0:
                 raise DomainError(f"fractional power of negative base {b}")
             if b == 0 and x <= 0:
                 raise DomainError("zero raised to a nonpositive power")
             return b**x
-        if isinstance(e, Kernel):
-            return KERNELS[e.name].fn(go(e.arg))
-        raise TypeError(f"not an expression: {e!r}")
+        return f
+    if isinstance(e, Kernel):
+        fn = KERNELS[e.name].fn
+        arg = numeric(e.arg)
+        return lambda pt: fn(arg(pt))
+    raise TypeError(f"not an expression: {e!r}")
 
-    return go(e)
+
+def eval_numeric(e: Expr, point: Mapping) -> float:
+    """IEEE double evaluation of ``e`` at ``point`` (see ``numeric``)."""
+    pt = {_name_of(k): float(v) for k, v in point.items()}
+    return numeric(e)(pt)
 
 
 def positivity_constraints(e: Expr) -> list[Expr]:

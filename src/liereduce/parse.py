@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, Rat, add, kernel, mul,
-                   power, rat, sym)
+from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, ZERO, Rat, add, kernel,
+                   mul, power, rat, sym)
 
 
 class ParseError(ExprError):
@@ -54,6 +54,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _negated(e: Expr) -> Expr:
+    return Rat(-e.value) if isinstance(e, Rat) else mul(MINUS_ONE, e)
+
+
 def _resolve(vocabulary, name: str) -> str | None:
     if vocabulary is None:
         return name
@@ -72,6 +76,9 @@ _MAX_DEPTH = 100
 
 
 class _Parser:
+    """Reads ``self.tokens`` by index.  Only an operator token's text is one
+    of the operator characters, so the text alone tells an operator apart."""
+
     def __init__(self, text: str, vocabulary):
         self.text = text
         self.tokens = _tokenize(text)
@@ -79,88 +86,94 @@ class _Parser:
         self.depth = 0
         self.vocabulary = vocabulary
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
     def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
+        _, val, pos = self.tokens[self.i]
+        self.i += 1
+        if val != op:
             raise ParseError(f"expected {op!r}", self.text, pos)
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", self.text, pos)
         return e
 
     def expr(self) -> Expr:
+        tokens = self.tokens
         parts = [self.term()]
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                parts.append(t if val == "+" else mul(MINUS_ONE, t))
-            else:
+            val = tokens[self.i][1]
+            if val != "+" and val != "-":
                 return parts[0] if len(parts) == 1 else add(*parts)
+            self.i += 1
+            t = self.term()
+            parts.append(t if val == "+" else _negated(t))
 
     def term(self) -> Expr:
-        parts = [self.unary()]
+        """A product.  Its rational constant operands fold into one
+        coefficient, so only the other factors go through ``mul``; dividing
+        by a zero constant still goes through ``power``, which raises."""
+        tokens = self.tokens
+        u = self.unary()
+        if tokens[self.i][1] not in ("*", "/"):
+            return u
+        coeff, rest = (u.value, []) if isinstance(u, Rat) else (1, [u])
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                u = self.unary()
-                parts.append(u if val == "*" else power(u, MINUS_ONE))
+            val = tokens[self.i][1]
+            if val != "*" and val != "/":
+                break
+            self.i += 1
+            u = self.unary()
+            if isinstance(u, Rat) and (val == "*" or u.value):
+                coeff = coeff * u.value if val == "*" else coeff / u.value
             else:
-                return parts[0] if len(parts) == 1 else mul(*parts)
+                rest.append(u if val == "*" else power(u, MINUS_ONE))
+        if coeff == 0:
+            return ZERO
+        if not rest:
+            return Rat(coeff)
+        return mul(*rest) if coeff == 1 else mul(Rat(coeff), *rest)
 
     def unary(self) -> Expr:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"nested deeper than {_MAX_DEPTH} levels",
-                             self.text, self.peek()[2])
+                             self.text, self.tokens[self.i][2])
+        tokens = self.tokens
         sign = 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                if val == "-":
-                    sign = -sign
-            else:
+            val = tokens[self.i][1]
+            if val == "-":
+                sign = -sign
+            elif val != "+":
                 break
+            self.i += 1
         e = self.power()
         self.depth -= 1
-        return e if sign == 1 else mul(MINUS_ONE, e)
+        return e if sign == 1 else _negated(e)
 
     def power(self) -> Expr:
         base = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
+        if self.tokens[self.i][1] == "^":
+            self.i += 1
             return power(base, self.unary())
         return base
 
     def primary(self) -> Expr:
-        kind, val, pos = self.take()
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             return Rat(Fraction(val) if "." in val else int(val))
-        if kind == "op" and val == "(":
+        if val == "(":
             e = self.expr()
             self.expect_op(")")
             return e
         if kind == "name":
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "(":
+            if self.tokens[self.i][1] == "(":
                 if val != "sqrt" and val not in KERNELS:
                     raise ParseError(f"unknown kernel {val!r}", self.text, pos)
-                self.take()
+                self.i += 1
                 arg = self.expr()
                 self.expect_op(")")
                 if val == "sqrt":

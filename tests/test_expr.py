@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow, Rat,
-                       SamplingDomainError, ZERO, ONE, add, clear_denominators, diff, equiv,
-                       eval_numeric, free_vars, is_zero, kernel, mul, normalize,
+                       SamplingDomainError, Sym, ZERO, ONE, add, clear_denominators, diff,
+                       equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
+from liereduce.expr import numeric
 from genexpr import random_expr, small_rat
 
 x, y, u = sym("x"), sym("y"), sym("u")
@@ -95,6 +96,31 @@ class TestParse:
         e = parse_expr(" u''\t+ u' ", {"u'", "u''"})
         assert e == sym("u''") + sym("u'")
         assert free_vars(e) == {"u'", "u''"}
+
+    # The parser folds a product's rational constants into one coefficient;
+    # each result is the one the normalizing constructors give.
+    @pytest.mark.parametrize("text, built", [
+        ("(3/4)*x^2*y", lambda: mul(rat(3, 4), power(x, rat(2)), y)),
+        ("x/2/3", lambda: mul(x, rat(1, 6))),
+        ("-(2)*x", lambda: mul(-2, x)),
+        ("--2", lambda: rat(2)),
+        ("2/(-4)", lambda: rat(-1, 2)),
+        ("2^-1*x", lambda: mul(rat(1, 2), x)),
+        ("10^(12)*x", lambda: mul(10**12, x)),
+        ("1.5*x/3", lambda: mul(rat(1, 2), x)),
+        ("0*x", lambda: ZERO),
+    ])
+    def test_constant_factors_fold(self, text, built):
+        assert parse_expr(text, {"x", "y"}).key() == built().key()
+
+    @pytest.mark.parametrize("text", ["0*x/0", "x/(1-1)"])
+    def test_division_by_zero_constant(self, text):
+        with pytest.raises(DomainError, match="zero raised to a negative power"):
+            parse_expr(text, {"x"})
+
+    def test_error_position_after_operator(self):
+        with pytest.raises(ParseError, match=re.escape("unexpected '*' at position 3")):
+            parse_expr("1 +* 2", set())
 
 
 class TestNormalForm:
@@ -372,6 +398,24 @@ class TestEquiv:
         with pytest.raises(SamplingDomainError, match="leaves the real domain"):
             is_zero(kernel("log", rat(-2)))
 
+    @pytest.mark.parametrize("text", ["exp(1000) - 1", "sin(10^400)"])
+    def test_constant_beyond_a_double(self, text):
+        with pytest.raises(SamplingDomainError, match="overflows a double"):
+            is_zero(parse_expr(text, set()))
+
+    # A constant factor beyond a double makes every sample point unusable.
+    @pytest.mark.parametrize("text", ["10^400*sin(x)", "log(10^400*x + 1)"])
+    def test_sampled_constant_beyond_a_double(self, text):
+        with pytest.raises(SamplingDomainError, match="sampling domain empty"):
+            is_zero(parse_expr(text, {"x"}))
+
+    def test_infinities_of_both_signs_make_a_point_unusable(self):
+        # Where both terms overflow, their float sum is -inf + inf; such a
+        # point is skipped, and a point where neither overflows decides.
+        assert not is_zero(parse_expr("10^308*exp(x) - 10^308*exp(2*x)", {"x"}))
+        with pytest.raises(SamplingDomainError, match="sampling domain empty"):
+            is_zero(parse_expr("10^308*exp(x^2 + 10) - 10^308*exp(2*x^2 + 10)", {"x"}))
+
 
 class TestEvalNumeric:
     def test_reciprocal_gap(self):
@@ -397,6 +441,77 @@ class TestEvalNumeric:
     def test_unbound(self):
         with pytest.raises(ExprError, match="unbound"):
             eval_numeric(x + y, {"x": 1.0})
+
+    # Each expression compiles; the error comes when it is evaluated, so
+    # that a sampler can skip the point.
+    @pytest.mark.parametrize("e, pt, error", [
+        (x + y, {"x": 1.0}, ExprError),
+        (kernel("log", x - 1), {"x": 1.0}, DomainError),
+        (power(x, rat(-1)), {"x": 0.0}, DomainError),
+        (power(x, rat(1, 2)), {"x": -4.0}, DomainError),
+        (mul(10**400, kernel("sin", x)), {"x": 1.0}, OverflowError),
+        # Both terms overflow: the sum is -inf + inf.
+        (mul(10**308, kernel("exp", x)) - mul(10**308, kernel("exp", 2 * x)),
+         {"x": 1.0}, OverflowError),
+    ])
+    def test_compiled_errors(self, e, pt, error):
+        f = numeric(e)
+        with pytest.raises(error):
+            f(pt)
+
+    def test_sums_are_exactly_rounded(self):
+        # A left-to-right float sum gives 0.0 here.
+        e = mul(10**20, x) + 1 - mul(10**20, y)
+        assert numeric(e)({"x": 1.0, "y": 1.0}) == 1.0
+
+    def test_matches_a_tree_walk_random(self):
+        rng = random.Random(41)
+        values = [-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]
+        for _ in range(400):
+            e = random_expr(rng, ["x", "y"], depth=3)
+            if rng.random() < 0.3 and e != ZERO:
+                e = power(e, rat(rng.choice([1, -1]), rng.choice([2, 3])))
+            f = numeric(e)
+            for _ in range(3):
+                pt = {"x": rng.choice(values), "y": rng.choice(values)}
+                assert _outcome(f, pt) == _outcome(lambda p: _walk(e, p), pt)
+
+
+def _walk(e, pt):
+    """Float value of ``e`` at ``pt`` by a direct walk of the tree, with the
+    compiled evaluator's domain checks and operation order."""
+    if isinstance(e, Rat):
+        return float(e.value)
+    if isinstance(e, Sym):
+        return pt[e.name]
+    if isinstance(e, Add):
+        return math.fsum(_walk(t, pt) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= _walk(f, pt)
+        return out
+    if isinstance(e, Pow):
+        b = _walk(e.base, pt)
+        if isinstance(e.exponent, Rat) and e.exponent.value.denominator == 1:
+            if b == 0.0 and e.exponent.value < 0:
+                raise DomainError("zero raised to a negative power")
+            return b**int(e.exponent.value)
+        q = _walk(e.exponent, pt)
+        if b < 0 or b == 0 and q <= 0:
+            raise DomainError("fractional power off the real branch")
+        return b**q
+    if e.name == "log" and _walk(e.arg, pt) <= 0:
+        raise DomainError("log of nonpositive value")
+    return getattr(math, e.name)(_walk(e.arg, pt))
+
+
+def _outcome(f, pt):
+    """The float bits of f(pt), or the class of the error it raises."""
+    try:
+        return f(pt).hex()
+    except (DomainError, OverflowError) as err:
+        return type(err).__name__
 
 
 class TestFreeVars:
