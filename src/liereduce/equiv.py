@@ -13,7 +13,8 @@ numeric fallback.
    With deg the degree of d's cleared numerator, the Schwartz-Zippel lemma
    (Schwartz 1980; Zippel 1979) bounds the chance of a false zero by
    (deg/2^62)^_EXACT_SAMPLES, with no assumption on d's constants.  When
-   more than _MAX_ATTEMPTS points are skipped, d takes the next path.
+   more than _MAX_ATTEMPTS points are skipped, or a power's value would
+   exceed ``expr.MAX_POWER_BITS``, d takes the next path.
 3. **Cleared denominators.**  Term-level denominators are multiplied away,
    and a result of 0 is zero.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
@@ -44,8 +45,8 @@ import zlib
 from fractions import Fraction
 from typing import Callable
 
-from .expr import (Add, DomainError, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO,
-                   clear_denominators, eval_numeric, free_vars, numeric,
+from .expr import (MAX_POWER_BITS, Add, DomainError, Expr, ExprError, Mul, Pow, Rat,
+                   Sym, ZERO, clear_denominators, eval_numeric, free_vars, numeric,
                    positivity_constraints, render, substitute)
 
 
@@ -142,7 +143,8 @@ def _rational_names(exprs: list[Expr]) -> list[str] | None:
 def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
     """The rational ``e`` at the integer point ``pt``, exactly, as an
     unreduced (numerator, denominator) pair; ZeroDivisionError where one of
-    its denominators vanishes."""
+    its denominators vanishes, and OverflowError where a power's value would
+    exceed MAX_POWER_BITS."""
     if isinstance(e, Rat):
         return e.value.numerator, e.value.denominator
     if isinstance(e, Sym):
@@ -161,6 +163,8 @@ def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
         return num, den
     num, den = _value(e.base, pt)
     k = e.exponent.value.numerator
+    if (max(abs(num), den).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
+        raise OverflowError("exact power beyond MAX_POWER_BITS")
     if k < 0:
         if num == 0:
             raise ZeroDivisionError("pole")
@@ -174,8 +178,8 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
     [-_EXACT_RANGE, _EXACT_RANGE), seeded from their rendered text: True at
     the first point where it does, and False when it holds at none of
     _EXACT_SAMPLES usable points.  None when the expressions are not
-    rational, or more than _MAX_ATTEMPTS points hit a vanishing
-    denominator."""
+    rational, a power's value exceeds MAX_POWER_BITS, or more than
+    _MAX_ATTEMPTS points hit a vanishing denominator."""
     names = _rational_names(exprs)
     if names is None:
         return None
@@ -186,10 +190,13 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
         except ZeroDivisionError:
             return None
 
-    return _sampled(_rng("; ".join(map(render, exprs))),
-                    lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
-                               for n in names},
-                    values, witness, _EXACT_SAMPLES)
+    try:
+        return _sampled(_rng("; ".join(map(render, exprs))),
+                        lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
+                                   for n in names},
+                        values, witness, _EXACT_SAMPLES)
+    except OverflowError:
+        return None
 
 
 def _floating(exprs: list[Expr], values, witness) -> bool:

@@ -378,11 +378,19 @@ def mul(*parts) -> Expr:
     return _distribute([term], sums) if sums else term
 
 
+# No exact power is built whose value has more than MAX_POWER_BITS bits;
+# only the bases 0 and +-1 are exempt.  Without a bound, a constant such as
+# 3^31^31 would be computed in full and never finish.
+MAX_POWER_BITS = 1 << 20
+
+
 def _int_nth_root(n: int, k: int) -> int | None:
     if n < 0:
         return None
     if n in (0, 1):
         return n
+    if k >= n.bit_length():  # 2**k > n, so no integer root
+        return None
     lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -397,6 +405,9 @@ def _rat_pow(q: Fraction, e: Fraction) -> Fraction | None:
     """Exact rational value of q**e, or None when it is not rational."""
     if e.denominator == 1:
         n = e.numerator
+        # |q**n| >= 2**(floor(log2 m) * |n|), m the larger of |q|'s parts.
+        if (max(abs(q.numerator), q.denominator).bit_length() - 1) * abs(n) > MAX_POWER_BITS:
+            raise ExprError(f"exact power beyond {MAX_POWER_BITS} bits")
         if n >= 0:
             return q**n
         if q == 0:

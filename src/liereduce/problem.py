@@ -3,16 +3,19 @@ charts, solutions, and expected results.
 
 A file is a sequence of ``[section]`` blocks holding ``key = value`` lines
 (``[equations]`` holds bare equation lines).  Expression values use the
-standard grammar and must parse against the declared space; validation
-reports the offending name and section.  Expected results carry a provenance
-tag (``literature`` for values taken from the source material, ``oracle``
-for independently derived ones) and may document a known conflict between
-the two via ``stated =`` plus a ``note``.
+standard grammar and must parse against the declared space.  Every load
+error is a ``ProblemError`` that starts with the file's name, followed by
+the section (``<file> [<section>]: ...``), the line (``<file>:<line>: ...``)
+or, for the file as a whole, nothing more.  Expected results carry a
+provenance tag (``literature`` for values taken from the source material,
+``oracle`` for independently derived ones) and may document a known conflict
+between the two via ``stated =`` plus a ``note``.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,7 +23,6 @@ from typing import Mapping, Sequence
 from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
-from .parse import ParseError
 from .charts import (ChartError, PointTransformation, Pushforward, pushforward_field,
                      transform_de)
 from .classify import Classification, classify_pushforward
@@ -148,295 +150,283 @@ class ProblemFile:
         return list(names), table
 
 
-_HEADER = re.compile(r"^\[(.+)\]$")
+_HEADER = re.compile(r"^\[(.*)\]$")
 
 
-def _sections(text: str, where: str) -> list[tuple[str, list[str]]]:
-    out: list[tuple[str, list[str]]] = []
+@contextmanager
+def _located(where: str):
+    """Raise an ``ExprError`` from the block as a ``ProblemError`` whose
+    text starts with ``where``."""
+    try:
+        yield
+    except ExprError as exc:
+        raise ProblemError(f"{where}: {exc}") from exc
+
+
+def _kv(lines: list[str]) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for line in lines:
+        if "=" not in line:
+            raise ProblemError(f"expected 'key = value', got {line!r}")
+        k, v = line.split("=", 1)
+        out.setdefault(k.strip(), []).append(v.strip())
+    return out
+
+
+def _unique(kv: dict[str, list[str]]) -> dict[str, str]:
+    """Each key with its one value; a repeated key is an error."""
+    for k, vals in kv.items():
+        if len(vals) > 1:
+            raise ProblemError(f"duplicate key {k!r}")
+    return {k: vals[0] for k, vals in kv.items()}
+
+
+def _require(kv: dict[str, str], key: str) -> str:
+    if key not in kv:
+        raise ProblemError(f"missing required key {key!r}")
+    return kv[key]
+
+
+def _integer(text: str, key: str = "order") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _space_from(kv: dict[str, str]) -> JetSpace:
+    indep = tuple(_require(kv, "independent").split())
+    dep = tuple(_require(kv, "dependent").split())
+    order = _integer(_require(kv, "order"))
+    return JetSpace(indep, dep, order, tuple(kv.get("parameters", "").split()))
+
+
+def load_problem(path) -> ProblemFile:
+    """Parse and validate one problem file.  Every error is a
+    ``ProblemError`` whose text starts with the file's name."""
+    from .corpus import OPERATIONS  # the executors' module imports this one
+    p = Path(path)
+    where = p.name
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemError(f"{where}: cannot read: {exc}") from exc
+
+    def at(section: str):
+        return _located(f"{where} [{section}]")
+
+    # The content lines of each section, by kind.
+    once: dict[str, list[str]] = {}  # [problem], [space] and [parent]
+    equations: list[str] = []
+    named: dict[str, list[tuple[str, list[str]]]] = {"field": [], "chart": [], "solution": []}
+    raw_expects: list[tuple[list[str], list[str]]] = []
     current: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _HEADER.match(line)
-        if m:
-            current = []
-            out.append((m.group(1).strip(), current))
-        elif current is None:
-            raise ProblemError(f"{where}:{lineno}: content before any [section]")
-        else:
+        if m is None:
+            if current is None:
+                raise ProblemError(f"{where}:{lineno}: content before any [section]")
             current.append(line)
-    return out
-
-
-def _kv(lines: list[str], where: str) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for line in lines:
-        if "=" not in line:
-            raise ProblemError(f"{where}: expected 'key = value', got {line!r}")
-        k, v = line.split("=", 1)
-        out.setdefault(k.strip(), []).append(v.strip())
-    return out
-
-
-def _single(kv: dict[str, list[str]], key: str, where: str,
-            default: str | None = None) -> str | None:
-    vals = kv.get(key)
-    if not vals:
-        if default is not None:
-            return default
-        return None
-    if len(vals) > 1:
-        raise ProblemError(f"{where}: duplicate key {key!r}")
-    return vals[0]
-
-
-def _unique(kv: dict[str, list[str]], where: str) -> dict[str, str]:
-    """Each key with its one value; a repeated key is an error."""
-    return {k: _single(kv, k, where) for k in kv}
-
-
-def _require(kv: dict[str, list[str]], key: str, where: str) -> str:
-    v = _single(kv, key, where)
-    if v is None:
-        raise ProblemError(f"{where}: missing required key {key!r}")
-    return v
-
-
-def _integer(text: str, where: str, key: str = "order") -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProblemError(f"{where}: {key} must be an integer, got {text!r}") from None
-
-
-def _space_from(kv: dict[str, list[str]], where: str) -> JetSpace:
-    indep = tuple(_require(kv, "independent", where).split())
-    dep = tuple(_require(kv, "dependent", where).split())
-    order = _integer(_require(kv, "order", where), where)
-    params = tuple((_single(kv, "parameters", where, "") or "").split())
-    return JetSpace(indep, dep, order, params)
-
-
-def load_problem(path) -> ProblemFile:
-    """Parse and validate one problem file."""
-    from .corpus import OPERATIONS  # the executors' module imports this one
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemError(f"{path}: cannot read: {exc}") from exc
-    where = p.name
-    secs = _sections(text, where)
-    meta: dict[str, list[str]] = {}
-    space: JetSpace | None = None
-    parent: Connection | None = None
-    equations: list[str] = []
-    named: dict[str, list[tuple[str, dict[str, list[str]]]]] = {
-        "field": [], "chart": [], "solution": []}
-    raw_expects: list[tuple[str, dict[str, list[str]]]] = []
-    for header, lines in secs:
-        words = header.split()
-        kind = words[0]
-        if kind == "problem":
-            meta = _kv(lines, f"{where} [problem]")
-        elif kind == "space":
-            space = _space_from(_kv(lines, f"{where} [space]"), f"{where} [space]")
-        elif kind == "parent":
-            w = f"{where} [parent]"
-            kv = _kv(lines, w)
-            pspace = _space_from(kv, w)
-            pkind = _require(kv, "kind", w)
-            if pkind not in ("ode", "pde"):
-                raise ProblemError(f"{w}: kind must be ode or pde")
-            if (pkind == "ode") != (pspace.p == 1):
-                raise ProblemError(
-                    f"{w}: kind {pkind} does not match {pspace.p} independent variables")
-            target = _require(kv, "target", w)
-            if target not in pspace.dependent:
-                raise ProblemError(f"{w}: target {target!r} is not a dependent variable")
-            aux = tuple(_require(kv, "aux", w).split())
-            if len(aux) != pspace.p:
-                raise ProblemError(f"{w}: need {pspace.p} auxiliary names, got {len(aux)}")
-            parent = Connection(pspace, target, aux)
+            continue
+        words = m.group(1).split()
+        if not words:
+            raise ProblemError(f"{where}:{lineno}: empty section header")
+        kind, header, current = words[0], " ".join(words), []
+        if kind in ("problem", "space", "parent"):
+            if kind in once:
+                raise ProblemError(f"{where} [{kind}]: section appears twice")
+            once[kind] = current
         elif kind == "equations":
-            equations.extend(lines)
+            current = equations
         elif kind in named:
             if len(words) != 2:
                 raise ProblemError(f"{where}: [{kind}] needs exactly one name: {header!r}")
-            named[kind].append((words[1], _kv(lines, f"{where} [{header}]")))
+            named[kind].append((words[1], current))
         elif kind == "expect":
             if len(words) < 2 or words[1] not in OPERATIONS:
                 raise ProblemError(
                     f"{where}: [expect] needs an operation from {sorted(OPERATIONS)}: {header!r}")
-            raw_expects.append((header, _kv(lines, f"{where} [{header}]")))
+            raw_expects.append((words, current))
         else:
             raise ProblemError(f"{where}: unknown section {header!r}")
-    if space is None:
+    if "space" not in once:
         raise ProblemError(f"{where}: missing [space] section")
     if not equations:
         raise ProblemError(f"{where}: empty equations list")
-    pid = _single(meta, "id", where, p.stem) or p.stem
-    title = _single(meta, "title", where, "") or ""
 
-    def ctx(what: str):
-        return f"{where} [{what}]"
-
-    try:
+    with at("problem"):
+        meta = _unique(_kv(once.get("problem", [])))
+    with at("space"):
+        space = _space_from(_unique(_kv(once["space"])))
+    parent: Connection | None = None
+    if "parent" in once:
+        with at("parent"):
+            kv = _unique(_kv(once["parent"]))
+            pspace = _space_from(kv)
+            pkind = _require(kv, "kind")
+            if pkind not in ("ode", "pde"):
+                raise ProblemError("kind must be ode or pde")
+            if (pkind == "ode") != (pspace.p == 1):
+                raise ProblemError(
+                    f"kind {pkind} does not match {pspace.p} independent variables")
+            target = _require(kv, "target")
+            if target not in pspace.dependent:
+                raise ProblemError(f"target {target!r} is not a dependent variable")
+            aux = tuple(_require(kv, "aux").split())
+            if len(aux) != pspace.p:
+                raise ProblemError(f"need {pspace.p} auxiliary names, got {len(aux)}")
+            parent = Connection(pspace, target, aux)
+    with at("equations"):
         system = DESystem.build(space, equations)
-    except (ExprError, ParseError) as exc:
-        raise ProblemError(f"{ctx('equations')}: {exc}") from exc
 
     fields: dict[str, VectorField] = {}
-    for name, kv in named["field"]:
-        coeffs = _unique(kv, ctx("field " + name))
-        try:
-            fields[name] = VectorField.parse(space, coeffs)
-        except (ExprError, ParseError) as exc:
-            raise ProblemError(f"{ctx('field ' + name)}: {exc}") from exc
+    for name, lines in named["field"]:
+        with at("field " + name):
+            fields[name] = VectorField.parse(space, _unique(_kv(lines)))
 
     charts: dict[str, PointTransformation] = {}
-    for name, kv in named["chart"]:
-        w = ctx("chart " + name)
-        indep_names = (_require(kv, "independent", w)).split()
-        dep_names = (_require(kv, "dependent", w)).split()
-        canonical = _single(kv, "canonical", w)
-        indep, dep, inverse, aux = {}, {}, {}, {}
-        for k, v in _unique(kv, w).items():
-            if k in ("independent", "dependent", "canonical"):
-                continue
-            if k.startswith("inverse "):
-                inverse[k.split(None, 1)[1]] = v
-            elif k.startswith("aux "):
-                aux[k.split(None, 1)[1]] = v
-            elif k in indep_names:
-                indep[k] = v
-            elif k in dep_names:
-                dep[k] = v
-            else:
-                raise ProblemError(f"{w}: unknown key {k!r}")
-        missing = [n for n in indep_names + dep_names if n not in indep and n not in dep]
-        if missing:
-            raise ProblemError(f"{w}: no defining expression for {missing}")
-        try:
+    for name, lines in named["chart"]:
+        with at("chart " + name):
+            kv = _unique(_kv(lines))
+            indep_names = _require(kv, "independent").split()
+            dep_names = _require(kv, "dependent").split()
+            indep, dep, inverse, aux = {}, {}, {}, {}
+            for k, v in kv.items():
+                if k in ("independent", "dependent", "canonical"):
+                    continue
+                if k.startswith("inverse "):
+                    inverse[k.split(None, 1)[1]] = v
+                elif k.startswith("aux "):
+                    aux[k.split(None, 1)[1]] = v
+                elif k in indep_names:
+                    indep[k] = v
+                elif k in dep_names:
+                    dep[k] = v
+                else:
+                    raise ProblemError(f"unknown key {k!r}")
+            missing = [n for n in indep_names + dep_names if n not in indep and n not in dep]
+            if missing:
+                raise ProblemError(f"no defining expression for {missing}")
             charts[name] = PointTransformation.parse(
-                space, indep, dep, canonical, inverse or None, aux or None)
-        except (ExprError, ParseError) as exc:
-            raise ProblemError(f"{w}: {exc}") from exc
+                space, indep, dep, kv.get("canonical"), inverse or None, aux or None)
 
     solutions: dict[str, Solution] = {}
-    for name, kv in named["solution"]:
-        w = ctx("solution " + name)
-        kind = _single(kv, "kind", w, "parent") or "parent"
-        if kind not in ("parent", "reduced"):
-            raise ProblemError(f"{w}: kind must be parent or reduced")
-        anti = _single(kv, "antiderivative", w)
-        if anti is not None and kind != "reduced":
-            raise ProblemError(f"{w}: an antiderivative needs kind = reduced")
-        values = {k: v for k, v in _unique(kv, w).items()
-                  if k not in ("kind", "antiderivative")}
-        if not values:
-            raise ProblemError(f"{w}: no component expressions")
-        stray = [k for k in values if k not in space.dependent]
-        if kind == "parent" and stray:
-            raise ProblemError(f"{w}: {stray[0]!r} is not a dependent variable")
-        solutions[name] = Solution(name, kind, values, anti)
+    for name, lines in named["solution"]:
+        with at("solution " + name):
+            kv = _unique(_kv(lines))
+            kind = kv.pop("kind", "parent")
+            if kind not in ("parent", "reduced"):
+                raise ProblemError("kind must be parent or reduced")
+            anti = kv.pop("antiderivative", None)
+            if anti is not None and kind != "reduced":
+                raise ProblemError("an antiderivative needs kind = reduced")
+            if not kv:
+                raise ProblemError("no component expressions")
+            stray = [k for k in kv if k not in space.dependent]
+            if kind == "parent" and stray:
+                raise ProblemError(f"{stray[0]!r} is not a dependent variable")
+            solutions[name] = Solution(name, kind, kv, anti)
 
     expects: list[Expect] = []
-    for i, (header, kv) in enumerate(raw_expects):
-        words = header.split()
-        tag = _single(kv, "tag", ctx(header), "literature") or "literature"
-        if tag not in ("literature", "oracle"):
-            raise ProblemError(f"{ctx(header)}: tag must be literature or oracle")
-        note = _single(kv, "note", ctx(header), "") or ""
-        body = {k: tuple(v) for k, v in kv.items() if k not in ("tag", "note")}
-        expects.append(Expect(i, words[1], tuple(words[2:]), tag, body, note))
+    for i, (words, lines) in enumerate(raw_expects):
+        with at(" ".join(words)):
+            kv = _kv(lines)
+            # Only ``equation`` repeats, one line per expected equation.
+            one = _unique({k: v for k, v in kv.items() if k != "equation"})
+            tag = one.get("tag", "literature")
+            if tag not in ("literature", "oracle"):
+                raise ProblemError("tag must be literature or oracle")
+            body = {k: tuple(v) for k, v in kv.items() if k not in ("tag", "note")}
+            expects.append(Expect(i, words[1], tuple(words[2:]), tag, body,
+                                  one.get("note", "")))
 
-    pf = ProblemFile(str(p), pid, title, space, system, fields, charts,
-                     solutions, tuple(expects), parent)
-    _validate_references(pf, OPERATIONS)
+    pf = ProblemFile(str(p), meta.get("id") or p.stem, meta.get("title", ""), space, system,
+                     fields, charts, solutions, tuple(expects), parent)
+    _validate_references(pf)
     return pf
 
 
-def _validate_references(pf: ProblemFile, operations):
-    """Every expect must use only the keys its operation reads, each once
-    except ``equation``, give it the number and kinds of arguments it takes,
-    have integer values that parse and true/false values that are one of
-    those words, name a reduction that fits the space, give prolongation
-    coefficients only of coordinates within its order, check only a parent
-    solution against the system, and give one of the keys without which it
-    checks nothing."""
+def _validate_references(pf: ProblemFile):
+    """Every expect must use only the keys its operation reads, give it the
+    number and kinds of arguments it takes, have integer values that parse
+    and true/false values that are one of those words, name a reduction that
+    fits the space, give prolongation coefficients only of coordinates
+    within its order, check only a parent solution against the system, and
+    give one of the keys without which it checks nothing."""
+    from .corpus import OPERATIONS
     declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
                 "target": pf.space.dependent}
 
-    def check(kind: str, name: str, w: str):
+    def check(kind: str, name: str):
         if name not in declared[kind]:
-            raise ProblemError(f"{w}: target {name!r} is not a dependent variable"
-                               if kind == "target" else f"{w}: unknown {kind} {name!r}")
+            raise ProblemError(f"target {name!r} is not a dependent variable"
+                               if kind == "target" else f"unknown {kind} {name!r}")
 
     for e in pf.expects:
-        w = f"{Path(pf.path).name} [expect {e.label}]"
-        op = operations[e.op]
-        given = set()
-        for k, vals in e.body.items():
-            head, _, rest = k.partition(" ")
-            key = f"{head} *" if rest else k
-            if key not in op.keys + ("stated",):
-                raise ProblemError(f"{w}: unknown key {k!r}")
-            given.add(key)
-            if len(vals) > 1 and k != "equation":
-                raise ProblemError(f"{w}: duplicate key {k!r}")
-        for k in op.flags:
-            v = e.one(k)
-            if v is not None and v not in ("true", "false"):
-                raise ProblemError(f"{w}: {k} must be true or false, got {v!r}")
-        # Only a target is optional.
-        if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):
-            form = [e.op] + ["[TARGET]" if k == "target" else k.upper() for k in op.args]
-            raise ProblemError(f"{w}: expected '[expect {' '.join(form)}]'")
-        for kind, name in zip(op.args, e.args):
-            check(kind, name, w)
-        order = _integer(e.one("order"), w) if e.one("order") else pf.space.order
-        if e.one("integrability") is not None:
-            _integer(e.one("integrability"), w, "integrability")
-        for n in (e.one("series") or "").split():
-            _integer(n, w, "series")
-        # No auxiliary names mean the defaults; a chart has the problem's p.
-        aux = e.one("aux", "").split()
-        if aux and len(aux) != pf.space.p:
-            raise ProblemError(f"{w}: need {pf.space.p} auxiliary names, got {len(aux)}")
-        kind = e.op.removeprefix("reduce-") if e.op.startswith("reduce-") else None
-        if e.op == "connection":
-            reduce = e.one("reduce", "").split()
-            if not 1 <= len(reduce) <= 2:
-                raise ProblemError(f"{w}: connection needs 'reduce = ode|pde [target]'")
-            if reduce[0] not in ("ode", "pde"):
-                raise ProblemError(f"{w}: reduce must be ode or pde, got {reduce[0]!r}")
-            kind = reduce[0]
-            for name in reduce[1:]:
-                check("target", name, w)
-        why = kind and kind_mismatch(kind, pf.space.p)
-        if why:
-            raise ProblemError(f"{w}: {why}")
-        if e.op == "algebra":
-            names = e.one("fields", "").split()
-            for name in names:
-                check("field", name, w)
-            for head, _ in e.prefixed("bracket"):
-                pair = head.split()
-                if len(pair) != 2 or not set(pair) <= set(names or pf.fields):
-                    raise ProblemError(f"{w}: bracket {head!r} needs two fields from the list")
-        if e.op == "prolong":
-            for name, _ in e.prefixed("coeff"):
-                info = pf.space.jet_info(name)
-                if name not in pf.space.independent and (info is None or len(info[1]) > order):
-                    raise ProblemError(f"{w}: coeff {name!r} is not a coordinate of order "
-                                       f"at most {order}")
-        if e.op == "solution" and pf.solutions[e.args[0]].kind != "parent":
-            raise ProblemError(f"{w}: solution {e.args[0]!r} has kind reduced; "
-                               "a solution check needs kind = parent")
-        if e.op == "lift" and pf.parent is None:
-            raise ProblemError(f"{w}: lift needs a [parent] section")
-        if op.needs and given.isdisjoint(op.needs):
-            raise ProblemError(f"{w}: checks nothing; give "
-                               + " or ".join(repr(k) for k in op.needs))
+        with _located(f"{Path(pf.path).name} [expect {e.label}]"):
+            op = OPERATIONS[e.op]
+            given = set()
+            for k in e.body:
+                head, _, rest = k.partition(" ")
+                key = f"{head} *" if rest else k
+                if key not in op.keys + ("stated",):
+                    raise ProblemError(f"unknown key {k!r}")
+                given.add(key)
+            for k in op.flags:
+                v = e.one(k)
+                if v is not None and v not in ("true", "false"):
+                    raise ProblemError(f"{k} must be true or false, got {v!r}")
+            # Only a target is optional.
+            if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):
+                form = [e.op] + ["[TARGET]" if k == "target" else k.upper() for k in op.args]
+                raise ProblemError(f"expected '[expect {' '.join(form)}]'")
+            for kind, name in zip(op.args, e.args):
+                check(kind, name)
+            order = _integer(e.one("order")) if e.one("order") else pf.space.order
+            if e.one("integrability") is not None:
+                _integer(e.one("integrability"), "integrability")
+            for n in (e.one("series") or "").split():
+                _integer(n, "series")
+            # No auxiliary names mean the defaults; a chart has the problem's p.
+            aux = e.one("aux", "").split()
+            if aux and len(aux) != pf.space.p:
+                raise ProblemError(f"need {pf.space.p} auxiliary names, got {len(aux)}")
+            kind = e.op.removeprefix("reduce-") if e.op.startswith("reduce-") else None
+            if e.op == "connection":
+                reduce = e.one("reduce", "").split()
+                if not 1 <= len(reduce) <= 2:
+                    raise ProblemError("connection needs 'reduce = ode|pde [target]'")
+                if reduce[0] not in ("ode", "pde"):
+                    raise ProblemError(f"reduce must be ode or pde, got {reduce[0]!r}")
+                kind = reduce[0]
+                for name in reduce[1:]:
+                    check("target", name)
+            why = kind and kind_mismatch(kind, pf.space.p)
+            if why:
+                raise ProblemError(why)
+            if e.op == "algebra":
+                names = e.one("fields", "").split()
+                for name in names:
+                    check("field", name)
+                for head, _ in e.prefixed("bracket"):
+                    pair = head.split()
+                    if len(pair) != 2 or not set(pair) <= set(names or pf.fields):
+                        raise ProblemError(f"bracket {head!r} needs two fields from the list")
+            if e.op == "prolong":
+                for name, _ in e.prefixed("coeff"):
+                    info = pf.space.jet_info(name)
+                    if name not in pf.space.independent and (info is None
+                                                             or len(info[1]) > order):
+                        raise ProblemError(f"coeff {name!r} is not a coordinate of order "
+                                           f"at most {order}")
+            if e.op == "solution" and pf.solutions[e.args[0]].kind != "parent":
+                raise ProblemError(f"solution {e.args[0]!r} has kind reduced; "
+                                   "a solution check needs kind = parent")
+            if e.op == "lift" and pf.parent is None:
+                raise ProblemError("lift needs a [parent] section")
+            if op.needs and given.isdisjoint(op.needs):
+                raise ProblemError("checks nothing; give "
+                                   + " or ".join(repr(k) for k in op.needs))

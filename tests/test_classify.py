@@ -139,6 +139,8 @@ class TestLiftTest:
         for red, coeffs, criterion, witness in (
                 (reduce_ode(DESystem.build(ODE, ["y'' = 0"])), {"x": "alpha"},
                  "base component depends on a gradient variable", "x"),
+                (reduce_ode(DESystem.build(ODE, ["y'' = 0"])), {"x": "x^2"},
+                 "matching system inconsistent: mixed derivative condition fails", "2*x"),
                 (reduce_pde(DESystem.build(PDE, ["u_11 + u_22 = 0"])),
                  {"alpha": "beta", "beta": "-alpha"},
                  "matching system inconsistent: cross term unmatched", "alpha"),

@@ -269,6 +269,38 @@ MALFORMED = {
         (BASE + "[parent]\nindependent = x\ndependent = u\norder = 2\n"
          "kind = ode\ntarget = v\naux = a\n",
          "load", "bad.prob [parent]: target 'v' is not a dependent variable"),
+    # [problem], [space] and [parent] appear at most once: a second one
+    # would replace the first.
+    "problem-section-twice":
+        (BASE + "[problem]\nid = bad\n[problem]\nid = other\n",
+         "load", "bad.prob [problem]: section appears twice"),
+    "space-section-twice":
+        (BASE + "[space]\nindependent = x\ndependent = y\norder = 2\n",
+         "load", "bad.prob [space]: section appears twice"),
+    "parent-section-twice":
+        (BASE + 2 * ("[parent]\nindependent = x\ndependent = u\norder = 2\n"
+                     "kind = ode\ntarget = u\naux = a\n"),
+         "load", "bad.prob [parent]: section appears twice"),
+    # Every load error starts with the file name, and a section's with the
+    # section, its header single-spaced.
+    "blank-header":
+        (BASE.replace("[field T]", "[ ]"), "load", "bad.prob:7: empty section header"),
+    "space-without-dependent":
+        (BASE.replace("dependent = y", "dependent ="),
+         "load", "bad.prob [space]: a jet space needs at least one"),
+    "problem-duplicate-id":
+        (BASE + "[problem]\nid = bad\nid = other\n",
+         "load", "bad.prob [problem]: duplicate key 'id'"),
+    "expect-header-spacing":
+        (BASE + "[expect  symmetry \t T ]\ntag = folklore\n",
+         "load", "bad.prob [expect symmetry T]: tag must be literature or oracle"),
+    # An empty kind or tag is not the default one.
+    "solution-empty-kind":
+        (BASE.replace("[solution s]\n", "[solution s]\nkind =\n"),
+         "load", "bad.prob [solution s]: kind must be parent or reduced"),
+    "expect-empty-tag":
+        (BASE + "[expect symmetry T]\ntag =\nverdict = symmetry\n",
+         "load", "bad.prob [expect symmetry T]: tag must be literature or oracle"),
     "commutator-one-argument":
         (BASE + "[expect commutator T]\ntag = oracle\nresult = 0\n",
          "load", "bad.prob [expect commutator T]: "),

@@ -178,3 +178,17 @@ def test_reversed_expected_system_passes(tmp_path, capsys):
     rc = main(["run-corpus", str(tmp_path)])
     assert rc == 0
     assert "[PASS] laplace-5d: reduce-pde u" in capsys.readouterr().out
+
+
+def test_advice_either_order(tmp_path):
+    # A and B commute, so either order works: `first = either` passes, and
+    # naming one of them fails with the computed advice.
+    (tmp_path / "either.prob").write_text(
+        "[space]\nindependent = x\ndependent = y\norder = 1\n[equations]\ny' = 0\n"
+        "[field A]\nx = 1\n[field B]\ny = 1\n"
+        "[expect advice A B]\ntag = oracle\nfirst = either\n"
+        "[expect advice A B]\ntag = oracle\nfirst = A\n")
+    records, _ = run_corpus(tmp_path)
+    assert [(r.verdict, r.computed) for r in records] == [
+        ("pass", "either"),
+        ("fail", "[A,B] = 0: either order works; both directions inherit a point symmetry")]

@@ -1,12 +1,17 @@
 """Expression core: parsing, normal form, calculus, equivalence, rendering."""
 
+import itertools
 import math
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liereduce
 from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow, Rat,
                        SamplingDomainError, Sym, ZERO, ONE, add, clear_denominators, diff,
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
@@ -185,6 +190,14 @@ class TestNormalForm:
         assert render(got) == product
         assert got == parse_expr(product, names)
 
+    def test_power_result_joins_the_slot_of_its_base(self):
+        # (-x-y)^10 comes back from ``power`` as (x+y)^10, whose base already
+        # has a slot; the two merge in every argument order.
+        factors = [parse_expr(f, {"x", "y"})
+                   for f in ("(-x-y)^(19/2)", "(-x-y)^(1/2)", "(x+y)^(-1)")]
+        for order in itertools.permutations(factors):
+            assert mul(*order) == power(x + y, rat(9))
+
     def test_normalize_idempotent_random(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -210,6 +223,50 @@ class TestNormalForm:
         with pytest.raises(DomainError, match="zero raised to a negative power"):
             parse_expr("1/0")
         assert power(ZERO, rat(1, 2)) == ZERO
+
+
+SRC = str(Path(liereduce.__file__).parents[1])
+
+
+def fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter, or the type and text of
+    the ``ExprError`` it raises.  A run beyond 10 s fails the test instead of
+    stalling the suite."""
+    script = (f"import sys\nsys.path.insert(0, {SRC!r})\n"
+              "from liereduce import *\n"
+              f"try:\n    print({code})\n"
+              "except ExprError as exc:\n    print(type(exc).__name__, exc)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=10, check=True)
+    return run.stdout.strip()
+
+
+BEYOND = "ExprError exact power beyond 1048576 bits"
+
+
+class TestExactPowerBound:
+    # No exact power beyond MAX_POWER_BITS is built, except of 0 and +-1.
+    # Each of these hung before the bound, so each runs in a fresh
+    # interpreter.
+    @pytest.mark.parametrize("code, printed", [
+        ("parse_expr('3^31^31')", BEYOND),
+        ("parse_expr('3^-31^31')", BEYOND),
+        ("parse_expr('4^(31^31/2)')", BEYOND),
+        # A root of too high a degree is no integer.
+        ("render(parse_expr('3^(1/31^31)'))",
+         "3^(1/17069174130723235958610643029059314756044734431)"),
+        # The exact zero test leaves such a power to the float path.
+        ("is_zero(parse_expr('x^1000000000000 - y'))", "False"),
+    ])
+    def test_reproducer(self, code, printed):
+        assert fresh(code) == printed
+
+    def test_bound(self):
+        with pytest.raises(ExprError, match="exact power beyond 1048576 bits"):
+            parse_expr("(1/2)^(2^21)")
+        assert parse_expr("2^(2^20)") == 2 * parse_expr("2^(2^20 - 1)")
+        for base in (-1, 0, 1):
+            assert power(rat(base), rat(31**31)) == rat(base)
 
 
 def _features(s):

@@ -3,7 +3,8 @@
 import pytest
 
 from liereduce import (DESystem, JetSpace, SystemError_, VectorField, equiv,
-                       check_point_symmetry, verify_solution)
+                       check_point_symmetry, parse_expr, reduce_on_manifold,
+                       verify_solution)
 
 ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
@@ -94,6 +95,17 @@ class TestCheckPointSymmetry:
         rep = check_point_symmetry(sys_, VectorField.parse(PDE, {"x2": "x1"}))
         assert rep.verdict == "symmetry"
         assert rep.converged
+
+    def test_reduction_on_the_manifold_reports_its_fixed_point(self):
+        # u' = v' and v' = u' substitute into each other: u' + v' is a fixed
+        # point, while u' alternates with v' until the ten-pass guard.
+        sp = JetSpace(("x",), ("u", "v"), 1)
+        sys_ = build(sp, ["u' - v'", "v' - u'"])
+        assert reduce_on_manifold(sys_, parse_expr("u' + v'", sp)) == \
+            (parse_expr("u' + v'", sp), True)
+        assert reduce_on_manifold(sys_, parse_expr("u'", sp)) == (parse_expr("u'", sp), False)
+        rep = check_point_symmetry(sys_, VectorField.parse(sp, {"u": "u"}))
+        assert not rep.converged
 
     def test_u_free_equations_admit_u_translation(self):
         X = VectorField.parse(PDE, {"u": "1"})
