@@ -8,10 +8,10 @@ or nonlocal, and analysing solvable generator algebras; plus a problem-file
 corpus format and CLI.
 """
 
-from .expr import (Add, DomainError, Expr, ExprError, Kernel, Mul, Pow, Rat,
-                   Sym, ZERO, ONE, add, clear_denominators, diff,
-                   eval_numeric, free_vars, kernel, mul, normalize, power,
-                   rat, render, substitute, sym)
+from .expr import (Add, DomainError, Expr, ExprError, Kernel, Mul, Pow,
+                   PowerBoundError, Rat, Sym, ZERO, ONE, add,
+                   clear_denominators, diff, eval_numeric, free_vars, kernel,
+                   mul, normalize, power, rat, render, substitute, sym)
 from .parse import ParseError, parse_expr
 from .equiv import SamplingDomainError, equiv, is_zero
 from .jets import (JetError, JetSpace, ProlongedField, VectorField, prolong,

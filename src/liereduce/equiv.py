@@ -13,8 +13,8 @@ numeric fallback.
    With deg the degree of d's cleared numerator, the Schwartz-Zippel lemma
    (Schwartz 1980; Zippel 1979) bounds the chance of a false zero by
    (deg/2^62)^_EXACT_SAMPLES, with no assumption on d's constants.  When
-   more than _MAX_ATTEMPTS points are skipped, or a power's value would
-   exceed ``expr.MAX_POWER_BITS``, d takes the next path.
+   more than _MAX_ATTEMPTS points are skipped, or a power at a point is
+   beyond ``expr.MAX_POWER_BITS``, d takes the next path.
 3. **Cleared denominators.**  Term-level denominators are multiplied away,
    and a result of 0 is zero.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
@@ -25,6 +25,10 @@ numeric fallback.
    unusable.  d is zero when it stays within the absolute _TOLERANCE at
    _SAMPLES points.  A constant d is evaluated once, and raises
    SamplingDomainError when it leaves the real domain or a double's range.
+   A d whose powers were beyond the bound is nonzero at a float point where
+   it is not within _TOLERANCE, but such a power may underflow to 0.0, so
+   when d is within _TOLERANCE at every point it raises
+   SamplingDomainError instead of counting as zero.
 
 Sampling is deterministic: each RNG is seeded from a fixed seed and a
 checksum of the rendered expression, so results do not depend on call order.
@@ -33,8 +37,9 @@ The same points decide whether a square matrix of expressions (a chart's base
 Jacobian) is singular everywhere, by elimination at each point in O(k^3):
 fraction-free over the integers when every entry is rational, else exactly
 in ``Fraction`` when every entry is rational at the rational point, else in
-floats.  The ``Fraction`` elimination, ``echelon``, also serves the algebra
-module's linear algebra.
+floats; a point where a power is beyond the bound is unusable.  The
+``Fraction`` elimination, ``echelon``, also serves the algebra module's
+linear algebra.
 """
 
 from __future__ import annotations
@@ -45,9 +50,10 @@ import zlib
 from fractions import Fraction
 from typing import Callable
 
-from .expr import (MAX_POWER_BITS, Add, DomainError, Expr, ExprError, Mul, Pow, Rat,
-                   Sym, ZERO, clear_denominators, eval_numeric, free_vars, numeric,
-                   positivity_constraints, render, substitute)
+from .expr import (Add, DomainError, Expr, ExprError, Mul, Pow, PowerBoundError,
+                   Rat, Sym, ZERO, check_power_bound, clear_denominators,
+                   eval_numeric, free_vars, numeric, positivity_constraints,
+                   render, substitute)
 
 
 class SamplingDomainError(ExprError):
@@ -143,8 +149,8 @@ def _rational_names(exprs: list[Expr]) -> list[str] | None:
 def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
     """The rational ``e`` at the integer point ``pt``, exactly, as an
     unreduced (numerator, denominator) pair; ZeroDivisionError where one of
-    its denominators vanishes, and OverflowError where a power's value would
-    exceed MAX_POWER_BITS."""
+    its denominators vanishes, and PowerBoundError where a power is beyond
+    the bound."""
     if isinstance(e, Rat):
         return e.value.numerator, e.value.denominator
     if isinstance(e, Sym):
@@ -163,8 +169,7 @@ def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
         return num, den
     num, den = _value(e.base, pt)
     k = e.exponent.value.numerator
-    if (max(abs(num), den).bit_length() - 1) * abs(k) > MAX_POWER_BITS:
-        raise OverflowError("exact power beyond MAX_POWER_BITS")
+    check_power_bound(max(abs(num), abs(den)), k)
     if k < 0:
         if num == 0:
             raise ZeroDivisionError("pole")
@@ -178,8 +183,8 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
     [-_EXACT_RANGE, _EXACT_RANGE), seeded from their rendered text: True at
     the first point where it does, and False when it holds at none of
     _EXACT_SAMPLES usable points.  None when the expressions are not
-    rational, a power's value exceeds MAX_POWER_BITS, or more than
-    _MAX_ATTEMPTS points hit a vanishing denominator."""
+    rational, or more than _MAX_ATTEMPTS points hit a vanishing denominator;
+    PowerBoundError when a power at a point is beyond the bound."""
     names = _rational_names(exprs)
     if names is None:
         return None
@@ -190,13 +195,10 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
         except ZeroDivisionError:
             return None
 
-    try:
-        return _sampled(_rng("; ".join(map(render, exprs))),
-                        lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
-                                   for n in names},
-                        values, witness, _EXACT_SAMPLES)
-    except OverflowError:
-        return None
+    return _sampled(_rng("; ".join(map(render, exprs))),
+                    lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
+                               for n in names},
+                    values, witness, _EXACT_SAMPLES)
 
 
 def _floating(exprs: list[Expr], values, witness) -> bool:
@@ -222,7 +224,11 @@ def equiv(a: Expr, b: Expr) -> bool:
         return True
     if isinstance(d, Rat):
         return False
-    nonzero = _exact([d], lambda v: v[0][0] != 0)
+    beyond = False
+    try:
+        nonzero = _exact([d], lambda v: v[0][0] != 0)
+    except PowerBoundError:
+        nonzero, beyond = None, True
     if nonzero is not None:
         return not nonzero
     if clear_denominators(d) == ZERO:
@@ -246,7 +252,13 @@ def equiv(a: Expr, b: Expr) -> bool:
             return None
         return v if math.isfinite(v) else None
 
-    return not _floating([d], value, lambda v: abs(v) > _TOLERANCE)
+    if _floating([d], value, lambda v: abs(v) > _TOLERANCE):
+        return False
+    if beyond:
+        raise SamplingDomainError(
+            f"{render(d)!r} is too large to evaluate exactly, and a float "
+            "zero may be an underflow")
+    return True
 
 
 def is_zero(e: Expr) -> bool:
@@ -326,13 +338,19 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     Otherwise, at a point where every entry is rational, exact elimination
     in ``Fraction`` decides, so a tiny nonzero determinant still counts;
     else the entries are evaluated in floats and equilibrated before
-    elimination, so _TOLERANCE is relative to the size of the matrix.  False only after _SAMPLES usable
-    points all give a singular matrix.
+    elimination, so _TOLERANCE is relative to the size of the matrix.  A
+    rational matrix with a power beyond the bound at the integer points is
+    decided at the rational points, where a power beyond it makes the point
+    unusable.  False only after _SAMPLES usable points all give a singular
+    matrix.
     """
     entries = [e for row in mat for e in row]
     k = len(mat)
-    found = _exact(entries, lambda v: _nonsingular(
-        [v[i:i + k] for i in range(0, len(v), k)]))
+    try:
+        found = _exact(entries, lambda v: _nonsingular(
+            [v[i:i + k] for i in range(0, len(v), k)]))
+    except PowerBoundError:
+        found = None
     if found is not None:
         return found
 

@@ -29,6 +29,10 @@ class DomainError(ExprError):
     """Numeric evaluation left the real domain (log of nonpositive, etc.)."""
 
 
+class PowerBoundError(DomainError):
+    """An exact power beyond MAX_POWER_BITS was asked for."""
+
+
 def _name_of(v) -> str:
     if isinstance(v, Sym):
         return v.name
@@ -378,10 +382,19 @@ def mul(*parts) -> Expr:
     return _distribute([term], sums) if sums else term
 
 
-# No exact power is built whose value has more than MAX_POWER_BITS bits;
-# only the bases 0 and +-1 are exempt.  Without a bound, a constant such as
-# 3^31^31 would be computed in full and never finish.
+# An exact power m^n, m the larger part of its base, is refused when
+# floor(log2 m) * |n| exceeds MAX_POWER_BITS.  A refused power has more than
+# MAX_POWER_BITS bits, and a built one fewer than 1.6 * MAX_POWER_BITS (the
+# worst base is 3); the bases 0 and +-1 are never refused.  Without a bound,
+# a constant such as 3^31^31 would be computed in full and never finish.
 MAX_POWER_BITS = 1 << 20
+
+
+def check_power_bound(m: int, n: int) -> None:
+    """Raise PowerBoundError when m^n, for integers m >= 0 and n, is beyond
+    the bound."""
+    if (m.bit_length() - 1) * abs(n) > MAX_POWER_BITS:
+        raise PowerBoundError(f"exact power beyond {MAX_POWER_BITS} bits")
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
@@ -405,9 +418,7 @@ def _rat_pow(q: Fraction, e: Fraction) -> Fraction | None:
     """Exact rational value of q**e, or None when it is not rational."""
     if e.denominator == 1:
         n = e.numerator
-        # |q**n| >= 2**(floor(log2 m) * |n|), m the larger of |q|'s parts.
-        if (max(abs(q.numerator), q.denominator).bit_length() - 1) * abs(n) > MAX_POWER_BITS:
-            raise ExprError(f"exact power beyond {MAX_POWER_BITS} bits")
+        check_power_bound(max(abs(q.numerator), q.denominator), n)
         if n >= 0:
             return q**n
         if q == 0:

@@ -4,19 +4,17 @@ import itertools
 import math
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import liereduce
 from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow, Rat,
                        SamplingDomainError, Sym, ZERO, ONE, add, clear_denominators, diff,
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
-from liereduce.expr import numeric
+from liereduce.equiv import sampled_nonsingular
+from liereduce.expr import PowerBoundError, numeric
+from fresh import fresh
 from genexpr import random_expr, small_rat
 
 x, y, u = sym("x"), sym("y"), sym("u")
@@ -225,23 +223,7 @@ class TestNormalForm:
         assert power(ZERO, rat(1, 2)) == ZERO
 
 
-SRC = str(Path(liereduce.__file__).parents[1])
-
-
-def fresh(code: str) -> str:
-    """What ``code`` prints in a fresh interpreter, or the type and text of
-    the ``ExprError`` it raises.  A run beyond 10 s fails the test instead of
-    stalling the suite."""
-    script = (f"import sys\nsys.path.insert(0, {SRC!r})\n"
-              "from liereduce import *\n"
-              f"try:\n    print({code})\n"
-              "except ExprError as exc:\n    print(type(exc).__name__, exc)\n")
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=10, check=True)
-    return run.stdout.strip()
-
-
-BEYOND = "ExprError exact power beyond 1048576 bits"
+BEYOND = "PowerBoundError exact power beyond 1048576 bits"
 
 
 class TestExactPowerBound:
@@ -262,11 +244,41 @@ class TestExactPowerBound:
         assert fresh(code) == printed
 
     def test_bound(self):
-        with pytest.raises(ExprError, match="exact power beyond 1048576 bits"):
-            parse_expr("(1/2)^(2^21)")
+        # m^n, m the larger part of the base, is refused when
+        # floor(log2 m) * |n| > 2^20.
+        for text in ("(1/2)^(2^20 + 1)", "3^(2^20 + 1)", "(2/7)^-(2^19 + 1)"):
+            with pytest.raises(PowerBoundError, match="exact power beyond 1048576 bits"):
+                parse_expr(text)
+        assert issubclass(PowerBoundError, DomainError)
         assert parse_expr("2^(2^20)") == 2 * parse_expr("2^(2^20 - 1)")
+        assert parse_expr("3^(2^20)") == 3 * parse_expr("3^(2^20 - 1)")
+        assert parse_expr("(2/7)^-(2^19)") == parse_expr("(7/2)^(2^19)")
         for base in (-1, 0, 1):
             assert power(rat(base), rat(31**31)) == rat(base)
+
+    def test_zero_test_beyond_the_bound_never_says_zero(self):
+        # x^n with n near 20000 is beyond the bound at the integer points,
+        # and in floats it underflows to 0.0 or overflows at most points:
+        # the float path may prove it nonzero, or give up, but a zero
+        # verdict there would be wrong.
+        for n in range(20000, 20040):
+            try:
+                assert is_zero(parse_expr(f"x^{n}")) is False
+            except SamplingDomainError as exc:
+                assert "too large to evaluate exactly" in str(exc)
+
+    def test_matrix_beyond_the_bound_at_rational_points(self):
+        # Beyond the bound at the integer points, a rational matrix is
+        # decided exactly at the rational points; a point where a power is
+        # beyond the bound too is unusable, and no PowerBoundError escapes.
+        big = parse_expr("x^200000")
+        assert sampled_nonsingular([[big]])
+        assert not sampled_nonsingular([[big, big * y], [ONE, y]])
+        for n in range(400000, 400010):
+            try:
+                assert sampled_nonsingular([[parse_expr(f"x^{n}")]])
+            except SamplingDomainError as exc:
+                assert "sampling domain empty" in str(exc)
 
 
 def _features(s):
