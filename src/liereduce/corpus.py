@@ -27,7 +27,8 @@ from .jets import prolong
 from .parse import parse_expr
 from .problem import Expect, ProblemError, ProblemFile, load_problem
 from .reduction import verify_connection
-from .systems import DESystem, _parse_equation, check_point_symmetry, verify_solution
+from .systems import (DESystem, _parse_equation, affine_split, check_point_symmetry,
+                      verify_solution)
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,12 @@ def equation_matches(eqA: Expr, eqB: Expr) -> bool:
     if equiv(eqA, eqB):
         return True
     for v in sorted(free_vars(eqA) & free_vars(eqB)):
-        cA = diff(eqA, v)
-        cB = diff(eqB, v)
-        if cA == ZERO or cB == ZERO:
-            continue
-        if v in free_vars(cA) or v in free_vars(cB):
-            continue
-        dA = substitute(eqA, {v: ZERO})
-        dB = substitute(eqB, {v: ZERO})
-        if equiv(mul(cA, dB), mul(cB, dA)) and \
-                not is_zero(cA) and not is_zero(cB):
-            return True
+        splitA = affine_split(eqA, v)
+        splitB = splitA and affine_split(eqB, v)
+        if splitB:
+            (cA, dA), (cB, dB) = splitA, splitB
+            if equiv(mul(cA, dB), mul(cB, dA)) and not is_zero(cA) and not is_zero(cB):
+                return True
     return False
 
 
@@ -133,7 +129,7 @@ def _reduced(pf: ProblemFile, exp: Expect, target: Sequence[str]):
 
 def _ex_prolong(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
-    order = int(exp.one("order") or pf.space.order)
+    order = int(exp.one("order", pf.space.order))
     P = prolong(X, order)
     oks, shown, want = [], [], []
     for name, text in exp.prefixed("coeff"):

@@ -173,11 +173,13 @@ def _kv(lines: list[str]) -> dict[str, list[str]]:
     return out
 
 
-def _unique(kv: dict[str, list[str]]) -> dict[str, str]:
-    """Each key with its one value; a repeated key is an error."""
+def _unique(kv: dict[str, list[str]], keys: tuple[str, ...] | None = None) -> dict[str, str]:
+    """Each key with its one value; a repeated key, or one outside ``keys``, is an error."""
     for k, vals in kv.items():
         if len(vals) > 1:
             raise ProblemError(f"duplicate key {k!r}")
+        if keys is not None and k not in keys:
+            raise ProblemError(f"unknown key {k!r}")
     return {k: vals[0] for k, vals in kv.items()}
 
 
@@ -194,11 +196,13 @@ def _integer(text: str, key: str = "order") -> int:
         raise ProblemError(f"{key} must be an integer, got {text!r}") from None
 
 
-def _space_from(kv: dict[str, str]) -> JetSpace:
+def _space_from(lines: list[str], *extra: str) -> tuple[JetSpace, dict[str, str]]:
+    """The jet space a section declares, and the section's settings."""
+    kv = _unique(_kv(lines), ("independent", "dependent", "order", "parameters") + extra)
     indep = tuple(_require(kv, "independent").split())
     dep = tuple(_require(kv, "dependent").split())
     order = _integer(_require(kv, "order"))
-    return JetSpace(indep, dep, order, tuple(kv.get("parameters", "").split()))
+    return JetSpace(indep, dep, order, tuple(kv.get("parameters", "").split())), kv
 
 
 def load_problem(path) -> ProblemFile:
@@ -218,7 +222,7 @@ def load_problem(path) -> ProblemFile:
     # The content lines of each section, by kind.
     once: dict[str, list[str]] = {}  # [problem], [space] and [parent]
     equations: list[str] = []
-    named: dict[str, list[tuple[str, list[str]]]] = {"field": [], "chart": [], "solution": []}
+    named: dict[str, dict[str, list[str]]] = {"field": {}, "chart": {}, "solution": {}}
     raw_expects: list[tuple[list[str], list[str]]] = []
     current: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -244,7 +248,9 @@ def load_problem(path) -> ProblemFile:
         elif kind in named:
             if len(words) != 2:
                 raise ProblemError(f"{where}: [{kind}] needs exactly one name: {header!r}")
-            named[kind].append((words[1], current))
+            if words[1] in named[kind]:
+                raise ProblemError(f"{where} [{header}]: section appears twice")
+            named[kind][words[1]] = current
         elif kind == "expect":
             if len(words) < 2 or words[1] not in OPERATIONS:
                 raise ProblemError(
@@ -258,14 +264,13 @@ def load_problem(path) -> ProblemFile:
         raise ProblemError(f"{where}: empty equations list")
 
     with at("problem"):
-        meta = _unique(_kv(once.get("problem", [])))
+        meta = _unique(_kv(once.get("problem", [])), ("id", "title"))
     with at("space"):
-        space = _space_from(_unique(_kv(once["space"])))
+        space, _ = _space_from(once["space"])
     parent: Connection | None = None
     if "parent" in once:
         with at("parent"):
-            kv = _unique(_kv(once["parent"]))
-            pspace = _space_from(kv)
+            pspace, kv = _space_from(once["parent"], "kind", "target", "aux")
             pkind = _require(kv, "kind")
             if pkind not in ("ode", "pde"):
                 raise ProblemError("kind must be ode or pde")
@@ -283,12 +288,12 @@ def load_problem(path) -> ProblemFile:
         system = DESystem.build(space, equations)
 
     fields: dict[str, VectorField] = {}
-    for name, lines in named["field"]:
+    for name, lines in named["field"].items():
         with at("field " + name):
             fields[name] = VectorField.parse(space, _unique(_kv(lines)))
 
     charts: dict[str, PointTransformation] = {}
-    for name, lines in named["chart"]:
+    for name, lines in named["chart"].items():
         with at("chart " + name):
             kv = _unique(_kv(lines))
             indep_names = _require(kv, "independent").split()
@@ -314,7 +319,7 @@ def load_problem(path) -> ProblemFile:
                 space, indep, dep, kv.get("canonical"), inverse or None, aux or None)
 
     solutions: dict[str, Solution] = {}
-    for name, lines in named["solution"]:
+    for name, lines in named["solution"].items():
         with at("solution " + name):
             kv = _unique(_kv(lines))
             kind = kv.pop("kind", "parent")
@@ -385,7 +390,7 @@ def _validate_references(pf: ProblemFile):
                 raise ProblemError(f"expected '[expect {' '.join(form)}]'")
             for kind, name in zip(op.args, e.args):
                 check(kind, name)
-            order = _integer(e.one("order")) if e.one("order") else pf.space.order
+            order = _integer(e.one("order", str(pf.space.order)))
             if e.one("integrability") is not None:
                 _integer(e.one("integrability"), "integrability")
             for n in (e.one("series") or "").split():

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .equiv import is_zero
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, power,
-                   substitute, _coerce)
+                   render, substitute, _coerce)
 from .jets import JetError, JetSpace, VectorField, prolong, total_derivative
 from .parse import parse_expr
 
@@ -24,19 +25,26 @@ def _parse_equation(space: JetSpace, text: str) -> Expr:
     return parse_expr(text, space)
 
 
+def affine_split(eq: Expr, v: str) -> tuple[Expr, Expr] | None:
+    """(a, b) with eq = a*v + b, a free of v and not structurally zero; None
+    when v is absent from eq or eq is not affine in it."""
+    a = diff(eq, v)
+    if a == ZERO or v in free_vars(a):
+        return None
+    return a, substitute(eq, {v: ZERO})
+
+
 def _solved_form_candidates(space: JetSpace, eq: Expr) -> Iterator[tuple[str, Expr]]:
     """Ways to solve eq = 0 for a highest-order jet variable v it is affine
-    in, one at a time as the caller asks: a = d(eq)/dv is free of v, so
-    v = -eq|v=0 * a^(-1) satisfies eq by construction."""
-    jet_vars = [v for v in free_vars(eq) if space.jet_info(v) and space.jet_info(v)[1]]
-    if not jet_vars:
-        return
-    top = max(len(space.jet_info(v)[1]) for v in jet_vars)
-    for v in sorted(v for v in jet_vars if len(space.jet_info(v)[1]) == top):
-        a = diff(eq, v)
-        if a == ZERO or v in free_vars(a):
-            continue  # absent or not affine in v
-        yield v, mul(-1, substitute(eq, {v: ZERO}), power(a, -1))
+    in, one at a time as the caller asks: with eq = a*v + b, v = -b * a^(-1)
+    satisfies eq by construction."""
+    orders = {v: len(info[1]) for v in free_vars(eq) if (info := space.jet_info(v)) and info[1]}
+    top = max(orders.values(), default=0)
+    for v in sorted(v for v, n in orders.items() if n == top):
+        split = affine_split(eq, v)
+        if split is not None:
+            a, b = split
+            yield v, mul(-1, b, power(a, -1))
 
 
 @dataclass(frozen=True)
@@ -79,65 +87,56 @@ class DESystem:
         return max(self.space.jet_order(e) for e in self.equations)
 
 
-def _index_superset(big: tuple[int, ...], small: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Multiset difference big - small, or None when small is not contained."""
-    rest = list(big)
-    for i in small:
-        if i in rest:
-            rest.remove(i)
-        else:
-            return None
-    return tuple(rest)
-
-
 def reduce_on_manifold(sys: DESystem, e: Expr) -> tuple[Expr, bool]:
-    """Substitute solved forms and their total-derivative consequences.
+    """Replace each principal jet v = D^extra(lead) of e by D^extra(rhs),
+    whose own principal jets are replaced in turn; each once per call.
 
-    Loops to a fixed point, bounded by ten passes (cycle guard); returns the
-    reduced expression and whether a fixed point was reached.
+    A lead is a highest-order jet of its equation, so no jet of D^extra(rhs)
+    has a higher order than v, and the recursion ends: with (reduced e,
+    True), or with (e, False) at a jet still being reduced, a cycle among
+    the solved forms.  A right-hand side above its lead raises SystemError_.
     """
     space = sys.space
-    lead_info = [(space.jet_info(v), rhs) for v, rhs in zip(sys.leads, sys.rhss)]
-    consequence_cache: dict[tuple[str, tuple[int, ...]], Expr] = {}
+    done: dict[str, Expr | None] = {}  # None while the jet is being reduced
 
-    def consequence(k: int, extra: tuple[int, ...]) -> Expr:
-        (dep, idx), rhs = lead_info[k]
-        key = (sys.leads[k], extra)
-        got = consequence_cache.get(key)
-        if got is None:
-            got = rhs
-            for j in extra:
-                got = total_derivative(space, got, j)
-            consequence_cache[key] = got
-        return got
+    def consequence(v: str) -> Expr | None:
+        info = space.jet_info(v)
+        if info is None or not info[1]:
+            return None  # not a jet of order 1 or more
+        have = Counter(info[1])
+        for lead, rhs in zip(sys.leads, sys.rhss):
+            dep, idx = space.jet_info(lead)
+            if dep == info[0] and Counter(idx) <= have:
+                for j in (have - Counter(idx)).elements():
+                    rhs = total_derivative(space, rhs, j)
+                if space.jet_order(rhs) > len(info[1]):
+                    raise SystemError_(f"the solved form for {lead} has a right-hand "
+                                       "side of higher order than its lead")
+                return rhs
+        return None
 
-    for _ in range(10):
+    def reduce(x: Expr) -> Expr | None:
         subs: dict[str, Expr] = {}
-        for v in free_vars(e):
-            info = space.jet_info(v)
-            if info is None or not info[1]:
-                continue
-            for k, ((dep, idx), _) in enumerate(lead_info):
-                if info[0] != dep:
+        for v in free_vars(x):
+            if v not in done:
+                c = consequence(v)
+                if c is None:
                     continue
-                extra = _index_superset(info[1], idx)
-                if extra is not None:
-                    subs.setdefault(v, consequence(k, extra))
-                    break
-        if not subs:
-            return e, True
-        e2 = substitute(e, subs)
-        if e2 == e:
-            return e, True
-        e = e2
-    return e, False
+                done[v] = None
+                done[v] = reduce(c)
+            if done[v] is None:
+                return None
+            subs[v] = done[v]
+        return substitute(x, subs) if subs else x
+
+    got = reduce(e)
+    return (e, False) if got is None else (got, True)
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     verdict: str  # "symmetry" | "not-symmetry"
     residuals: tuple[Expr, ...]
-    converged: bool = True
 
     @property
     def is_symmetry(self) -> bool:
@@ -149,22 +148,21 @@ def check_point_symmetry(sys: DESystem, X: VectorField) -> SymmetryReport:
 
     The prolonged field is applied to each equation and the result reduced on
     the solution manifold; the verdict is invariant under rescaling any
-    equation by a nonvanishing factor.
+    equation by a nonvanishing factor.  A residual that meets a cycle among
+    the solved forms cannot be reduced, and raises ``SystemError_``.
     """
     if X.space.base_names != sys.space.base_names:
         raise JetError("field and system live over different base coordinates")
-    order = sys.order
-    P = prolong(X, max(order, 1))
+    P = prolong(X, max(sys.order, 1))
     residuals = []
-    converged = True
     for eq in sys.equations:
-        r = P.apply_to(eq)
-        r, ok = reduce_on_manifold(sys, r)
-        converged = converged and ok
+        r, ok = reduce_on_manifold(sys, P.apply_to(eq))
+        if not ok:
+            forms = ", ".join(f"{v} = {render(f)}" for v, f in zip(sys.leads, sys.rhss))
+            raise SystemError_(f"residual {render(r)} meets a cycle among the solved forms {forms}")
         residuals.append(r)
     good = all(is_zero(r) for r in residuals)
-    return SymmetryReport("symmetry" if good else "not-symmetry",
-                          tuple(residuals), converged)
+    return SymmetryReport("symmetry" if good else "not-symmetry", tuple(residuals))
 
 
 def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str]) -> bool:

@@ -4,8 +4,9 @@ Each mutant changes one content line of one file: it deletes, duplicates or
 swaps the line, blanks its value, drops the value's last word or last
 character, or blanks a section header.  The loader must accept a mutant or
 reject it with a ``ProblemError`` whose text starts with the file's name.
-Run as a script to check N mutants; it prints each escape and exits 1 if
-there is one:
+Two mutations must be rejected: a misspelt key, and a [field], [chart] or
+[solution] section repeated with other content.  Run as a script to check N
+mutants; it prints each escape and exits 1 if there is one:
 
     PYTHONPATH=src python3 tests/mutate.py 3000
 """
@@ -46,14 +47,45 @@ def _value_edit(change):
     return edit
 
 
+def _section(lines, i):
+    """(header index, end index) of the section holding line i."""
+    first = max(j for j in range(i + 1) if lines[j].startswith("["))
+    end = next((j for j in range(i + 1, len(lines)) if lines[j].startswith("[")), len(lines))
+    return first, end
+
+
+def _misspell_key(lines, i):
+    """Double the last letter of the key's first word (``titlee``).  Not in
+    [equations], which has no keys, nor in a ``kind = reduced`` solution,
+    whose keys name the reduced system's variables, unknown at load."""
+    key, eq, value = lines[i].partition("=")
+    first, end = _section(lines, i)
+    reduced = lines[first].startswith("[solution") and "kind = reduced" in lines[first:end]
+    if not eq or lines[i].startswith("[") or lines[first].startswith("[equations") or reduced:
+        return None
+    word, *rest = key.split()
+    return lines[:i] + [" ".join([word + word[-1], *rest]) + " =" + value] + lines[i + 1:]
+
+
+def _repeat_section(lines, i):
+    """Repeat a named section after itself without its first content line."""
+    if lines[i].split()[0] not in ("[field", "[chart", "[solution"):
+        return None
+    first, end = _section(lines, i)
+    body = [l for l in lines[first + 1:end] if l.strip() and not l.startswith("#")]
+    return lines[:end] + [lines[i]] + body[1:] + lines[end:]
+
+
+REJECTED = (_misspell_key, _repeat_section)
 MUTATIONS = (_delete, _duplicate, _swap, _blank_header,
              _value_edit(lambda v: ""),
              _value_edit(lambda v: " ".join(v.split()[:-1])),
-             _value_edit(lambda v: v[:-1]))
+             _value_edit(lambda v: v[:-1])) + REJECTED
 
 
 def mutants(count: int, seed: int = 0):
-    """``count`` (file name, mutated text) pairs, the same for each seed."""
+    """``count`` (file name, mutated text, must be rejected) triples, the
+    same for each seed."""
     rng = random.Random(seed)
     files = [(p.name, p.read_text(encoding="utf-8").splitlines())
              for p in sorted(corpus_dir().glob("*.prob"))]
@@ -61,18 +93,20 @@ def mutants(count: int, seed: int = 0):
     while made < count:
         name, lines = rng.choice(files)
         content = [i for i, l in enumerate(lines) if l.strip() and not l.startswith("#")]
-        out = rng.choice(MUTATIONS)(lines, rng.choice(content))
+        mutation = rng.choice(MUTATIONS)
+        out = mutation(lines, rng.choice(content))
         if out is not None:
             made += 1
-            yield name, "\n".join(out) + "\n"
+            yield name, "\n".join(out) + "\n", mutation in REJECTED
 
 
 def escapes(count: int, seed: int = 0) -> list[tuple[str, str]]:
     """(file name, error) for each mutant that loads to neither a problem
-    nor a ``ProblemError`` starting with its file name."""
+    nor a ``ProblemError`` starting with its file name, or that loads
+    although it must be rejected."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in mutants(count, seed):
+        for name, text, rejected in mutants(count, seed):
             path = Path(tmp) / name
             path.write_text(text, encoding="utf-8")
             try:
@@ -82,6 +116,9 @@ def escapes(count: int, seed: int = 0) -> list[tuple[str, str]]:
                     out.append((name, f"unlocated: {exc}"))
             except Exception as exc:
                 out.append((name, f"{type(exc).__name__}: {exc}"))
+            else:
+                if rejected:
+                    out.append((name, "loads, but must be rejected"))
     return out
 
 

@@ -1,5 +1,7 @@
 """Point-vs-nonlocal classification across reductions."""
 
+import dataclasses
+
 import pytest
 
 from liereduce import (ClassifyError, DESystem, JetSpace, PointTransformation,
@@ -43,6 +45,15 @@ class TestClassifyPushforward:
         got = classify_pushforward(pushforward_field(X1, CHART2), CHART2, red)
         assert got.verdict == "nonlocal"
         assert got.witness == "s"
+
+    def test_witness_is_the_canonical_variable(self):
+        # The eliminated variable a sorts before s, but the witness is the
+        # chart's canonical coordinate s.
+        red = lie_reduce(SCALING_ODE, CHART2)
+        pf = pushforward_field(X1, CHART2)
+        pf = dataclasses.replace(pf, coeffs={**pf.coeffs, "r": sym("a") * pf.coeffs["r"]})
+        got = classify_pushforward(pf, CHART2, red)
+        assert (got.verdict, got.witness) == ("nonlocal", "s")
 
     def test_nonlocal_pde_case(self):
         red = lie_reduce(POWER_PDE, P_CHART)

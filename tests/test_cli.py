@@ -281,6 +281,25 @@ MALFORMED = {
         (BASE + 2 * ("[parent]\nindependent = x\ndependent = u\norder = 2\n"
                      "kind = ode\ntarget = u\naux = a\n"),
          "load", "bad.prob [parent]: section appears twice"),
+    # So does each named section; two [equations] sections concatenate.
+    "field-section-twice":
+        (BASE + "[field T]\ny = 1\n", "load", "bad.prob [field T]: section appears twice"),
+    "chart-section-twice":
+        (BASE + CHART + CHART.replace("v = y", "v = 2*y"),
+         "load", "bad.prob [chart c]: section appears twice"),
+    "solution-section-twice":
+        (BASE + "[solution s]\ny = 2*exp(x)\n",
+         "load", "bad.prob [solution s]: section appears twice"),
+    # [problem], [space] and [parent] read a closed set of keys.
+    "problem-misspelt-title-key":
+        (BASE + "[problem]\ntitel = bad\n", "load", "bad.prob [problem]: unknown key 'titel'"),
+    "space-misspelt-parameters-key":
+        (BASE.replace("y' = y", "y' = a*y").replace("order = 1", "order = 1\nparameter = a"),
+         "load", "bad.prob [space]: unknown key 'parameter'"),
+    "parent-misspelt-parameters-key":
+        (BASE + "[parent]\nindependent = x\ndependent = u\norder = 2\n"
+         "kind = ode\ntarget = u\naux = a\nparameter = b\n",
+         "load", "bad.prob [parent]: unknown key 'parameter'"),
     # Every load error starts with the file name, and a section's with the
     # section, its header single-spaced.
     "blank-header":
@@ -316,6 +335,10 @@ MALFORMED = {
     "prolong-order-not-integer":
         (BASE + "[expect prolong T]\ntag = oracle\norder = two\ncoeff y' = 0\n",
          "load", "bad.prob [expect prolong T]: "),
+    # An empty order is not the space's.
+    "prolong-empty-order":
+        (BASE + "[expect prolong T]\ntag = oracle\norder =\ncoeff y' = 0\n",
+         "load", "bad.prob [expect prolong T]: order must be an integer, got ''"),
     "space-order-not-integer":
         (BASE.replace("order = 1", "order = two"), "load", "bad.prob [space]: "),
     "connection-empty-reduce":

@@ -27,6 +27,9 @@ class TestJetSpace:
 
     def test_out_of_range_index(self):
         assert PDE.resolve("u_3") is None
+        for index in [(0,), (3,), (1, 3)]:
+            with pytest.raises(JetError, match="out of range"):
+                PDE.jet_name("u", index)
 
     def test_unknown_names(self):
         assert PDE.resolve("w_1") is None

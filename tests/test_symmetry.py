@@ -6,6 +6,8 @@ from liereduce import (DESystem, JetSpace, SystemError_, VectorField, equiv,
                        check_point_symmetry, parse_expr, reduce_on_manifold,
                        verify_solution)
 
+from fresh import fresh
+
 ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
 
@@ -94,18 +96,28 @@ class TestCheckPointSymmetry:
         sys_ = build(PDE, ["u_2 = 0", "u_11 = 0"])
         rep = check_point_symmetry(sys_, VectorField.parse(PDE, {"x2": "x1"}))
         assert rep.verdict == "symmetry"
-        assert rep.converged
+        assert reduce_on_manifold(sys_, PDE.expr("u_12")) == (PDE.expr("0"), True)
 
-    def test_reduction_on_the_manifold_reports_its_fixed_point(self):
-        # u' = v' and v' = u' substitute into each other: u' + v' is a fixed
-        # point, while u' alternates with v' until the ten-pass guard.
+    def test_reduction_on_the_manifold_refuses_a_cycle(self):
+        # u' = v' and v' = u' substitute into each other: reducing u', or
+        # u' + v', reaches a jet still being reduced.
         sp = JetSpace(("x",), ("u", "v"), 1)
         sys_ = build(sp, ["u' - v'", "v' - u'"])
-        assert reduce_on_manifold(sys_, parse_expr("u' + v'", sp)) == \
-            (parse_expr("u' + v'", sp), True)
-        assert reduce_on_manifold(sys_, parse_expr("u'", sp)) == (parse_expr("u'", sp), False)
-        rep = check_point_symmetry(sys_, VectorField.parse(sp, {"u": "u"}))
-        assert not rep.converged
+        for text in ["u'", "u' + v'"]:
+            assert reduce_on_manifold(sys_, parse_expr(text, sp)) == (parse_expr(text, sp), False)
+        with pytest.raises(SystemError_, match="cycle among the solved forms u' = v', v' = u'"):
+            check_point_symmetry(sys_, VectorField.parse(sp, {"u": "u"}))
+        # A residual free of principal jets needs no reduction.
+        assert check_point_symmetry(sys_, VectorField.parse(sp, {"x": "1"})).is_symmetry
+
+    def test_right_hand_side_above_its_lead_is_refused(self):
+        # A hand-built solved form u' = u'' would make every u^(k) principal;
+        # the reduction refuses it instead of recursing without end.
+        sp = "JetSpace(('x',), ('u',), 2)"
+        code = (f"check_point_symmetry(DESystem({sp}, ({sp}.expr(\"u' - u''\"),), (\"u'\",), "
+                f"({sp}.expr(\"u''\"),)), VectorField.parse({sp}, {{'u': 'u'}}))")
+        assert fresh(code) == ("SystemError_ the solved form for u' has a right-hand "
+                               "side of higher order than its lead")
 
     def test_u_free_equations_admit_u_translation(self):
         X = VectorField.parse(PDE, {"u": "1"})

@@ -327,6 +327,16 @@ class TestSolveAffine:
         assert equiv(sol[0], (sym("x") + 1) / 2)
         assert equiv(sol[1], (sym("x") - 1) / 2)
 
+    def test_zero_pivot_candidate_skipped(self):
+        # a's first coefficient, sin^2 + cos^2 - 1, is no ZERO node but is
+        # zero, so it is never the pivot, though it has the fewest terms.
+        a, b = sym("a"), sym("b")
+        zero = parse_expr("sin(x)^2 + cos(x)^2 - 1", {"x"})
+        big = parse_expr("x^3 + x^2 + x + 1", {"x"})
+        sol = solve_affine([zero * a + b - 2, big * a + b - 1], ["a", "b"])
+        assert equiv(sol[0], -1 / big)
+        assert equiv(sol[1], rat(2))
+
     def test_singular(self):
         a, b = sym("a"), sym("b")
         with pytest.raises(SingularMapError):
