@@ -128,7 +128,7 @@ class AlgebraTable:
 
 
 def structure_constants(gens: Sequence[VectorField]) -> AlgebraTable:
-    """Bracket table of a generator list, solved monomial by monomial."""
+    """Bracket table of linearly independent generators, solved monomial by monomial."""
     gens = tuple(gens)
     if not gens:
         raise AlgebraError("need at least one generator")
@@ -137,6 +137,10 @@ def structure_constants(gens: Sequence[VectorField]) -> AlgebraTable:
         if g.space.base_names != space.base_names:
             raise JetError("generators live over different base coordinates")
     decomp = [{v: _monomial_map(g.coeff(v)) for v in space.base_names} for g in gens]
+    columns = {(v, key) for d in decomp for v in d for key in d[v]}
+    rows = [[d[v].get(key, Fraction(0)) for v, key in columns] for d in decomp]
+    if len(echelon(rows)) < len(gens):
+        raise AlgebraError("generators are linearly dependent")
     entries: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
     brackets: dict[tuple[int, int], VectorField] = {}
     q = len(gens)

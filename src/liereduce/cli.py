@@ -32,7 +32,7 @@ def _emit(args, record: dict, human: str) -> None:
 def cmd_prolong(args) -> int:
     pf = load_problem(args.problem)
     X = pf.fields[args.field]
-    order = args.order or pf.space.order
+    order = pf.space.order if args.order is None else args.order
     P = prolong(X, order)
     coeffs = {n: render(c) for n, c in sorted(P.jet_coeffs.items())}
     _emit(args, {"operation": "prolong", "field": args.field, "order": order,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .algebra import is_solvable, reduction_order_advice
 from .charts import verify_canonical
@@ -145,7 +145,7 @@ def _ex_prolong(pf: ProblemFile, exp: Expect):
 def _ex_symmetry(pf: ProblemFile, exp: Expect):
     X = pf.fields[exp.args[0]]
     rep = check_point_symmetry(pf.system, X)
-    want = exp.one("verdict") or "symmetry"
+    want = exp.one("verdict", "symmetry")
     ok = rep.verdict == want
     res = exp.one("residual")
     if res is not None:
@@ -209,7 +209,7 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect):
 
 def _ex_classify(pf: ProblemFile, exp: Expect):
     got = pf.classification(exp.args[0], exp.args[1])
-    want = exp.one("verdict") or "point"
+    want = exp.one("verdict", "point")
     ok = got.verdict == want
     wwit = exp.one("witness")
     if wwit is not None:
@@ -221,7 +221,7 @@ def _ex_lift(pf: ProblemFile, exp: Expect):
     Y = pf.fields[exp.args[0]]
     red = pf.reduced_view()
     got = lift_test(Y, red)
-    want = exp.one("verdict") or "point"
+    want = exp.one("verdict", "point")
     return got.verdict == want, str(got), want
 
 
@@ -306,45 +306,45 @@ def _ex_solution(pf: ProblemFile, exp: Expect):
 class Operation(NamedTuple):
     """One ``[expect]`` operation.  ``args`` gives the kind of each argument:
     ``field``, ``chart`` or ``solution`` names a declared one, and an
-    optional ``target`` a dependent variable.  ``keys`` are the body keys it
-    reads besides tag, note and stated; a key ending in `` *`` takes a name
-    after its first word (``coeff y'``).  ``flags`` are the keys among them
-    that take only ``true`` or ``false``.  An expect must give at least one
-    of the keys in ``needs``, when there are any; without one it checks
-    nothing."""
+    optional ``target`` a dependent variable.  ``keys`` maps each body key
+    it reads besides tag, note and stated to the words its value may take,
+    or to None for free text; a key ending in `` *`` takes a name after its
+    first word (``coeff y'``).  An expect must give at least one of the keys
+    in ``needs``, when there are any; without one it checks nothing."""
     run: Callable[[ProblemFile, Expect], tuple[bool, str, str]]
     args: tuple[str, ...]
-    keys: tuple[str, ...]
-    flags: tuple[str, ...] = ()
+    keys: Mapping[str, tuple[str, ...] | None]
     needs: tuple[str, ...] = ()
 
 
+_TRUE_FALSE = ("true", "false")
+_REDUCE = {"aux": None, "equation": None, "integrability": None}
 # The loader checks every expect against this table.
 OPERATIONS = {
-    "prolong": Operation(_ex_prolong, ("field",), ("order", "coeff *"), needs=("coeff *",)),
-    "symmetry": Operation(_ex_symmetry, ("field",), ("verdict", "residual")),
-    "canonical": Operation(_ex_canonical, ("field", "chart"), ("verdict",), ("verdict",)),
-    "transform": Operation(_ex_transform, ("chart",), ("equation",), needs=("equation",)),
-    "reduce-ode": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability"),
-                            needs=("equation", "integrability")),
-    "reduce-pde": Operation(_ex_reduce, ("target",), ("aux", "equation", "integrability"),
-                            needs=("equation", "integrability")),
-    "lie-reduce": Operation(_ex_lie_reduce, ("chart",), ("aux", "equation"),
-                            needs=("equation",)),
-    "pushforward": Operation(_ex_pushforward, ("field", "chart"), ("flagged", "coeff *"),
-                             ("flagged",)),
-    "classify": Operation(_ex_classify, ("field", "chart"), ("verdict", "witness")),
-    "lift": Operation(_ex_lift, ("field",), ("verdict",)),
-    "commutator": Operation(_ex_commutator, ("field", "field"), ("result",),
-                            needs=("result",)),
-    "algebra": Operation(_ex_algebra, (), ("fields", "closed", "bracket *", "solvable",
-                                           "series", "jacobi"),
-                         ("closed", "solvable", "jacobi"),
-                         needs=("closed", "bracket *", "solvable", "series", "jacobi")),
-    "advice": Operation(_ex_advice, ("field", "field"), ("first",), needs=("first",)),
-    "connection": Operation(_ex_connection, ("solution",), ("reduce", "aux", "verdict"),
-                            ("verdict",)),
-    "solution": Operation(_ex_solution, ("solution",), ("verdict",), ("verdict",)),
+    "prolong": Operation(_ex_prolong, ("field",), {"order": None, "coeff *": None},
+                         ("coeff *",)),
+    "symmetry": Operation(_ex_symmetry, ("field",),
+                          {"verdict": ("symmetry", "not-symmetry"), "residual": None}),
+    "canonical": Operation(_ex_canonical, ("field", "chart"), {"verdict": _TRUE_FALSE}),
+    "transform": Operation(_ex_transform, ("chart",), {"equation": None}, ("equation",)),
+    "reduce-ode": Operation(_ex_reduce, ("target",), _REDUCE, ("equation", "integrability")),
+    "reduce-pde": Operation(_ex_reduce, ("target",), _REDUCE, ("equation", "integrability")),
+    "lie-reduce": Operation(_ex_lie_reduce, ("chart",), {"aux": None, "equation": None},
+                            ("equation",)),
+    "pushforward": Operation(_ex_pushforward, ("field", "chart"),
+                             {"flagged": _TRUE_FALSE, "coeff *": None}),
+    "classify": Operation(_ex_classify, ("field", "chart"),
+                          {"verdict": ("point", "nonlocal", "inconclusive"), "witness": None}),
+    "lift": Operation(_ex_lift, ("field",), {"verdict": ("point", "nonlocal")}),
+    "commutator": Operation(_ex_commutator, ("field", "field"), {"result": None}, ("result",)),
+    "algebra": Operation(_ex_algebra, (), {"fields": None, "closed": _TRUE_FALSE,
+                                           "bracket *": None, "solvable": _TRUE_FALSE,
+                                           "series": None, "jacobi": _TRUE_FALSE},
+                         ("closed", "bracket *", "solvable", "series", "jacobi")),
+    "advice": Operation(_ex_advice, ("field", "field"), {"first": None}, ("first",)),
+    "connection": Operation(_ex_connection, ("solution",),
+                            {"reduce": None, "aux": None, "verdict": _TRUE_FALSE}),
+    "solution": Operation(_ex_solution, ("solution",), {"verdict": _TRUE_FALSE}),
 }
 
 
@@ -360,7 +360,7 @@ def run_expect(pf: ProblemFile, exp: Expect) -> Report:
             verdict = "fail"
     except Exception as exc:  # a malformed check must not end the run
         why = exc if isinstance(exc, (ExprError, KeyError)) else f"{type(exc).__name__}: {exc}"
-        verdict, computed, expected = "fail", f"error: {why}", exp.one("verdict") or ""
+        verdict, computed, expected = "fail", f"error: {why}", exp.one("verdict", "")
     ms = (time.perf_counter() - t0) * 1000.0
     if exp.one("stated") and verdict == "discrepancy-documented":
         expected = f"{expected} (stated: {exp.one('stated')}; {exp.note})"

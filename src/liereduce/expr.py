@@ -489,9 +489,7 @@ def _extract_content_once(a: Add) -> tuple[list[tuple[Expr, Fraction]], Expr]:
                     del common[k]
         if not common:
             return [], a
-    pairs = [(b, x) for b, x in common.values() if x != 0]
-    if not pairs:
-        return [], a
+    pairs = [(b, x) for b, x in common.values()]
     # Exact exponent arithmetic; multiplying by expanded inverses would
     # re-introduce the content.
     return pairs, _shifted(infos, {b._key: (b, -x) for b, x in pairs})
@@ -523,8 +521,6 @@ def power(b, e) -> Expr:
             if r is not None:
                 return Rat(r)
             if b.value == 0:
-                if q > 0:
-                    return ZERO
                 raise DomainError("zero raised to a negative power")
         if q.denominator == 1:
             if isinstance(b, Mul):

@@ -220,8 +220,7 @@ def load_problem(path) -> ProblemFile:
         return _located(f"{where} [{section}]")
 
     # The content lines of each section, by kind.
-    once: dict[str, list[str]] = {}  # [problem], [space] and [parent]
-    equations: list[str] = []
+    once: dict[str, list[str]] = {}  # the sections that take no name
     named: dict[str, dict[str, list[str]]] = {"field": {}, "chart": {}, "solution": {}}
     raw_expects: list[tuple[list[str], list[str]]] = []
     current: list[str] | None = None
@@ -239,12 +238,12 @@ def load_problem(path) -> ProblemFile:
         if not words:
             raise ProblemError(f"{where}:{lineno}: empty section header")
         kind, header, current = words[0], " ".join(words), []
-        if kind in ("problem", "space", "parent"):
-            if kind in once:
+        if kind in ("problem", "space", "parent", "equations"):
+            if len(words) != 1:
+                raise ProblemError(f"{where}: [{kind}] takes no name: {header!r}")
+            if kind in once and kind != "equations":  # two [equations] concatenate
                 raise ProblemError(f"{where} [{kind}]: section appears twice")
-            once[kind] = current
-        elif kind == "equations":
-            current = equations
+            current = once.setdefault(kind, current)
         elif kind in named:
             if len(words) != 2:
                 raise ProblemError(f"{where}: [{kind}] needs exactly one name: {header!r}")
@@ -260,7 +259,7 @@ def load_problem(path) -> ProblemFile:
             raise ProblemError(f"{where}: unknown section {header!r}")
     if "space" not in once:
         raise ProblemError(f"{where}: missing [space] section")
-    if not equations:
+    if not once.get("equations"):
         raise ProblemError(f"{where}: empty equations list")
 
     with at("problem"):
@@ -285,7 +284,7 @@ def load_problem(path) -> ProblemFile:
                 raise ProblemError(f"need {pspace.p} auxiliary names, got {len(aux)}")
             parent = Connection(pspace, target, aux)
     with at("equations"):
-        system = DESystem.build(space, equations)
+        system = DESystem.build(space, once["equations"])
 
     fields: dict[str, VectorField] = {}
     for name, lines in named["field"].items():
@@ -335,6 +334,15 @@ def load_problem(path) -> ProblemFile:
                 raise ProblemError(f"{stray[0]!r} is not a dependent variable")
             solutions[name] = Solution(name, kind, kv, anti)
 
+    declared = {"field": fields, "chart": charts, "solution": solutions,
+                "target": space.dependent}
+
+    def check(kind: str, name: str):
+        if name not in declared[kind]:
+            raise ProblemError(f"target {name!r} is not a dependent variable"
+                               if kind == "target" else f"unknown {kind} {name!r}")
+
+    # Each expect is checked as it is built, against its operation's row.
     expects: list[Expect] = []
     for i, (words, lines) in enumerate(raw_expects):
         with at(" ".join(words)):
@@ -344,61 +352,34 @@ def load_problem(path) -> ProblemFile:
             tag = one.get("tag", "literature")
             if tag not in ("literature", "oracle"):
                 raise ProblemError("tag must be literature or oracle")
-            body = {k: tuple(v) for k, v in kv.items() if k not in ("tag", "note")}
-            expects.append(Expect(i, words[1], tuple(words[2:]), tag, body,
-                                  one.get("note", "")))
-
-    pf = ProblemFile(str(p), meta.get("id") or p.stem, meta.get("title", ""), space, system,
-                     fields, charts, solutions, tuple(expects), parent)
-    _validate_references(pf)
-    return pf
-
-
-def _validate_references(pf: ProblemFile):
-    """Every expect must use only the keys its operation reads, give it the
-    number and kinds of arguments it takes, have integer values that parse
-    and true/false values that are one of those words, name a reduction that
-    fits the space, give prolongation coefficients only of coordinates
-    within its order, check only a parent solution against the system, and
-    give one of the keys without which it checks nothing."""
-    from .corpus import OPERATIONS
-    declared = {"field": pf.fields, "chart": pf.charts, "solution": pf.solutions,
-                "target": pf.space.dependent}
-
-    def check(kind: str, name: str):
-        if name not in declared[kind]:
-            raise ProblemError(f"target {name!r} is not a dependent variable"
-                               if kind == "target" else f"unknown {kind} {name!r}")
-
-    for e in pf.expects:
-        with _located(f"{Path(pf.path).name} [expect {e.label}]"):
+            e = Expect(i, words[1], tuple(words[2:]), tag,
+                       {k: tuple(v) for k, v in kv.items() if k not in ("tag", "note")},
+                       one.get("note", ""))
             op = OPERATIONS[e.op]
             given = set()
             for k in e.body:
                 head, _, rest = k.partition(" ")
                 key = f"{head} *" if rest else k
-                if key not in op.keys + ("stated",):
+                if key not in op.keys and key != "stated":
                     raise ProblemError(f"unknown key {k!r}")
+                allowed = op.keys.get(key)
+                if allowed and e.one(k) not in allowed:
+                    raise ProblemError(f"{k} must be {' or '.join(allowed)}, got {e.one(k)!r}")
                 given.add(key)
-            for k in op.flags:
-                v = e.one(k)
-                if v is not None and v not in ("true", "false"):
-                    raise ProblemError(f"{k} must be true or false, got {v!r}")
             # Only a target is optional.
             if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):
                 form = [e.op] + ["[TARGET]" if k == "target" else k.upper() for k in op.args]
                 raise ProblemError(f"expected '[expect {' '.join(form)}]'")
             for kind, name in zip(op.args, e.args):
                 check(kind, name)
-            order = _integer(e.one("order", str(pf.space.order)))
-            if e.one("integrability") is not None:
-                _integer(e.one("integrability"), "integrability")
-            for n in (e.one("series") or "").split():
+            order = _integer(e.one("order", str(space.order)))
+            _integer(e.one("integrability", "0"), "integrability")
+            for n in e.one("series", "0").split() or [""]:  # an empty series is no integer
                 _integer(n, "series")
             # No auxiliary names mean the defaults; a chart has the problem's p.
             aux = e.one("aux", "").split()
-            if aux and len(aux) != pf.space.p:
-                raise ProblemError(f"need {pf.space.p} auxiliary names, got {len(aux)}")
+            if aux and len(aux) != space.p:
+                raise ProblemError(f"need {space.p} auxiliary names, got {len(aux)}")
             kind = e.op.removeprefix("reduce-") if e.op.startswith("reduce-") else None
             if e.op == "connection":
                 reduce = e.one("reduce", "").split()
@@ -409,7 +390,7 @@ def _validate_references(pf: ProblemFile):
                 kind = reduce[0]
                 for name in reduce[1:]:
                     check("target", name)
-            why = kind and kind_mismatch(kind, pf.space.p)
+            why = kind and kind_mismatch(kind, space.p)
             if why:
                 raise ProblemError(why)
             if e.op == "algebra":
@@ -418,20 +399,26 @@ def _validate_references(pf: ProblemFile):
                     check("field", name)
                 for head, _ in e.prefixed("bracket"):
                     pair = head.split()
-                    if len(pair) != 2 or not set(pair) <= set(names or pf.fields):
+                    if len(pair) != 2 or not set(pair) <= set(names or fields):
                         raise ProblemError(f"bracket {head!r} needs two fields from the list")
             if e.op == "prolong":
                 for name, _ in e.prefixed("coeff"):
-                    info = pf.space.jet_info(name)
-                    if name not in pf.space.independent and (info is None
-                                                             or len(info[1]) > order):
+                    info = space.jet_info(name)
+                    if name not in space.independent and (info is None or len(info[1]) > order):
                         raise ProblemError(f"coeff {name!r} is not a coordinate of order "
                                            f"at most {order}")
-            if e.op == "solution" and pf.solutions[e.args[0]].kind != "parent":
+            if e.op == "solution" and solutions[e.args[0]].kind != "parent":
                 raise ProblemError(f"solution {e.args[0]!r} has kind reduced; "
                                    "a solution check needs kind = parent")
-            if e.op == "lift" and pf.parent is None:
+            if e.op == "lift" and parent is None:
                 raise ProblemError("lift needs a [parent] section")
             if op.needs and given.isdisjoint(op.needs):
                 raise ProblemError("checks nothing; give "
                                    + " or ".join(repr(k) for k in op.needs))
+            if e.op == "advice" and e.one("first") not in e.args + ("either",):
+                raise ProblemError(f"first must be {' or '.join(e.args)} or either, "
+                                   f"got {e.one('first')!r}")
+            expects.append(e)
+
+    return ProblemFile(str(p), meta.get("id") or p.stem, meta.get("title", ""), space, system,
+                       fields, charts, solutions, tuple(expects), parent)

@@ -4,9 +4,11 @@ Each mutant changes one content line of one file: it deletes, duplicates or
 swaps the line, blanks its value, drops the value's last word or last
 character, or blanks a section header.  The loader must accept a mutant or
 reject it with a ``ProblemError`` whose text starts with the file's name.
-Two mutations must be rejected: a misspelt key, and a [field], [chart] or
-[solution] section repeated with other content.  Run as a script to check N
-mutants; it prints each escape and exits 1 if there is one:
+Four mutations must be rejected: a misspelt key; a [field], [chart] or
+[solution] section repeated with other content; a word appended to a
+[problem], [space], [parent] or [equations] header; and a misspelt word in
+a verdict, flagged, closed, solvable or jacobi value.  Run as a script to
+check N mutants; it prints each escape and exits 1 if there is one:
 
     PYTHONPATH=src python3 tests/mutate.py 3000
 """
@@ -76,7 +78,23 @@ def _repeat_section(lines, i):
     return lines[:end] + [lines[i]] + body[1:] + lines[end:]
 
 
-REJECTED = (_misspell_key, _repeat_section)
+def _name_header(lines, i):
+    """Append a word to a header that takes no name (``[space extra]``)."""
+    if lines[i].strip() not in ("[problem]", "[space]", "[parent]", "[equations]"):
+        return None
+    return lines[:i] + [lines[i].strip()[:-1] + " extra]"] + lines[i + 1:]
+
+
+def _misspell_word(lines, i):
+    """Double the last letter of a value that takes one of a few words
+    (``verdict = pointt``, ``closed = truee``)."""
+    if lines[i].partition("=")[0].strip() not in ("verdict", "flagged", "closed",
+                                                  "solvable", "jacobi"):
+        return None
+    return _value_edit(lambda v: v + v[-1:])(lines, i)
+
+
+REJECTED = (_misspell_key, _repeat_section, _name_header, _misspell_word)
 MUTATIONS = (_delete, _duplicate, _swap, _blank_header,
              _value_edit(lambda v: ""),
              _value_edit(lambda v: " ".join(v.split()[:-1])),

@@ -21,6 +21,14 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert rc == 0 and "y': -2*y'" in out
 
+    def test_prolong_order_below_one_is_error(self, capsys):
+        # --order 0 is an order, not the space's default.
+        for order in ("0", "-1"):
+            rc = main(["prolong", "--problem", prob("blasius-translated.prob"),
+                       "--field", "X2", "--order", order])
+            assert (rc, capsys.readouterr()) == (
+                1, ("", "error: prolongation order must be at least 1\n"))
+
     def test_check_symmetry_pass(self, capsys):
         rc = main(["check-symmetry", "--problem", prob("power-diffusion.prob"),
                    "--field", "X5"])
@@ -152,6 +160,12 @@ class TestSubcommands:
         assert (rc, capsys.readouterr().err) == (
             1, "error: several dependent variables; name the reduction target\n")
 
+    def test_algebra_of_dependent_fields_is_error(self, capsys):
+        # X1 listed twice spans one dimension, not two.
+        rc = main(["algebra", "--problem", prob("power-diffusion.prob"), "--fields", "X1,X1"])
+        assert (rc, capsys.readouterr()) == (
+            1, ("", "error: generators are linearly dependent\n"))
+
     def test_algebra_without_fields_is_error(self, capsys):
         rc = main(["algebra", "--problem", prob("laplace-3d.prob")])
         assert (rc, capsys.readouterr().err) == (1, "error: need at least one generator\n")
@@ -191,6 +205,8 @@ BASE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
         "[equations]\ny' = y\n[field T]\nx = 1\n[solution s]\ny = exp(x)\n")
 GOOD_CHECK = "[expect symmetry T]\ntag = oracle\nverdict = symmetry\n"
 CHART = "[chart c]\nindependent = r\ndependent = v\nr = x\nv = y\n"
+PARENT = ("[parent]\nindependent = x\ndependent = u\norder = 2\n"
+          "kind = ode\ntarget = u\naux = a\n")
 DEEP = "sin(" * 400 + "y" + ")" * 400
 # Each malformed file, the check that reports it ("load" when the file is
 # rejected) and the start of the reported text: the loader's own errors name
@@ -457,6 +473,60 @@ MALFORMED = {
     "commutator-checks-nothing":
         (BASE + "[expect commutator T T]\ntag = oracle\n",
          "load", "bad.prob [expect commutator T T]: checks nothing; give 'result'"),
+    # A section that takes no name is rejected with one.
+    "problem-named":
+        (BASE + "[problem extra]\nid = bad\n",
+         "load", "bad.prob: [problem] takes no name: 'problem extra'"),
+    "space-named":
+        (BASE.replace("[space]", "[space extra words]"),
+         "load", "bad.prob: [space] takes no name: 'space extra words'"),
+    "parent-named":
+        (BASE + "[parent p]\nindependent = x\ndependent = u\norder = 2\n"
+         "kind = ode\ntarget = u\naux = a\n",
+         "load", "bad.prob: [parent] takes no name: 'parent p'"),
+    "equations-named":
+        (BASE.replace("[equations]", "[equations main]"),
+         "load", "bad.prob: [equations] takes no name: 'equations main'"),
+    # A verdict takes only its operation's words; an empty one is not the
+    # default.
+    "symmetry-empty-verdict":
+        (BASE + "[expect symmetry T]\ntag = oracle\nverdict =\n",
+         "load", "bad.prob [expect symmetry T]: verdict must be symmetry or not-symmetry, "
+         "got ''"),
+    "symmetry-misspelt-verdict":
+        (BASE + "[expect symmetry T]\ntag = oracle\nverdict = symetry\n",
+         "load", "bad.prob [expect symmetry T]: verdict must be symmetry or not-symmetry, "
+         "got 'symetry'"),
+    "classify-empty-verdict":
+        (BASE + CHART + "[expect classify T c]\ntag = oracle\nverdict =\n",
+         "load", "bad.prob [expect classify T c]: verdict must be point or nonlocal or "
+         "inconclusive, got ''"),
+    "classify-misspelt-verdict":
+        (BASE + CHART + "[expect classify T c]\ntag = oracle\nverdict = nonlocall\n",
+         "load", "bad.prob [expect classify T c]: verdict must be point or nonlocal or "
+         "inconclusive, got 'nonlocall'"),
+    "lift-empty-verdict":
+        (BASE + PARENT + "[expect lift T]\ntag = oracle\nverdict =\n",
+         "load", "bad.prob [expect lift T]: verdict must be point or nonlocal, got ''"),
+    "lift-misspelt-verdict":
+        (BASE + PARENT + "[expect lift T]\ntag = oracle\nverdict = pointt\n",
+         "load", "bad.prob [expect lift T]: verdict must be point or nonlocal, got 'pointt'"),
+    # advice's first names one of its two fields, or is `either`; a series
+    # holds at least one integer.
+    "advice-first-not-an-argument":
+        (BASE + "[field U]\nx = x\n[expect advice T U]\ntag = oracle\nfirst = Q\n",
+         "load", "bad.prob [expect advice T U]: first must be T or U or either, got 'Q'"),
+    "algebra-empty-series":
+        (BASE + "[expect algebra]\ntag = oracle\nseries =\n",
+         "load", "bad.prob [expect algebra]: series must be an integer, got ''"),
+    # Generators must be linearly independent: T twice, or T beside 2*T,
+    # spans one dimension.
+    "algebra-field-listed-twice":
+        (BASE + "[expect algebra]\ntag = oracle\nfields = T T\nseries = 2 0\n",
+         "algebra", "error: generators are linearly dependent"),
+    "algebra-field-multiple-of-another":
+        (BASE + "[field U]\nx = 2\n[expect algebra]\ntag = oracle\nseries = 2 0\n",
+         "algebra", "error: generators are linearly dependent"),
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),

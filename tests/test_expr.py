@@ -162,6 +162,20 @@ class TestNormalForm:
         assert kernel("log", kernel("exp", x)) == x
         assert kernel("exp", kernel("log", x)) == x
 
+    def test_log_of_a_power_is_a_multiple(self):
+        # log(u^q) = q*log(u) for a rational q.
+        assert kernel("log", power(x, 3)) == 3 * kernel("log", x)
+        assert kernel("log", power(x + y, rat(-1, 2))) == rat(-1, 2) * kernel("log", x + y)
+        assert parse_expr("log(x^2) - 2*log(x)", {"x"}) == ZERO
+
+    def test_log_of_a_product_is_a_sum(self):
+        # log(c*m) = log(c) + log(m) for a positive coefficient c; the
+        # constant stays, and a negative coefficient keeps the product whole.
+        assert kernel("log", 2 * x) == add(Kernel("log", rat(2)), kernel("log", x))
+        assert render(parse_expr("log(3*x^2*y)", {"x", "y"})) == "log(3) + 2*log(x) + log(y)"
+        assert parse_expr("log(2*x)", {"x"}) != parse_expr("log(x)", {"x"})
+        assert isinstance(kernel("log", -2 * x), Kernel)
+
     def test_common_content_leaves_power_bases(self):
         e = power(sym("R") * kernel("exp", x) - sym("R") ** 2 * kernel("exp", x), -1)
         pows = [f for f in e.factors if isinstance(f, Pow)]
