@@ -9,9 +9,9 @@ independent ones, each source total derivative of a target coordinate obeys
 
 which is affine in the unknown source derivatives.  Solving it for them,
 then differentiating the solved forms with a mixed total derivative,
-expresses every source jet in target jets.  Substituting that dictionary
-plus the inverse base map rewrites an equation completely in the new
-coordinates; substituting it into an auxiliary definition (like
+expresses each source jet that is asked for in target jets.  Substituting
+that dictionary plus the inverse base map rewrites an equation completely
+in the new coordinates; substituting it into an auxiliary definition (like
 ``alpha = ds/dr``) identifies the target derivative the auxiliary names.
 The linear solve uses division-free elimination with equivalence-tested
 pivoting; ties are broken by smallest normalized term count.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .equiv import equiv, is_zero, sampled_nonsingular
@@ -202,9 +201,16 @@ def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
     return add(*parts)
 
 
-def jet_dictionaries(T: PointTransformation, order: int) -> dict[str, Expr]:
-    """Every source jet up to ``order`` as an expression in source base
-    coordinates and target jet symbols."""
+def jet_dictionaries(T: PointTransformation, order: int,
+                     exprs: Sequence[Expr]) -> dict[str, Expr]:
+    """Source jets as expressions in source base coordinates and target jet
+    symbols: every first-order jet, and each jet of order 2 to ``order``
+    that ``exprs`` mention.
+
+    A jet u_{J,j} is the mixed total derivative along x_j of the jet u_J
+    with the first-order solved forms substituted, so the prefix chain of a
+    mentioned jet is derived with it, each link once.
+    """
     src = T.source
     ts = T.target_space(max(order, 1))
     djr = {(j, i): total_derivative(src, T.target_independent[i - 1][1], j)
@@ -217,15 +223,20 @@ def jet_dictionaries(T: PointTransformation, order: int) -> dict[str, Expr]:
     # differentiating the solved forms.
     src_first = [src.jet_name(d, (j,)) for d in src.dependent
                  for j in range(1, src.p + 1)]
-    backward = dict(zip(src_first, solve_affine(relations, src_first)))
-    first = dict(backward)
-    for k in range(2, order + 1):
-        for dep in src.dependent:
-            for idx in combinations_with_replacement(range(1, src.p + 1), k):
-                j = idx[-1]
-                prev = src.jet_name(dep, idx[:-1])
-                e = _mixed_total_derivative(T, ts, backward[prev], j, djr)
-                backward[src.jet_name(dep, idx)] = substitute(e, first)
+    first = dict(zip(src_first, solve_affine(relations, src_first)))
+    backward = dict(first)
+
+    def derive(dep: str, idx: tuple[int, ...]) -> Expr:
+        name = src.jet_name(dep, idx)
+        if name not in backward:
+            e = _mixed_total_derivative(T, ts, derive(dep, idx[:-1]), idx[-1], djr)
+            backward[name] = substitute(e, first)
+        return backward[name]
+
+    mentioned = {src.jet_info(v) for e in exprs for v in free_vars(e)}
+    for dep, idx in sorted(info for info in mentioned
+                           if info is not None and 2 <= len(info[1]) <= order):
+        derive(dep, idx)
     return backward
 
 
@@ -237,7 +248,9 @@ def transform_de(sys, T: PointTransformation):
     """Rewrite a system in the chart's coordinates.
 
     Requires the chart to carry its inverse base map; orders are capped at
-    three for one independent variable and two otherwise.
+    three for one independent variable and two otherwise.  The jet
+    dictionary is asked for the jets the equations mention, so a jet no
+    equation names is never derived.
     """
     src = T.source
     if sys.space.base_names != src.base_names:
@@ -248,7 +261,7 @@ def transform_de(sys, T: PointTransformation):
         raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
-    backward = jet_dictionaries(T, n)
+    backward = jet_dictionaries(T, n, sys.equations)
     ts = T.target_space(n)
     out = []
     allowed = set(ts.base_names) | set(ts.params) | set(ts.jet_names(n))
@@ -323,7 +336,8 @@ def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
     P = prolong(X, max(1, n_aux))
     raw = {n: P.apply_to(d) for n, d in coord_defs}
     raw_order = max([src.jet_order(e) for e in raw.values()], default=0)
-    backward = jet_dictionaries(T, max(raw_order, 1))
+    backward = jet_dictionaries(T, max(raw_order, 1),
+                                [d for _, d in T.aux] + list(raw.values()))
     target_first = T.target_space(1).jet_names(1)
     rename: dict[str, Expr] = {}
     for n, d in T.aux:

@@ -622,6 +622,14 @@ KERNELS: dict[str, KernelRule] = {
 # Calculus and structural operations
 
 
+def _nonzero_sum(parts: list) -> Expr:
+    """The sum of normalized parts, none of them zero: ``add`` only when
+    there are two or more, since one normalized part is its own sum."""
+    if not parts:
+        return ZERO
+    return parts[0] if len(parts) == 1 else add(*parts)
+
+
 def diff(e: Expr, v) -> Expr:
     """Partial derivative treating every other variable as constant."""
     name = _name_of(v)
@@ -632,7 +640,7 @@ def diff(e: Expr, v) -> Expr:
         if isinstance(e, Sym):
             return ONE if e.name == name else ZERO
         if isinstance(e, Add):
-            return add(*[go(t) for t in e.terms])
+            return _nonzero_sum([d for d in map(go, e.terms) if d != ZERO])
         if isinstance(e, Mul):
             parts = []
             fs = e.factors
@@ -643,7 +651,7 @@ def diff(e: Expr, v) -> Expr:
                 if df == ZERO:
                     continue
                 parts.append(mul(*fs[:i], df, *fs[i + 1:]))
-            return add(*parts)
+            return _nonzero_sum(parts)
         if isinstance(e, Pow):
             db = go(e.base)
             if isinstance(e.exponent, Rat):
@@ -669,29 +677,47 @@ def diff(e: Expr, v) -> Expr:
 
 def _rebuild(e: Expr, m: Mapping[str, Expr]) -> Expr:
     """``e`` rebuilt through the normalizing constructors, with each variable
-    named in ``m`` replaced by its value."""
+    named in ``m`` replaced by its value.  With bindings, a node whose
+    children all come back as the same objects is returned as is: a
+    normalized node rebuilt from its own children is itself.  With none,
+    every node is rebuilt."""
     if isinstance(e, Rat):
         return e
     if isinstance(e, Sym):
         return m.get(e.name, e)
     if isinstance(e, Add):
-        return add(*[_rebuild(t, m) for t in e.terms])
+        ts = [_rebuild(t, m) for t in e.terms]
+        if m and all(a is b for a, b in zip(ts, e.terms)):
+            return e
+        return add(*ts)
     if isinstance(e, Mul):
-        return mul(*[_rebuild(f, m) for f in e.factors])
+        fs = [_rebuild(f, m) for f in e.factors]
+        if m and all(a is b for a, b in zip(fs, e.factors)):
+            return e
+        return mul(*fs)
     if isinstance(e, Pow):
-        return power(_rebuild(e.base, m), _rebuild(e.exponent, m))
+        b, x = _rebuild(e.base, m), _rebuild(e.exponent, m)
+        if m and b is e.base and x is e.exponent:
+            return e
+        return power(b, x)
     if isinstance(e, Kernel):
-        return kernel(e.name, _rebuild(e.arg, m))
+        a = _rebuild(e.arg, m)
+        if m and a is e.arg:
+            return e
+        return kernel(e.name, a)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def normalize(e: Expr) -> Expr:
-    """Rebuild through the normalizing constructors (idempotent)."""
+    """Rebuild every node through the normalizing constructors (idempotent);
+    this is the one way to bring a hand-built node into normal form."""
     return _rebuild(e, {})
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous substitution followed by normalization."""
+    """Simultaneous substitution followed by normalization.  ``e`` must be
+    normalized, as every constructor's result is: a subtree that mentions
+    no bound name comes back as the same object, not rebuilt."""
     if not bindings:
         return e
     return _rebuild(e, {_name_of(k): _coerce(v) for k, v in bindings.items()})

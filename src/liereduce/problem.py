@@ -402,6 +402,8 @@ def load_problem(path) -> ProblemFile:
                     if len(pair) != 2 or not set(pair) <= set(names or fields):
                         raise ProblemError(f"bracket {head!r} needs two fields from the list")
             if e.op == "prolong":
+                if order < 1:
+                    raise ProblemError(f"prolongation order must be at least 1, got {order}")
                 for name, _ in e.prefixed("coeff"):
                     info = space.jet_info(name)
                     if name not in space.independent and (info is None or len(info[1]) > order):

@@ -355,6 +355,14 @@ MALFORMED = {
     "prolong-empty-order":
         (BASE + "[expect prolong T]\ntag = oracle\norder =\ncoeff y' = 0\n",
          "load", "bad.prob [expect prolong T]: order must be an integer, got ''"),
+    # An order below 1 is rejected even when every coefficient is on a base
+    # coordinate.
+    "prolong-order-zero":
+        (BASE + "[expect prolong T]\ntag = oracle\norder = 0\ncoeff x = 1\n",
+         "load", "bad.prob [expect prolong T]: prolongation order must be at least 1, got 0"),
+    "prolong-order-negative":
+        (BASE + "[expect prolong T]\ntag = oracle\norder = -1\ncoeff x = 1\n",
+         "load", "bad.prob [expect prolong T]: prolongation order must be at least 1, got -1"),
     "space-order-not-integer":
         (BASE.replace("order = 1", "order = two"), "load", "bad.prob [space]: "),
     "connection-empty-reduce":

@@ -13,7 +13,7 @@ from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
 from liereduce.equiv import sampled_nonsingular
-from liereduce.expr import PowerBoundError, numeric, positivity_constraints
+from liereduce.expr import KERNELS, PowerBoundError, numeric, positivity_constraints
 from fresh import fresh
 from genexpr import random_expr, small_rat
 
@@ -438,6 +438,87 @@ class TestSubstitute:
 
     def test_normalizes_result(self):
         assert substitute(x * yp + y, {"y'": rat(0)}) == y
+
+    def test_untouched_subtree_is_reused(self):
+        e = (1 + x) * kernel("exp", y) + u
+        assert substitute(e, {"w": x}) is e
+        kept = [t for t in e.terms if t != u]
+        got = substitute(e, {"u": y})
+        assert all(any(t is g for g in got.terms) for t in kept)
+
+    def test_normalize_rebuilds_a_hand_built_node(self):
+        assert normalize(Mul((x, x))) == power(x, rat(2))
+
+
+def _full_rebuild(e, m):
+    """Reference substitution: every node rebuilt through the constructors."""
+    if isinstance(e, Rat):
+        return e
+    if isinstance(e, Sym):
+        return m.get(e.name, e)
+    if isinstance(e, Add):
+        return add(*[_full_rebuild(t, m) for t in e.terms])
+    if isinstance(e, Mul):
+        return mul(*[_full_rebuild(f, m) for f in e.factors])
+    if isinstance(e, Pow):
+        return power(_full_rebuild(e.base, m), _full_rebuild(e.exponent, m))
+    return kernel(e.name, _full_rebuild(e.arg, m))
+
+
+def _full_diff(e, name):
+    """Reference derivative: ``add`` over every part, zero parts included."""
+    if isinstance(e, Rat):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, Add):
+        return add(*[_full_diff(t, name) for t in e.terms])
+    if isinstance(e, Mul):
+        fs = e.factors
+        return add(*[mul(*fs[:i], _full_diff(f, name), *fs[i + 1:])
+                     for i, f in enumerate(fs)])
+    if isinstance(e, Pow):
+        if isinstance(e.exponent, Rat):
+            return mul(e.exponent, power(e.base, Rat(e.exponent.value - 1)),
+                       _full_diff(e.base, name))
+        inner = add(mul(_full_diff(e.exponent, name), kernel("log", e.base)),
+                    mul(e.exponent, _full_diff(e.base, name), power(e.base, rat(-1))))
+        return mul(e, inner)
+    return mul(KERNELS[e.name].deriv(e.arg), _full_diff(e.arg, name))
+
+
+class TestReuseMatchesFullRebuild:
+    """``diff`` skips zero parts and ``substitute`` keeps untouched subtrees;
+    on normalized input both must give, key for key, what rebuilding every
+    part gives."""
+
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            return f(*args).key()
+        except ExprError as exc:
+            return type(exc)
+
+    def test_random(self):
+        rng = random.Random(23)
+        names = ["x", "y", "u"]
+        cases = 0
+        for _ in range(400):
+            e = random_expr(rng, names)
+            for v in names + ["w"]:
+                assert self._outcome(diff, e, v) == self._outcome(_full_diff, e, v)
+                cases += 1
+            a = random_expr(rng, names, depth=2)
+            for bindings in ({"w": a},  # touches nothing
+                             {"x": sym("x")},  # a name bound to itself
+                             {"y": a},
+                             {"x": y, "y": x},
+                             {"u": rat(small_rat(rng))},
+                             {"x": a, "u": x * y}):
+                assert (self._outcome(substitute, e, bindings)
+                        == self._outcome(_full_rebuild, e, bindings))
+                cases += 1
+        assert cases == 4000
 
 
 class TestEquiv:

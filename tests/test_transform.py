@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from liereduce import (ChartError, DESystem, JetSpace, PointTransformation,
-                       SingularMapError, VectorField, ZERO, equiv, free_vars,
-                       parse_expr, pushforward_field, rat, solve_affine, sym,
-                       transform_de, verify_canonical)
-from liereduce.corpus import equation_matches
+                       SingularMapError, VectorField, ZERO, charts, equiv, free_vars,
+                       jet_dictionaries, parse_expr, pushforward_field, rat,
+                       solve_affine, sym, transform_de, verify_canonical)
+from liereduce.corpus import corpus_dir, equation_matches
+from liereduce.problem import load_problem
 
 ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
@@ -233,6 +234,55 @@ class TestTransformDE:
                                           dependent={"s": "-1/x"}, canonical="s")
         with pytest.raises(ChartError, match="inverse"):
             transform_de(SCALING_ODE, chart)
+
+
+def _laplace_chart(p: int) -> PointTransformation:
+    """r_i = x_i/x_p, r_p = log x_p, s = u over p independent variables."""
+    space = JetSpace(tuple(f"x{i}" for i in range(1, p + 1)), ("u",), 2)
+    independent = {f"r{i}": f"x{i}/x{p}" for i in range(1, p)}
+    independent[f"r{p}"] = f"log(x{p})"
+    inverse = {f"x{i}": f"r{i}*exp(r{p})" for i in range(1, p)}
+    inverse[f"x{p}"] = f"exp(r{p})"
+    inverse["u"] = "s"
+    return PointTransformation.parse(space, independent, {"s": "u"},
+                                     canonical="s", inverse=inverse)
+
+
+class TestJetDictionaries:
+    """The dictionary derives the second-order jets it is given and no
+    other, each with the expression the full dictionary has for it."""
+
+    @pytest.fixture(params=["log-diffusion", "laplace-p3"])
+    def chart(self, request):
+        if request.param == "laplace-p3":
+            return _laplace_chart(3)
+        return load_problem(corpus_dir() / "log-diffusion.prob").charts["canon"]
+
+    def _counted(self, monkeypatch, T, exprs):
+        """The dictionary and how many jets of order 2 it derived."""
+        calls = []
+        inner = charts._mixed_total_derivative
+        monkeypatch.setattr(charts, "_mixed_total_derivative",
+                            lambda *args: calls.append(args) or inner(*args))
+        try:
+            return jet_dictionaries(T, 2, exprs), len(calls)
+        finally:
+            monkeypatch.undo()
+
+    def test_one_jet_asked_one_derived(self, monkeypatch, chart):
+        src = chart.source
+        every = src.jet_names(2)
+        one, n_one = self._counted(monkeypatch, chart, [sym("u_11")])
+        full, n_full = self._counted(monkeypatch, chart, [sym(j) for j in every])
+        assert n_one == 1
+        assert n_full == len(every) - src.p
+        assert set(one) == set(src.jet_names(1)) | {"u_11"}
+        assert set(full) == set(every)
+        assert all(one[j].key() == full[j].key() for j in one)
+
+    def test_first_order_only_when_nothing_of_order_two_is_named(self, monkeypatch, chart):
+        got, n = self._counted(monkeypatch, chart, [sym("u_1"), sym("u_111"), sym("x1")])
+        assert n == 0 and set(got) == set(chart.source.jet_names(1))
 
 
 class TestPushforward:
