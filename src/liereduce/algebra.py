@@ -39,7 +39,7 @@ def _monomial_map(e: Expr) -> dict[tuple, Fraction]:
         return out
     for t in (e.terms if isinstance(e, Add) else (e,)):
         c, mono = _coeff_monomial(t)
-        out[tuple(f.key() for f in mono)] = c
+        out[tuple(f.key() for f in mono)] = Fraction(c)
     return out
 
 

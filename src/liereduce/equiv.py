@@ -360,7 +360,7 @@ def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
         except DomainError:
             return None
         if all(isinstance(v, Rat) for row in values for v in row):
-            return [[v.value for v in row] for row in values], 0
+            return [[Fraction(v.value) for v in row] for row in values], 0
         try:
             out = [[eval_numeric(v, {}) for v in row] for row in values]
         except (DomainError, OverflowError):

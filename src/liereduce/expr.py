@@ -103,12 +103,24 @@ class Expr:
 
 
 class Rat(Expr):
+    """An exact rational constant.  ``value`` is an ``int`` exactly when the
+    constant is integral, and a ``Fraction`` otherwise, so integral
+    arithmetic runs on Python ints; anything but an int or a Fraction is a
+    TypeError, so a float never becomes a constant."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
-        v = value if isinstance(value, Fraction) else Fraction(value)
-        self.value = v
-        self._key = (0, (v.numerator, v.denominator))
+        if type(value) is not int:
+            if isinstance(value, Fraction):
+                if value.denominator == 1:
+                    value = value.numerator
+            elif isinstance(value, int):
+                value = int(value)
+            else:
+                raise TypeError(f"not an exact rational: {value!r}")
+        self.value = value
+        self._key = (0, (value.numerator, value.denominator))
         self._hash = hash(self._key)
 
 
@@ -191,7 +203,7 @@ def sym(name: str) -> Sym:
 # Normalizing constructors
 
 
-def _coeff_monomial(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+def _coeff_monomial(t: Expr) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """Split a normalized non-sum term into (rational coefficient, factors)."""
     if isinstance(t, Rat):
         return t.value, ()
@@ -199,11 +211,11 @@ def _coeff_monomial(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
         fs = t.factors
         if isinstance(fs[0], Rat):
             return fs[0].value, fs[1:]
-        return ONE.value, fs
-    return ONE.value, (t,)
+        return 1, fs
+    return 1, (t,)
 
 
-def _term_from(coeff: Fraction, mono: tuple[Expr, ...]) -> Expr:
+def _term_from(coeff: int | Fraction, mono: tuple[Expr, ...]) -> Expr:
     if not mono:
         return Rat(coeff)
     if coeff == 1:
@@ -313,7 +325,7 @@ def mul(*parts) -> Expr:
                 v = f.value
                 if v == 0:
                     return ZERO
-                coeff *= v.numerator if v.denominator == 1 else v
+                coeff *= v
                 continue
             if isinstance(f, Mul):
                 queue.extend(f.factors)
@@ -322,8 +334,6 @@ def mul(*parts) -> Expr:
                 b, q = f.base, f.exponent
                 if isinstance(q, Rat):
                     q = q.value
-                    if q.denominator == 1:
-                        q = q.numerator
                     keep = f if q != 1 else None
                 else:
                     keep, settle = None, True
@@ -414,7 +424,7 @@ def _int_nth_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def _rat_pow(q: Fraction, e: Fraction) -> Fraction | None:
+def _rat_pow(q: int | Fraction, e: int | Fraction) -> int | Fraction | None:
     """Exact rational value of q**e, or None when it is not rational."""
     if e.denominator == 1:
         n = e.numerator
@@ -510,7 +520,7 @@ def power(b, e) -> Expr:
         if isinstance(e, Rat) and e.value.denominator == 1:
             c0, _ = _coeff_monomial(b.terms[0])
             if c0 < 0:
-                flip = Rat(Q(-1) ** int(e.value))
+                flip = MINUS_ONE if e.value % 2 else ONE
                 return mul(flip, power(add(*[mul(-1, t) for t in b.terms]), e))
     if isinstance(e, Rat):
         q = e.value
@@ -526,7 +536,7 @@ def power(b, e) -> Expr:
             if isinstance(b, Mul):
                 return mul(*[power(f, e) for f in b.factors])
             if isinstance(b, Add) and 1 < q <= _POW_EXPAND_LIMIT:
-                return _distribute(b.terms, [b] * (int(q) - 1))
+                return _distribute(b.terms, [b] * (q - 1))
     if isinstance(b, Pow) and isinstance(b.exponent, Rat) and isinstance(e, Rat):
         return power(b.base, Rat(b.exponent.value * e.value))
     if isinstance(b, Kernel) and b.name == "exp":
@@ -542,7 +552,7 @@ def _log_multiple(t: Expr) -> tuple[Expr, Expr] | None:
         logs = [f for f in t.factors if isinstance(f, Kernel) and f.name == "log"]
         if len(logs) == 1:
             rest = tuple(f for f in t.factors if f is not logs[0])
-            return _term_from(Q(1), rest) if rest else ONE, logs[0].arg
+            return _term_from(1, rest) if rest else ONE, logs[0].arg
     return None
 
 
@@ -784,7 +794,7 @@ def numeric(e: Expr) -> Callable[[Mapping[str, float]], float]:
     if isinstance(e, Pow):
         base = numeric(e.base)
         if isinstance(e.exponent, Rat) and e.exponent.value.denominator == 1:
-            n = int(e.exponent.value)
+            n = e.exponent.value
 
             def f(pt):
                 b = base(pt)
@@ -875,10 +885,6 @@ def clear_denominators(e: Expr) -> Expr:
 # Rendering (inverse of the parser's grammar)
 
 
-def _render_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _render_factor(f: Expr) -> str:
     """One factor of a product: a power's base and exponent are
     parenthesized unless atomic, and any other compound factor is too."""
@@ -887,7 +893,7 @@ def _render_factor(f: Expr) -> str:
     if isinstance(f, Kernel):
         return f"{f.name}({render(f.arg)})"
     if isinstance(f, Rat):
-        return _render_rat(f.value)
+        return str(f.value)
     if not isinstance(f, Pow):
         return f"({render(f)})"
     base, ex = f.base, f.exponent
@@ -897,7 +903,7 @@ def _render_factor(f: Expr) -> str:
     else:
         bs = f"({render(base)})"
     if isinstance(ex, Rat) and ex.value.denominator == 1 and ex.value >= 0:
-        es = _render_rat(ex.value)
+        es = str(ex.value)
     elif isinstance(ex, Sym):
         es = ex.name
     else:
@@ -905,13 +911,13 @@ def _render_factor(f: Expr) -> str:
     return f"{bs}^{es}"
 
 
-def _render_product(c: Fraction, mono: tuple[Expr, ...]) -> str:
+def _render_product(c: int | Fraction, mono: tuple[Expr, ...]) -> str:
     pieces = [_render_factor(f) for f in mono]
     if c == 1 and pieces:
         return "*".join(pieces)
     if c == -1 and pieces:
         return "-" + "*".join(pieces)
-    head = _render_rat(c)
+    head = str(c)
     return "*".join([head] + pieces) if pieces else head
 
 

@@ -126,7 +126,7 @@ class _Parser:
             self.i += 1
             u = self.unary()
             if isinstance(u, Rat) and (val == "*" or u.value):
-                coeff = coeff * u.value if val == "*" else coeff / u.value
+                coeff = coeff * u.value if val == "*" else Fraction(coeff) / u.value
             else:
                 rest.append(u if val == "*" else power(u, MINUS_ONE))
         if coeff == 0:

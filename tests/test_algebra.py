@@ -8,6 +8,8 @@ import pytest
 from liereduce import (AlgebraError, AlgebraTable, JetSpace, VectorField,
                        commutator, equiv, eval_numeric, is_solvable, rat,
                        reduction_order_advice, structure_constants)
+from liereduce.corpus import corpus_dir
+from liereduce.problem import load_problem
 from genexpr import random_polynomial
 
 ODE = JetSpace(("x",), ("y",), 2)
@@ -154,6 +156,18 @@ class TestStructureConstants:
                                       (0, 2): (F(0), F(1), F(0)),
                                       (1, 2): (F(0), F(0), F(0))}, {})
         assert tab.closed and not tab.jacobi_ok()
+
+    def test_shipped_tables_are_exact(self):
+        # Integral coefficients are Python ints, and the elimination divides
+        # them; every constant of every shipped table must stay exact.
+        checked = 0
+        for path in sorted(corpus_dir().glob("*.prob")):
+            pf = load_problem(path)
+            if pf.fields:
+                for coords in pf.algebra_table()[1].entries.values():
+                    assert coords is None or all(type(c) in (int, Fraction) for c in coords)
+                    checked += 1
+        assert checked >= 10
 
     def test_not_in_span_flagged(self):
         g = [VectorField.parse(ODE, {"x": "1"}),

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,83 @@ class TestNormalForm:
         with pytest.raises(DomainError, match="zero raised to a negative power"):
             parse_expr("1/0")
         assert power(ZERO, rat(1, 2)) == ZERO
+
+
+def _rats(e):
+    """Every Rat node reachable from ``e``, exponents included."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Rat):
+            yield n
+        elif isinstance(n, Add):
+            stack.extend(n.terms)
+        elif isinstance(n, Mul):
+            stack.extend(n.factors)
+        elif isinstance(n, Pow):
+            stack += [n.base, n.exponent]
+        elif isinstance(n, Kernel):
+            stack.append(n.arg)
+
+
+def _exact_value(v) -> bool:
+    """A constant's value is an int when integral, else a Fraction."""
+    return type(v) is int if v.denominator == 1 else type(v) is Fraction
+
+
+class TestIntegralConstants:
+    """``Rat.value`` is an ``int`` exactly when the constant is integral, and
+    a ``Fraction`` otherwise; the places where int arithmetic would turn
+    into a float (``int / int``, ``int ** -k``) must give exact values."""
+
+    def test_invariant_random(self):
+        rng = random.Random(24)
+        names = ["x", "y", "u"]
+        for _ in range(300):
+            a = random_expr(rng, names, depth=3)
+            b = random_expr(rng, names, depth=2)
+            k = rat(rng.choice([-3, -2, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]))
+            ops = [lambda: add(a, b), lambda: mul(a, b), lambda: power(add(a, b), k),
+                   lambda: diff(a, "x"),
+                   lambda: substitute(a, {"x": b, "y": rat(small_rat(rng))})]
+            for op in ops:
+                try:
+                    r = op()
+                except DomainError:  # zero to a negative power
+                    continue
+                assert all(_exact_value(c.value) for c in _rats(r)), render(r)
+                back = parse_expr(render(r))
+                assert back == r
+                assert all(_exact_value(c.value) for c in _rats(back)), render(r)
+
+    def test_integral_fraction_is_an_int(self):
+        r = Rat(Fraction(6, 3))
+        assert r.key() == Rat(2).key() and hash(r) == hash(Rat(2))
+        assert type(r.value) is int and r.value == 2
+        assert type(Rat(True).value) is int
+
+    @pytest.mark.parametrize("text, value", [
+        ("1/2", Fraction(1, 2)),
+        ("6/3", 2),
+        ("(-4)/(-2)", 2),
+        ("2^-3", Fraction(1, 8)),
+        ("0.25", Fraction(1, 4)),
+        ("x/2", Fraction(1, 2)),
+        ("x/3", Fraction(1, 3)),
+    ])
+    def test_traps_give_exact_values(self, text, value):
+        e = parse_expr(text, {"x"})
+        c = e if isinstance(e, Rat) else e.factors[0]
+        assert c.value == value and type(c.value) is type(value)
+
+    def test_negative_power_of_an_integer(self):
+        r = power(Rat(2), Rat(-3))
+        assert r.value == Fraction(1, 8) and type(r.value) is Fraction
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1/2", Decimal("0.5"), None])
+    def test_inexact_value_is_refused(self, value):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            Rat(value)
 
 
 BEYOND = "PowerBoundError exact power beyond 1048576 bits"

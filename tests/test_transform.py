@@ -1,5 +1,6 @@
 """Charts: canonical verification, change of variables, push-forwards."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,11 @@ from liereduce import (ChartError, DESystem, JetSpace, PointTransformation,
                        jet_dictionaries, parse_expr, pushforward_field, rat,
                        solve_affine, sym, transform_de, verify_canonical)
 from liereduce.corpus import corpus_dir, equation_matches
+from liereduce.equiv import echelon
 from liereduce.problem import load_problem
+
+# The module itself: the package's ``equiv`` attribute is the function.
+equiv_module = importlib.import_module("liereduce.equiv")
 
 ODE = JetSpace(("x",), ("y",), 2)
 PDE = JetSpace(("x1", "x2"), ("u",), 2)
@@ -96,6 +101,31 @@ class TestPointTransformation:
         else:
             with pytest.raises(SingularMapError, match="identically zero"):
                 PointTransformation.parse(space, independent, dependent)
+
+    @pytest.mark.parametrize("space, independent, dependent, regular", [
+        p for p in REGULARITY if "sqrt(4*x^2)" in str(p.values[1])])
+    def test_rational_point_elimination_is_exact(self, space, independent, dependent,
+                                                 regular, monkeypatch):
+        # At a rational point the Jacobian's entries are integral constants
+        # as often as not; they must enter the elimination as Fractions, so
+        # that it never divides one int by another into a float.
+        calls = []
+
+        def spy(rows, tol=0):
+            entries = [v for row in rows for v in row]
+            out = echelon(rows, tol)
+            calls.append((tol, entries + [v for row in out for v in row]))
+            return out
+
+        monkeypatch.setattr(equiv_module, "echelon", spy)
+        try:
+            PointTransformation.parse(space, independent, dependent)
+            singular = False
+        except SingularMapError:
+            singular = True
+        assert singular != regular
+        exact = [values for tol, values in calls if tol == 0]
+        assert exact and all(type(v) is Fraction for values in exact for v in values)
 
     def test_counts_must_match(self):
         with pytest.raises(ChartError, match="counts"):
