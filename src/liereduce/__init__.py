@@ -20,8 +20,9 @@ from .systems import (DESystem, SymmetryReport, SystemError_,
                       check_point_symmetry, reduce_on_manifold,
                       verify_solution)
 from .charts import (ChartError, PointTransformation, Pushforward,
-                     SingularMapError, jet_dictionaries, pushforward_field,
-                     solve_affine, transform_de, verify_canonical)
+                     SingularMapError, first_order_jets, jet_dictionaries,
+                     pushforward_field, solve_affine, transform_de,
+                     verify_canonical)
 from .reduction import (Connection, ReducedSystem, ReductionError, lie_reduce,
                         reduce_ode, reduce_pde, verify_connection)
 from .classify import (Classification, ClassifyError, classify_pushforward,

@@ -201,29 +201,43 @@ def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
     return add(*parts)
 
 
-def jet_dictionaries(T: PointTransformation, order: int,
-                     exprs: Sequence[Expr]) -> dict[str, Expr]:
-    """Source jets as expressions in source base coordinates and target jet
-    symbols: every first-order jet, and each jet of order 2 to ``order``
-    that ``exprs`` mention.
+# What ``first_order_jets`` returns.
+FirstOrderJets = tuple[dict[tuple[int, int], Expr], dict[str, Expr]]
 
-    A jet u_{J,j} is the mixed total derivative along x_j of the jet u_J
-    with the first-order solved forms substituted, so the prefix chain of a
-    mentioned jet is derived with it, each link once.
-    """
+
+def first_order_jets(T: PointTransformation) -> FirstOrderJets:
+    """The chain-rule coefficients ``D_j r_i`` keyed by (j, i), and every
+    first-order source jet solved jointly in target jets.  A loaded problem
+    derives this once per chart and hands it to ``transform_de`` and
+    ``pushforward_field``."""
     src = T.source
-    ts = T.target_space(max(order, 1))
+    ts = T.target_space(1)
     djr = {(j, i): total_derivative(src, T.target_independent[i - 1][1], j)
            for j in range(1, src.p + 1) for i in range(1, src.p + 1)}
     relations = [add(*[mul(sym(ts.jet_name(dep, (i,))), djr[(j, i)])
                        for i in range(1, src.p + 1)],
                      mul(-1, total_derivative(src, e, j)))
                  for dep, e in T.target_dependent for j in range(1, src.p + 1)]
-    # Solve jointly for the source first derivatives, then extend by
-    # differentiating the solved forms.
     src_first = [src.jet_name(d, (j,)) for d in src.dependent
                  for j in range(1, src.p + 1)]
-    first = dict(zip(src_first, solve_affine(relations, src_first)))
+    return djr, dict(zip(src_first, solve_affine(relations, src_first)))
+
+
+def jet_dictionaries(T: PointTransformation, order: int, exprs: Sequence[Expr],
+                     first_order: FirstOrderJets | None = None
+                     ) -> dict[str, Expr]:
+    """Source jets as expressions in source base coordinates and target jet
+    symbols: every first-order jet, and each jet of order 2 to ``order``
+    that ``exprs`` mention.
+
+    ``first_order`` is the chart's ``first_order_jets``, solved here when
+    not given.  A jet u_{J,j} is the mixed total derivative along x_j of the
+    jet u_J with the first-order solved forms substituted, so the prefix
+    chain of a mentioned jet is derived with it, each link once.
+    """
+    src = T.source
+    ts = T.target_space(max(order, 1))
+    djr, first = first_order if first_order is not None else first_order_jets(T)
     backward = dict(first)
 
     def derive(dep: str, idx: tuple[int, ...]) -> Expr:
@@ -244,13 +258,14 @@ _ODE_ORDER_CAP = 3
 _PDE_ORDER_CAP = 2
 
 
-def transform_de(sys, T: PointTransformation):
+def transform_de(sys, T: PointTransformation,
+                 first_order: FirstOrderJets | None = None):
     """Rewrite a system in the chart's coordinates.
 
     Requires the chart to carry its inverse base map; orders are capped at
     three for one independent variable and two otherwise.  The jet
     dictionary is asked for the jets the equations mention, so a jet no
-    equation names is never derived.
+    equation names is never derived; ``first_order`` is passed on to it.
     """
     src = T.source
     if sys.space.base_names != src.base_names:
@@ -261,7 +276,7 @@ def transform_de(sys, T: PointTransformation):
         raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
-    backward = jet_dictionaries(T, n, sys.equations)
+    backward = jet_dictionaries(T, n, sys.equations, first_order)
     ts = T.target_space(n)
     out = []
     allowed = set(ts.base_names) | set(ts.params) | set(ts.jet_names(n))
@@ -314,14 +329,17 @@ def _leading_rational(e: Expr) -> Fraction | None:
     return c
 
 
-def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
+def pushforward_field(X: VectorField, T: PointTransformation,
+                      first_order: FirstOrderJets | None = None
+                      ) -> Pushforward:
     """Push X through the chart onto (targets, auxiliary variables).
 
     Each new coefficient is the prolonged field applied to the coordinate's
-    defining expression, re-expressed through the jet dictionary and the
-    inverse map.  Each auxiliary definition, re-expressed the same way, must
-    be one of the chart's first-order target derivatives, so a wrong
-    definition is rejected rather than silently used.
+    defining expression, re-expressed through the jet dictionary (given
+    ``first_order``, as ``transform_de`` is) and the inverse map.  Each
+    auxiliary definition, re-expressed the same way, must be one of the
+    chart's first-order target derivatives, so a wrong definition is
+    rejected rather than silently used.
     """
     src = T.source
     if X.space.base_names != src.base_names:
@@ -337,7 +355,7 @@ def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
     raw = {n: P.apply_to(d) for n, d in coord_defs}
     raw_order = max([src.jet_order(e) for e in raw.values()], default=0)
     backward = jet_dictionaries(T, max(raw_order, 1),
-                                [d for _, d in T.aux] + list(raw.values()))
+                                [d for _, d in T.aux] + list(raw.values()), first_order)
     target_first = T.target_space(1).jet_names(1)
     rename: dict[str, Expr] = {}
     for n, d in T.aux:

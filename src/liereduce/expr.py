@@ -73,12 +73,18 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
+        """``self - other`` in one pass: the terms of ``other`` fold into the
+        accumulator of ``self``'s terms scaled by -1, so no negated copy of
+        ``other`` is built and a cancelled pair rebuilds no term.  This is
+        ``add(self, mul(-1, other))`` because both operands are normalized,
+        which every constructor guarantees: a normalized term times -1 is
+        its coefficient negated."""
         o = _try_coerce(other)
-        return NotImplemented if o is None else add(self, mul(MINUS_ONE, o))
+        return NotImplemented if o is None else _sum(_collect((o,), _collect((self,), {}), -1))
 
     def __rsub__(self, other):
         o = _try_coerce(other)
-        return NotImplemented if o is None else add(o, mul(MINUS_ONE, self))
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = _try_coerce(other)

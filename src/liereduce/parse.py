@@ -4,9 +4,8 @@ Grammar (infix, ``^`` for powers, no implicit multiplication)::
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
-    unary   := ('+' | '-')* power
-    power   := primary ('^' unary)?
-    primary := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+    unary   := ('+' | '-')* atom ('^' unary)?
+    atom    := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 Numbers are integers or decimals, stored exactly.  A NAME followed by ``(``
 must be a kernel (``exp``, ``log``, ..., with ``sqrt(u)`` sugar for
@@ -31,27 +30,24 @@ class ParseError(ExprError):
 
 # Whitespace, then one token: a number, a name, an operator, or any other
 # visible character, which is an error.  Trailing whitespace matches nothing.
-_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*'*)|([-+*/^()])|(\S))")
+# A token's first character tells its kind.
+_TOKEN = re.compile(r"\s*(\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*'*|[-+*/^()]|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# The first characters of the tokens that are not errors, but for the
+# non-ASCII decimal digits, which ``\d`` also matches.
+_GOOD_START = _NAME_START | frozenset("0123456789+-*/^()")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of each token, then ("end", "", len(text))."""
-    out = []
-    pos = 0
-    for space, num, name, op, bad in _TOKEN.findall(text):
-        pos += len(space)
-        if op:
-            kind, tok = "op", op
-        elif name:
-            kind, tok = "name", name
-        elif num:
-            kind, tok = "num", num
-        else:
-            raise ParseError(f"unexpected character {bad!r}", text, pos)
-        out.append((kind, tok, pos))
-        pos += len(tok)
-    out.append(("end", "", len(text)))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The text of each token, then "" for the end of input."""
+    tokens = _TOKEN.findall(text)
+    bad = {t for t in set(tokens) if t[0] not in _GOOD_START and not t[0].isdecimal()}
+    if bad:
+        for m in _TOKEN.finditer(text):
+            if m[1] in bad:
+                raise ParseError(f"unexpected character {m[1]!r}", text, m.start(1))
+    tokens.append("")
+    return tokens
 
 
 def _negated(e: Expr) -> Expr:
@@ -68,16 +64,17 @@ def _resolve(vocabulary, name: str) -> str | None:
 
 
 # Every nesting level (a parenthesis, a kernel argument or an exponent)
-# passes through unary() once and costs at most five stack frames (unary,
-# power, primary, expr, term).  100 levels stay well below Python's default
-# recursion limit of 1000 frames, leaving room for the caller's frames and
-# for the recursive walks over the parsed expression.
+# passes through unary() once and costs at most three stack frames (unary,
+# expr, term).  100 levels stay well below Python's default recursion limit
+# of 1000 frames, leaving room for the caller's frames and for the
+# recursive walks over the parsed expression.
 _MAX_DEPTH = 100
 
 
 class _Parser:
-    """Reads ``self.tokens`` by index.  Only an operator token's text is one
-    of the operator characters, so the text alone tells an operator apart."""
+    """Reads ``self.tokens``, a list of token texts, by index.  Only an
+    operator token's text is one of the operator characters, so the text
+    alone tells an operator apart; the end of input is ""."""
 
     def __init__(self, text: str, vocabulary):
         self.text = text
@@ -86,24 +83,30 @@ class _Parser:
         self.depth = 0
         self.vocabulary = vocabulary
 
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token ``i``; offsets are found only here."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        return ParseError(message, self.text, starts[i])
+
     def expect_op(self, op: str):
-        _, val, pos = self.tokens[self.i]
+        i = self.i
         self.i += 1
-        if val != op:
-            raise ParseError(f"expected {op!r}", self.text, pos)
+        if self.tokens[i] != op:
+            raise self.error(f"expected {op!r}", i)
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", self.text, pos)
+        val = self.tokens[self.i]
+        if val:
+            raise self.error(f"unexpected {val!r}", self.i)
         return e
 
     def expr(self) -> Expr:
         tokens = self.tokens
         parts = [self.term()]
         while True:
-            val = tokens[self.i][1]
+            val = tokens[self.i]
             if val != "+" and val != "-":
                 return parts[0] if len(parts) == 1 else add(*parts)
             self.i += 1
@@ -116,17 +119,17 @@ class _Parser:
         by a zero constant still goes through ``power``, which raises."""
         tokens = self.tokens
         u = self.unary()
-        if tokens[self.i][1] not in ("*", "/"):
+        if tokens[self.i] not in ("*", "/"):
             return u
         coeff, rest = (u.value, []) if isinstance(u, Rat) else (1, [u])
         while True:
-            val = tokens[self.i][1]
+            val = tokens[self.i]
             if val != "*" and val != "/":
                 break
             self.i += 1
             u = self.unary()
             if isinstance(u, Rat) and (val == "*" or u.value):
-                coeff = coeff * u.value if val == "*" else Fraction(coeff) / u.value
+                coeff = coeff * u.value if val == "*" else Fraction(coeff, u.value)
             else:
                 rest.append(u if val == "*" else power(u, MINUS_ONE))
         if coeff == 0:
@@ -136,55 +139,47 @@ class _Parser:
         return mul(*rest) if coeff == 1 else mul(Rat(coeff), *rest)
 
     def unary(self) -> Expr:
+        """Signs, then an atom (a number, a name, a kernel call or a
+        parenthesized expression), then an optional ``^`` and its exponent,
+        which is again a unary; the signs apply to the power."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise ParseError(f"nested deeper than {_MAX_DEPTH} levels",
-                             self.text, self.tokens[self.i][2])
+            raise self.error(f"nested deeper than {_MAX_DEPTH} levels", self.i)
         tokens = self.tokens
+        i = self.i
         sign = 1
-        while True:
-            val = tokens[self.i][1]
+        val = tokens[i]
+        while val == "-" or val == "+":
             if val == "-":
                 sign = -sign
-            elif val != "+":
-                break
-            self.i += 1
-        e = self.power()
-        self.depth -= 1
-        return e if sign == 1 else _negated(e)
-
-    def power(self) -> Expr:
-        base = self.primary()
-        if self.tokens[self.i][1] == "^":
-            self.i += 1
-            return power(base, self.unary())
-        return base
-
-    def primary(self) -> Expr:
-        kind, val, pos = self.tokens[self.i]
-        self.i += 1
-        if kind == "num":
-            return Rat(Fraction(val) if "." in val else int(val))
+            i += 1
+            val = tokens[i]
+        self.i = i + 1
         if val == "(":
             e = self.expr()
             self.expect_op(")")
-            return e
-        if kind == "name":
-            if self.tokens[self.i][1] == "(":
+        elif val[:1] in _NAME_START:
+            if tokens[i + 1] == "(":
                 if val != "sqrt" and val not in KERNELS:
-                    raise ParseError(f"unknown kernel {val!r}", self.text, pos)
+                    raise self.error(f"unknown kernel {val!r}", i)
                 self.i += 1
                 arg = self.expr()
                 self.expect_op(")")
-                if val == "sqrt":
-                    return power(arg, rat(1, 2))
-                return kernel(val, arg)
-            resolved = _resolve(self.vocabulary, val)
-            if resolved is None:
-                raise ParseError(f"unknown identifier {val!r}", self.text, pos)
-            return sym(resolved)
-        raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input",
-                         self.text, pos)
+                e = power(arg, rat(1, 2)) if val == "sqrt" else kernel(val, arg)
+            else:
+                resolved = _resolve(self.vocabulary, val)
+                if resolved is None:
+                    raise self.error(f"unknown identifier {val!r}", i)
+                e = sym(resolved)
+        elif val[:1].isdecimal():
+            e = Rat(Fraction(val) if "." in val else int(val))
+        else:
+            raise self.error(f"unexpected {val!r}" if val else "unexpected end of input", i)
+        if tokens[self.i] == "^":
+            self.i += 1
+            e = power(e, self.unary())
+        self.depth -= 1
+        return e if sign == 1 else _negated(e)
 
 
 def parse_expr(text: str, vocabulary=None) -> Expr:

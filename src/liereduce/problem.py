@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, VectorField
-from .charts import (ChartError, PointTransformation, Pushforward, pushforward_field,
-                     transform_de)
+from .charts import (ChartError, FirstOrderJets, PointTransformation, Pushforward,
+                     first_order_jets, pushforward_field, transform_de)
 from .classify import Classification, classify_pushforward
 from .reduction import (Connection, ReducedSystem, kind_mismatch, lie_aux_names,
                         reduce_pde)
@@ -74,10 +74,11 @@ class Expect:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A loaded problem.  Derived artifacts (transformed systems, reductions,
-    push-forwards, structure constants) are read through the accessors
-    below, which compute each one once per loaded problem and keep it for
-    the problem's lifetime; a computation that raises keeps nothing."""
+    """A loaded problem.  Derived artifacts (first-order jet solves,
+    transformed systems, reductions, push-forwards, structure constants)
+    are read through the accessors below, which compute each one once per
+    loaded problem and keep it for the problem's lifetime; a computation
+    that raises keeps nothing."""
     path: str
     id: str
     title: str
@@ -103,10 +104,17 @@ class ProblemFile:
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations),
                              self.parent)
 
+    def first_order(self, chart: str) -> FirstOrderJets:
+        """The named chart's ``first_order_jets``, which its transformed
+        system and its push-forwards share."""
+        return self._derived(("first-order", chart),
+                             lambda: first_order_jets(self.charts[chart]))
+
     def transformed(self, chart: str) -> DESystem:
         """The system rewritten in the named chart's coordinates."""
         return self._derived(("transform", chart),
-                             lambda: transform_de(self.system, self.charts[chart]))
+                             lambda: transform_de(self.system, self.charts[chart],
+                                                  self.first_order(chart)))
 
     def lie_reduction(self, chart: str, aux: Sequence[str] = ()) -> ReducedSystem:
         """``lie_reduce`` through the named chart, reusing its transformed
@@ -126,7 +134,8 @@ class ProblemFile:
     def pushforward(self, name: str, chart: str) -> Pushforward:
         """The field ``name`` pushed through the named chart."""
         return self._derived(("pushforward", name, chart),
-                             lambda: pushforward_field(self.fields[name], self.charts[chart]))
+                             lambda: pushforward_field(self.fields[name], self.charts[chart],
+                                                       self.first_order(chart)))
 
     def classification(self, name: str, chart: str) -> Classification:
         """The field ``name`` classified on the named chart's Lie reduction

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from liereduce import DESystem, ExprError, algebra, corpus, lie_reduce, problem, render
+from liereduce import charts as charts_module
 from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus, run_expect, systems_match
 from liereduce.problem import load_problem
@@ -52,6 +53,7 @@ def test_each_artifact_computed_once(monkeypatch):
     transforms = _calls(monkeypatch, "transform_de")
     constants = _calls(monkeypatch, "structure_constants")
     pushforwards = _calls(monkeypatch, "pushforward_field")
+    solves = _calls(monkeypatch, "solve_affine", charts_module)
     run_corpus()
     charts, tables, pairs = set(), set(), set()
     for path in PATHS:
@@ -68,6 +70,9 @@ def test_each_artifact_computed_once(monkeypatch):
                 tables.add((path, tuple(names or sorted(pf.fields))))
     assert (len(transforms), len(constants), len(pushforwards)) == \
         (len(charts), len(tables), len(pairs))
+    # A chart's first-order jets are solved once, for its transform and its
+    # push-forwards together.
+    assert len(solves) == len(charts | {(path, chart) for path, _, chart in pairs})
 
 
 def test_commutator_command_computes_each_bracket_once(monkeypatch, capsys):

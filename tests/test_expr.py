@@ -1,5 +1,7 @@
 """Expression core: parsing, normal form, calculus, equivalence, rendering."""
 
+import ast
+import collections
 import itertools
 import math
 import random
@@ -77,6 +79,16 @@ class TestParse:
         (" \t\n", "unexpected end of input at position 3"),
         ("x + ", "unexpected end of input at position 4"),
         ("x*(y ", "expected ')' at position 5"),
+        # The first bad character in text order is the one reported.
+        ("$1.", "unexpected character '$' at position 0"),
+        ("@$", "unexpected character '@' at position 0"),
+        ("x . $ @", "unexpected character '.' at position 2"),
+        ("x ^ (y + $)) @", "unexpected character '$' at position 9"),
+        # The depth limit names the token that would open level 101.
+        ("(" * 101 + "x" + ")" * 101, "nested deeper than 100 levels at position 100"),
+        ("( " * 101 + "x" + ")" * 101, "nested deeper than 100 levels at position 200"),
+        ("x^" * 101 + "x", "nested deeper than 100 levels at position 200"),
+        ("-exp(" * 101 + "x" + ")" * 101, "nested deeper than 100 levels at position 500"),
     ])
     def test_tokenizer_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
@@ -125,6 +137,59 @@ class TestParse:
     def test_error_position_after_operator(self):
         with pytest.raises(ParseError, match=re.escape("unexpected '*' at position 3")):
             parse_expr("1 +* 2", set())
+
+
+class TestParseRandomText:
+    """Seeded random strings of tokens, whitespace and bad characters.  A
+    ParseError's position is where the token it quotes starts (or, for
+    "expected" and the depth limit, where the next token starts), and the
+    input's length at its end; every text that parses round-trips through
+    ``render``."""
+
+    PIECES = (["x", "y", "u'", "y''", "z", "0", "1", "7", "12", "2.5", "sqrt", "exp", "log",
+               "frob"] * 2
+              + ["+", "-", "*", "/", "^", "(", ")"] * 3
+              + [" ", "  ", "\t", "\n"] * 2
+              + ["$", "@", ".", "'", "#", "\u00b2", "\u00e9"])
+    VOCAB = {"x", "y", "u'", "y''"}
+    # The tokens as they start, written apart from the parser's own pattern.
+    STARTS = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*'*|\S")
+    QUOTING = re.compile(r"(unexpected character|unexpected|unknown identifier|unknown kernel)"
+                         r" ('[^']*'|\"[^\"]*\") at position")
+
+    def check_error(self, text, exc):
+        starts = {m.start() for m in self.STARTS.finditer(text)} | {len(text)}
+        message = str(exc)
+        assert message.endswith(f" at position {exc.pos}: {text!r}")
+        assert exc.pos in starts, message
+        if message.startswith("unexpected end of input"):
+            assert exc.pos == len(text)
+            return
+        quoted = self.QUOTING.match(message)
+        if quoted:
+            token = ast.literal_eval(quoted[2])
+            assert text.startswith(token, exc.pos), message
+        else:
+            assert message.startswith(("expected ')'", "nested deeper than")), message
+
+    def test_random(self):
+        rng = random.Random(2501)
+        kinds = collections.Counter()
+        for _ in range(10000):
+            text = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 9)))
+            try:
+                e = parse_expr(text, self.VOCAB)
+            except ParseError as exc:
+                self.check_error(text, exc)
+                kinds[str(exc).split(" at position")[0].split(" '")[0]] += 1
+            except DomainError:  # a division by a zero constant
+                kinds["domain"] += 1
+            else:
+                assert parse_expr(render(e), self.VOCAB) == e
+                kinds["parsed"] += 1
+        assert kinds["parsed"] >= 400
+        assert {"unexpected character", "unexpected", "unexpected end of input",
+                "unknown identifier", "unknown kernel", "expected"} <= set(kinds)
 
 
 class TestNormalForm:
@@ -423,6 +488,40 @@ class TestSumFastPaths:
                 shapes |= _features(s)
                 self.check(rat(small_rat(rng)), s)
         assert {"power of a sum", "exp", "log"} <= shapes
+
+
+class TestSubtraction:
+    """``a - b`` folds b's terms, negated, into a's accumulator; on
+    normalized operands that is, key for key, a plus -1 times b."""
+
+    @staticmethod
+    def reference(p, q):
+        return add(p, mul(-1, q)).key()
+
+    def test_random_pairs(self):
+        rng = random.Random(2503)
+        names = ["x", "y", "u"]
+        met = 0  # pairs in which some term of b meets a like term of a
+        for i in range(4000):
+            a = random_expr(rng, names)
+            # Every fourth b contains a, so that its terms cancel.
+            b = a + random_expr(rng, names, depth=2) if i % 4 == 0 else random_expr(rng, names)
+            assert (a - b).key() == self.reference(a, b)
+            assert (b - a).key() == self.reference(b, a)
+            assert (2 - a).key() == self.reference(rat(2), a)
+            met += len(self.terms(a - b)) < len(self.terms(a)) + len(self.terms(b))
+        assert met > 1000
+
+    @staticmethod
+    def terms(e):
+        return e.terms if isinstance(e, Add) else (e,)
+
+    @pytest.mark.parametrize("p, q, want", [
+        (x + y, x + y, "0"), (x + y, x, "y"), (x, 2 * x, "-x"), (3, x, "3 - x"),
+        (x, rat(1, 2), "x - 1/2"), (x * y + 1, x * y, "1"),
+        (kernel("exp", x) - 1, kernel("exp", x), "-1")])
+    def test_rows(self, p, q, want):
+        assert (p - q).key() == self.reference(p, q) == parse_expr(want).key()
 
 
 class TestDiff:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from liereduce import (ChartError, DESystem, JetSpace, PointTransformation,
-                       SingularMapError, VectorField, ZERO, charts, equiv, free_vars,
-                       jet_dictionaries, parse_expr, pushforward_field, rat,
-                       solve_affine, sym, transform_de, verify_canonical)
+                       SingularMapError, VectorField, ZERO, charts, equiv,
+                       first_order_jets, free_vars, jet_dictionaries, parse_expr,
+                       pushforward_field, rat, solve_affine, sym, transform_de,
+                       verify_canonical)
 from liereduce.corpus import corpus_dir, equation_matches
 from liereduce.equiv import echelon
 from liereduce.problem import load_problem
@@ -313,6 +314,19 @@ class TestJetDictionaries:
     def test_first_order_only_when_nothing_of_order_two_is_named(self, monkeypatch, chart):
         got, n = self._counted(monkeypatch, chart, [sym("u_1"), sym("u_111"), sym("x1")])
         assert n == 0 and set(got) == set(chart.source.jet_names(1))
+
+    def test_given_first_order_jets_are_not_solved_again(self, monkeypatch, chart):
+        first = first_order_jets(chart)
+        solves = []
+        inner = charts.solve_affine
+        monkeypatch.setattr(charts, "solve_affine",
+                            lambda *args: solves.append(args) or inner(*args))
+        every = [sym(j) for j in chart.source.jet_names(2)]
+        given = jet_dictionaries(chart, 2, every, first)
+        assert not solves
+        solved = jet_dictionaries(chart, 2, every)
+        assert len(solves) == 1
+        assert {j: e.key() for j, e in given.items()} == {j: e.key() for j, e in solved.items()}
 
 
 class TestPushforward:
