@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .algebra import is_solvable
 from .charts import verify_canonical
@@ -168,10 +169,10 @@ def cmd_run_corpus(args) -> int:
     else:
         for r in records:
             print(r.line())
-        n = len(records)
-        bad = sum(1 for r in records if r.verdict == "fail")
-        noted = sum(1 for r in records if r.verdict == "discrepancy-documented")
-        print(f"{n} checks: {n - bad - noted} passed, {noted} discrepancy-documented, {bad} failed")
+        count = Counter(r.verdict for r in records)
+        print(f"{len(records)} checks: {count['pass']} passed, "
+              f"{count['discrepancy-documented']} discrepancy-documented, "
+              f"{count['inconclusive']} inconclusive, {count['fail']} failed")
     return 1 if failed else 0
 
 

@@ -116,7 +116,8 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Executors: each returns (ok, computed, expected)
+# Executors: each returns (ok, computed, expected), with ok True or False, or
+# None when the computation could not decide the check
 
 
 def _reduced(pf: ProblemFile, exp: Expect, target: Sequence[str]):
@@ -214,6 +215,8 @@ def _ex_classify(pf: ProblemFile, exp: Expect):
     wwit = exp.one("witness")
     if wwit is not None:
         ok = ok and got.witness == wwit
+    if got.verdict == "inconclusive" and want != "inconclusive":
+        ok = None  # the classification could not decide the check
     return ok, str(got), want + (f" witness={wwit}" if wwit else "")
 
 
@@ -310,8 +313,11 @@ class Operation(NamedTuple):
     it reads besides tag, note and stated to the words its value may take,
     or to None for free text; a key ending in `` *`` takes a name after its
     first word (``coeff y'``).  An expect must give at least one of the keys
-    in ``needs``, when there are any; without one it checks nothing."""
-    run: Callable[[ProblemFile, Expect], tuple[bool, str, str]]
+    in ``needs``, when there are any; without one it checks nothing.
+    ``run`` returns (ok, computed, expected): ok is True or False when the
+    check passes or fails, and None when the computation cannot decide it,
+    which reports ``inconclusive``."""
+    run: Callable[[ProblemFile, Expect], tuple[bool | None, str, str]]
     args: tuple[str, ...]
     keys: Mapping[str, tuple[str, ...] | None]
     needs: tuple[str, ...] = ()
@@ -352,10 +358,10 @@ def run_expect(pf: ProblemFile, exp: Expect) -> Report:
     t0 = time.perf_counter()
     try:
         ok, computed, expected = OPERATIONS[exp.op].run(pf, exp)
-        if ok:
-            verdict = "discrepancy-documented" if exp.one("stated") else "pass"
-        elif "inconclusive" in computed:
+        if ok is None:
             verdict = "inconclusive"
+        elif ok:
+            verdict = "discrepancy-documented" if exp.one("stated") else "pass"
         else:
             verdict = "fail"
     except Exception as exc:  # a malformed check must not end the run

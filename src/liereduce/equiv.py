@@ -31,7 +31,9 @@ numeric fallback.
    SamplingDomainError instead of counting as zero.
 
 Sampling is deterministic: each RNG is seeded from a fixed seed and a
-checksum of the rendered expression, so results do not depend on call order.
+checksum of the sorted names of the variables it draws, so results do not
+depend on call order, and no expression is rendered unless an error is
+raised.
 
 The same points decide whether a square matrix of expressions (a chart's base
 Jacobian) is singular everywhere, by elimination at each point in O(k^3):
@@ -180,7 +182,7 @@ def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
 def _exact(exprs: list[Expr], witness) -> bool | None:
     """Whether ``witness`` holds for the exact values of ``exprs`` (a list of
     ``_value`` pairs) at some integer point drawn uniformly from
-    [-_EXACT_RANGE, _EXACT_RANGE), seeded from their rendered text: True at
+    [-_EXACT_RANGE, _EXACT_RANGE), seeded from their variable names: True at
     the first point where it does, and False when it holds at none of
     _EXACT_SAMPLES usable points.  None when the expressions are not
     rational, or more than _MAX_ATTEMPTS points hit a vanishing denominator;
@@ -195,7 +197,7 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
         except ZeroDivisionError:
             return None
 
-    return _sampled(_rng("; ".join(map(render, exprs))),
+    return _sampled(_rng(" ".join(names)),
                     lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
                                for n in names},
                     values, witness, _EXACT_SAMPLES)
@@ -203,16 +205,16 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
 
 def _floating(exprs: list[Expr], values, witness) -> bool:
     """``_sampled`` over _SAMPLES usable rational points in the domain of
-    every positivity constraint of ``exprs``, seeded from their rendered
-    text; SamplingDomainError when more than _MAX_ATTEMPTS are unusable."""
+    every positivity constraint of ``exprs``, seeded from their variable
+    names; SamplingDomainError when more than _MAX_ATTEMPTS are unusable."""
     names = sorted(set().union(*map(free_vars, exprs)))
     constraints = [numeric(c) for c in dict.fromkeys(
         c for e in exprs for c in positivity_constraints(e))]
-    text = "; ".join(map(render, exprs))
-    found = _sampled(_rng(text), lambda r: _point(r, names, constraints), values,
-                     witness, _SAMPLES)
+    found = _sampled(_rng(" ".join(names)), lambda r: _point(r, names, constraints),
+                     values, witness, _SAMPLES)
     if found is None:
-        raise SamplingDomainError(f"sampling domain empty for {text!r}")
+        raise SamplingDomainError(
+            f"sampling domain empty for {'; '.join(map(render, exprs))!r}")
     return found
 
 
@@ -329,7 +331,8 @@ def _nonsingular(rows: list[list[tuple[int, int]]]) -> bool:
 def sampled_nonsingular(mat: list[list[Expr]]) -> bool:
     """True when the square matrix ``mat`` is nonsingular at a sample point.
 
-    The points are drawn as in ``equiv``, seeded from the rendered entries.
+    The points are drawn as in ``equiv``, seeded from the entries' variable
+    names.
     When every entry is rational, exact integer elimination decides as the
     exact path does for ``equiv``: a nonzero determinant at one integer
     point proves ``mat`` nonsingular, and a zero one at _EXACT_SAMPLES

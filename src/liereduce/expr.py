@@ -891,6 +891,16 @@ def clear_denominators(e: Expr) -> Expr:
 # Rendering (inverse of the parser's grammar)
 
 
+def _render_number(v: int | Fraction) -> str:
+    """A constant's text; ExprError past the interpreter's limit on the
+    digits of an int written as text, which ``parse_expr`` cannot read
+    either."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ExprError("constant has too many digits to render") from None
+
+
 def _render_factor(f: Expr) -> str:
     """One factor of a product: a power's base and exponent are
     parenthesized unless atomic, and any other compound factor is too."""
@@ -899,7 +909,7 @@ def _render_factor(f: Expr) -> str:
     if isinstance(f, Kernel):
         return f"{f.name}({render(f.arg)})"
     if isinstance(f, Rat):
-        return str(f.value)
+        return _render_number(f.value)
     if not isinstance(f, Pow):
         return f"({render(f)})"
     base, ex = f.base, f.exponent
@@ -909,7 +919,7 @@ def _render_factor(f: Expr) -> str:
     else:
         bs = f"({render(base)})"
     if isinstance(ex, Rat) and ex.value.denominator == 1 and ex.value >= 0:
-        es = str(ex.value)
+        es = _render_number(ex.value)
     elif isinstance(ex, Sym):
         es = ex.name
     else:
@@ -923,7 +933,7 @@ def _render_product(c: int | Fraction, mono: tuple[Expr, ...]) -> str:
         return "*".join(pieces)
     if c == -1 and pieces:
         return "-" + "*".join(pieces)
-    head = str(c)
+    head = _render_number(c)
     return "*".join([head] + pieces) if pieces else head
 
 

@@ -172,7 +172,10 @@ class _Parser:
                     raise self.error(f"unknown identifier {val!r}", i)
                 e = sym(resolved)
         elif val[:1].isdecimal():
-            e = Rat(Fraction(val) if "." in val else int(val))
+            try:
+                e = Rat(Fraction(val) if "." in val else int(val))
+            except ValueError:  # past the interpreter's limit on digits read
+                raise self.error(f"number of {len(val)} characters is too long", i) from None
         else:
             raise self.error(f"unexpected {val!r}" if val else "unexpected end of input", i)
         if tokens[self.i] == "^":

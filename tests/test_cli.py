@@ -538,6 +538,10 @@ MALFORMED = {
     "equation-nested-400-deep":
         (BASE.replace("y' = y", f"y' = {DEEP}"), "load",
          "bad.prob [equations]: nested deeper than 100 levels at position "),
+    # Past the interpreter's limit on the digits of an int read from text.
+    "equation-number-of-5000-digits":
+        (BASE.replace("y' = y", "y' = 2 + " + "1" * 5000 + "*y"), "load",
+         "bad.prob [equations]: number of 5000 characters is too long at position "),
 }
 
 
@@ -570,6 +574,22 @@ class TestRunCorpus:
         assert len(noted) == 1
         assert noted[0]["operation"] == "commutator"
         assert "-2*X1" in noted[0]["expected"]
+
+    def test_check_whose_text_names_inconclusive_fails(self, tmp_path, capsys):
+        # The variable's name puts "inconclusive" into the failing check's
+        # computed text; the verdict comes from the check, not its text.
+        (tmp_path / "inc.prob").write_text(
+            "[space]\nindependent = x\ndependent = inconclusive\norder = 2\n"
+            "[equations]\ninconclusive'' = 0\n"
+            "[field X]\ninconclusive = inconclusive^2\n"
+            "[expect symmetry X]\ntag = oracle\n")
+        rc = main(["run-corpus", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[0].startswith("[FAIL] inc: symmetry X  computed: not-symmetry "
+                                   "(residual 2*inconclusive'^2)  expected: symmetry")
+        assert lines[1:] == ["1 checks: 0 passed, 0 discrepancy-documented, "
+                             "0 inconclusive, 1 failed"]
 
     def test_empty_directory(self, tmp_path, capsys):
         rc = main(["run-corpus", str(tmp_path)])

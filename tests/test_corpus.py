@@ -154,6 +154,16 @@ def test_failed_pushforward_makes_classify_inconclusive(tmp_path, capsys):
     assert capsys.readouterr().out == f"X2 / chart1: {verdict}\n"
 
 
+def test_unexpected_inconclusive_is_neither_passed_nor_failed(tmp_path, capsys):
+    (tmp_path / "bad-aux.prob").write_text(BAD_AUX.split("[expect pushforward")[0])
+    rc = main(["run-corpus", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].startswith("[INCONCL] bad-aux: classify X2 chart1")
+    assert lines[1:] == ["1 checks: 0 passed, 0 discrepancy-documented, "
+                         "1 inconclusive, 0 failed"]
+
+
 # laplace-5d's gradient reduction: the reduced equation and its ten
 # integrability conditions; SIX holds the first six of them.
 LAPLACE_5D = load_problem(corpus_dir() / "laplace-5d.prob").gradient_reduction("u", ()).system

@@ -2,12 +2,14 @@
 
 import ast
 import collections
+import importlib
 import itertools
 import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,9 @@ from genexpr import random_expr, small_rat
 
 x, y, u = sym("x"), sym("y"), sym("u")
 yp = sym("y'")
+
+# The module itself: the package's ``equiv`` attribute is the function.
+equiv_module = importlib.import_module("liereduce.equiv")
 
 
 class TestParse:
@@ -107,6 +112,18 @@ class TestParse:
     def test_number_literals_are_exact(self, text, value):
         e = parse_expr(text, set())
         assert isinstance(e, Rat) and e.value == value
+
+    # Past the interpreter's limit on the digits of an int read from text
+    # (4300 by default), a number is refused where it starts.
+    @pytest.mark.parametrize("text, pos", [
+        ("1" * 5000, 0),
+        ("x + 2*" + "1" * 5000, 6),
+        ("1." + "2" * 5000 + " + x", 0),
+    ])
+    def test_number_past_the_digit_limit(self, text, pos):
+        with pytest.raises(ParseError, match="characters is too long") as exc:
+            parse_expr(text, {"x"})
+        assert exc.value.pos == pos
 
     def test_primed_names(self):
         e = parse_expr(" u''\t+ u' ", {"u'", "u''"})
@@ -763,6 +780,32 @@ class TestEquiv:
     def test_scaled_pythagoras(self):
         assert equiv(parse_expr("10^12*sin(x)^2 + 10^12*cos(x)^2", {"x"}), rat(10**12))
 
+    def test_constant_past_the_digit_limit_is_sampled(self):
+        # (1/3)^(10^5) has about 47,700 digits in its denominator, past the
+        # interpreter's limit on writing an int as text; no text is made.
+        assert not equiv(parse_expr("(x+1)^(1/3)^(10^5)", {"x"}), y)
+
+    def test_renders_only_to_raise(self, monkeypatch):
+        # Sample points are seeded from variable names, so a verdict never
+        # depends on rendered text: render runs only to word an error.
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+        workloads = importlib.import_module("workloads")
+        calls = []
+        monkeypatch.setattr(equiv_module, "render",
+                            lambda e: calls.append(e) or render(e))
+        pairs = workloads.zero_test_pairs(1)[::5]
+        decided = 0
+        for p in pairs:
+            a, b = parse_expr(p["a"]), parse_expr(p["b"])
+            calls.clear()
+            try:
+                equiv(a, b)
+            except ExprError:
+                continue
+            assert calls == [], p
+            decided += 1
+        assert decided > len(pairs) // 2
+
     def test_empty_sampling_domain(self):
         # log(-1 - x^2) is real nowhere, so no float sample point is usable.
         with pytest.raises(SamplingDomainError, match="sampling domain empty"):
@@ -914,6 +957,13 @@ class TestRender:
         for _ in range(80):
             e = random_expr(rng, ["x", "y", "u"])
             assert parse_expr(render(e), vocab) == e
+
+    # 3^19683 has 9392 digits, past the interpreter's limit on the digits of
+    # an int written as text, wherever the constant stands.
+    @pytest.mark.parametrize("text", ["3^(-19683)", "x^(3^(-19683))", "3^19683*x + y"])
+    def test_constant_past_the_digit_limit(self, text):
+        with pytest.raises(ExprError, match="too many digits to render"):
+            render(parse_expr(text, {"x", "y"}))
 
 
 class TestClearDenominators:

@@ -76,8 +76,8 @@ REGULARITY = [
     pytest.param(ODE, {"r": "x + y"}, {"s": "x + y + y/1000000000000"}, True,
                  id="nearly-parallel-rational-rows"),
     # exp(x) sends this Jacobian to the float path, whose first sample point
-    # is x = 5/4, a pole of 1/(x - 5/4)^2; that point is skipped.
-    pytest.param(ODE, {"r": "102*x - 1/(x - 5/4)"}, {"s": "y + exp(x)"}, True,
+    # is x = -19/23, a pole of 1/(x + 19/23)^2; that point is skipped.
+    pytest.param(ODE, {"r": "102*x - 1/(x + 19/23)"}, {"s": "y + exp(x)"}, True,
                  id="first-sample-point-on-a-pole"),
     # sqrt(4*x^2) is rational at every rational sample point, so these are
     # eliminated exactly in Fraction there: floats reject the nearly
@@ -96,9 +96,15 @@ REGULARITY = [
 
 class TestPointTransformation:
     @pytest.mark.parametrize("space, independent, dependent, regular", REGULARITY)
-    def test_regularity(self, space, independent, dependent, regular):
+    def test_regularity(self, space, independent, dependent, regular, monkeypatch):
+        # The sample points are seeded from variable names, so a chart that
+        # parses has rendered nothing in the zero test.
+        calls = []
+        render = equiv_module.render
+        monkeypatch.setattr(equiv_module, "render", lambda e: calls.append(e) or render(e))
         if regular:
             PointTransformation.parse(space, independent, dependent)
+            assert calls == []
         else:
             with pytest.raises(SingularMapError, match="identically zero"):
                 PointTransformation.parse(space, independent, dependent)
@@ -127,6 +133,28 @@ class TestPointTransformation:
         assert singular != regular
         exact = [values for tol, values in calls if tol == 0]
         assert exact and all(type(v) is Fraction for values in exact for v in values)
+
+    def test_first_sample_point_on_a_pole_is_skipped(self, monkeypatch):
+        # The row is regular only if the skip is reached: the first point
+        # drawn is the pole, and it is unusable.
+        calls = []
+        sampled = equiv_module._sampled
+
+        def spy(rng, draw, values, witness, needed):
+            seen = []
+            calls.append(seen)
+
+            def recorded(pt):
+                seen.append((pt[0], values(pt)))
+                return seen[-1][1]
+            return sampled(rng, draw, recorded, witness, needed)
+
+        monkeypatch.setattr(equiv_module, "_sampled", spy)
+        row = next(p for p in REGULARITY if p.id == "first-sample-point-on-a-pole")
+        PointTransformation.parse(*row.values[:3])
+        [seen] = calls
+        assert seen[0] == ({"x": Fraction(-19, 23)}, None)
+        assert all(v is not None for _, v in seen[1:])
 
     def test_counts_must_match(self):
         with pytest.raises(ChartError, match="counts"):
