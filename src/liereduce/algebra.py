@@ -7,13 +7,12 @@ then pure rational linear algebra, so solvability has no tolerance issues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import echelon
-from .expr import Add, Expr, ExprError, ZERO, add, mul, _coeff_monomial
+from .expr import Add, Expr, ExprError, ZERO, add, mul, _coeff_monomial, _render_number
 from .jets import JetError, VectorField
 
 
@@ -56,8 +55,7 @@ def _solve_rational(aug: list[list[Fraction]], n: int) -> list[Fraction] | None:
     return x
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(NamedTuple):
     """Generators plus their pairwise brackets expressed in the span.
 
     ``brackets[(i, j)]`` (i < j, zero-based) is the bracket field
@@ -123,7 +121,7 @@ class AlgebraTable:
             elif c == -1:
                 bits.append(f"-{name}")
             else:
-                bits.append(f"{c}*{name}")
+                bits.append(f"{_render_number(c)}*{name}")
         return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
@@ -202,8 +200,7 @@ def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
         basis = nxt
 
 
-@dataclass(frozen=True)
-class Advice:
+class Advice(NamedTuple):
     """Recommended reduction order for a two-generator solvable pattern."""
 
     first: int

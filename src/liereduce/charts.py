@@ -19,15 +19,14 @@ pivoting; ties are broken by smallest normalized term count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import equiv, is_zero, sampled_nonsingular
 from .expr import (Add, Expr, ExprError, ONE, ZERO, add, clear_denominators,
                    diff, free_vars, mul, power, render, substitute, sym,
                    _coeff_monomial)
-from .jets import JetSpace, VectorField, prolong, total_derivative
+from .jets import JetSpace, Record, VectorField, prolong, total_derivative
 from .parse import parse_expr
 from .systems import DESystem
 
@@ -85,8 +84,7 @@ def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str]) -> list[Expr]:
     return out
 
 
-@dataclass(frozen=True)
-class PointTransformation:
+class PointTransformation(Record):
     """An invertible change of base coordinates, with optional extras.
 
     ``target_independent`` and ``target_dependent`` give the new coordinates
@@ -96,14 +94,16 @@ class PointTransformation:
     variable) travel with the chart for push-forwards and chained reductions.
     """
 
-    source: JetSpace
-    target_independent: tuple[tuple[str, Expr], ...]
-    target_dependent: tuple[tuple[str, Expr], ...]
-    canonical: str | None = None
-    inverse: Mapping[str, Expr] | None = None
-    aux: tuple[tuple[str, Expr], ...] = ()
+    __slots__ = _fields = ("source", "target_independent", "target_dependent",
+                           "canonical", "inverse", "aux")
 
-    def __post_init__(self):
+    def __init__(self, source: JetSpace,
+                 target_independent: tuple[tuple[str, Expr], ...],
+                 target_dependent: tuple[tuple[str, Expr], ...],
+                 canonical: str | None = None,
+                 inverse: Mapping[str, Expr] | None = None,
+                 aux: tuple[tuple[str, Expr], ...] = ()):
+        self._init(source, target_independent, target_dependent, canonical, inverse, aux)
         src = self.source
         names = [n for n, _ in self.target_independent + self.target_dependent]
         names += [n for n, _ in self.aux]
@@ -296,8 +296,7 @@ def transform_de(sys, T: PointTransformation,
     return DESystem(tmp.space, eqs, tmp.leads, tmp.rhss)
 
 
-@dataclass(frozen=True)
-class Pushforward:
+class Pushforward(NamedTuple):
     """A generator's coefficients on chart targets and auxiliary variables.
 
     When re-expression in the target coordinates fails, ``flagged`` is set and

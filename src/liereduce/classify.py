@@ -13,7 +13,7 @@ itself.  Every verdict records which criterion fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charts import PointTransformation, Pushforward
 from .equiv import is_zero
@@ -28,8 +28,7 @@ class ClassifyError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str  # "point" | "nonlocal" | "inconclusive"
     witness: str = ""
     criterion: str = ""

@@ -14,9 +14,8 @@ numeric sampler draws from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 Q = Fraction
 
@@ -609,8 +608,7 @@ def kernel(name: str, arg) -> Expr:
 # Kernels: derivative rules, numeric routines, domain constraints
 
 
-@dataclass(frozen=True)
-class KernelRule:
+class KernelRule(NamedTuple):
     deriv: Callable[[Expr], Expr]  # d/du f(u) as an expression in u
     fn: Callable[[float], float]
     positive_arg: bool = False

@@ -10,9 +10,8 @@ so differentiation never errors on order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
                    sym, _coerce)
@@ -23,14 +22,53 @@ class JetError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class JetSpace:
-    independent: tuple[str, ...]
-    dependent: tuple[str, ...]
-    order: int
-    params: tuple[str, ...] = ()
+class Record:
+    """A read-only record whose constructor validates: value equality and
+    hashing over ``_fields``, and a repr naming them.  Subclasses list their
+    fields in ``__slots__`` and ``_fields`` and fill them with ``_init``,
+    since assignment raises ``AttributeError``.  Records that only hold
+    values are ``NamedTuple``s instead."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since assignment
+        # raises.
+        return type(self), self._values()
+
+
+class JetSpace(Record):
+    __slots__ = _fields = ("independent", "dependent", "order", "params")
+
+    def __init__(self, independent: tuple[str, ...], dependent: tuple[str, ...],
+                 order: int, params: tuple[str, ...] = ()):
+        self._init(independent, dependent, order, params)
         names = list(self.independent) + list(self.dependent) + list(self.params)
         if len(set(names)) != len(names):
             raise JetError(f"duplicate coordinate names in {names}")
@@ -141,22 +179,20 @@ def total_derivative(space: JetSpace, e: Expr, j: int) -> Expr:
     return add(*parts)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     """An infinitesimal generator with one coefficient per base coordinate.
 
     Coefficients may depend only on base coordinates (and parameters); this
     is exactly the point-symmetry shape, and it is enforced.
     """
 
-    space: JetSpace
-    coeffs: Mapping[str, Expr]
+    __slots__ = _fields = ("space", "coeffs")
 
-    def __post_init__(self):
-        allowed = set(self.space.base_names) | set(self.space.params)
+    def __init__(self, space: JetSpace, coeffs: Mapping[str, Expr]):
+        allowed = set(space.base_names) | set(space.params)
         clean = {}
-        for name, c in self.coeffs.items():
-            if name not in self.space.base_names:
+        for name, c in coeffs.items():
+            if name not in space.base_names:
                 raise JetError(f"{name!r} is not a base coordinate of the space")
             c = _coerce(c)
             extra = set(free_vars(c)) - allowed
@@ -165,7 +201,7 @@ class VectorField:
                     f"coefficient of {name!r} depends on non-base coordinates {sorted(extra)}")
             if c != ZERO:
                 clean[name] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._init(space, clean)
 
     @classmethod
     def parse(cls, space: JetSpace, coeffs: Mapping[str, str]) -> "VectorField":
@@ -201,8 +237,7 @@ class VectorField:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class ProlongedField:
+class ProlongedField(NamedTuple):
     """A generator extended to jet coordinates up to a fixed order."""
 
     base: VectorField

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
-from .jets import JetSpace, VectorField
+from .jets import JetSpace, Record, VectorField
 from .charts import (ChartError, FirstOrderJets, PointTransformation, Pushforward,
                      first_order_jets, pushforward_field, transform_de)
 from .classify import Classification, classify_pushforward
@@ -35,16 +34,14 @@ class ProblemError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     name: str
     kind: str  # "parent" | "reduced"
     values: Mapping[str, str]
     antiderivative: str | None = None
 
 
-@dataclass(frozen=True)
-class Expect:
+class Expect(NamedTuple):
     index: int
     op: str
     args: tuple[str, ...]
@@ -72,24 +69,25 @@ class Expect:
         return " ".join((self.op,) + self.args)
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
     """A loaded problem.  Derived artifacts (first-order jet solves,
     transformed systems, reductions, push-forwards, structure constants)
     are read through the accessors below, which compute each one once per
     loaded problem and keep it for the problem's lifetime; a computation
-    that raises keeps nothing."""
-    path: str
-    id: str
-    title: str
-    space: JetSpace
-    system: DESystem
-    fields: Mapping[str, VectorField]
-    charts: Mapping[str, PointTransformation]
-    solutions: Mapping[str, Solution]
-    expects: tuple[Expect, ...]
-    parent: Connection | None = None
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    that raises keeps nothing.  The memo takes no part in equality."""
+
+    _fields = ("path", "id", "title", "space", "system", "fields", "charts",
+               "solutions", "expects", "parent")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, path: str, id: str, title: str, space: JetSpace,
+                 system: DESystem, fields: Mapping[str, VectorField],
+                 charts: Mapping[str, PointTransformation],
+                 solutions: Mapping[str, Solution], expects: tuple[Expect, ...],
+                 parent: Connection | None = None):
+        self._init(path, id, title, space, system, fields, charts, solutions,
+                   expects, parent)
+        object.__setattr__(self, "_memo", {})
 
     def _derived(self, key: tuple, compute):
         """The artifact stored under ``key``, computed on first request."""

@@ -13,8 +13,7 @@ up to an additive constant, but it is never computed, only differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import equiv
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
@@ -29,8 +28,7 @@ class ReductionError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """How reduced solutions relate to parent solutions.
 
     The i-th name in ``aux`` is the first derivative of the eliminated
@@ -53,8 +51,7 @@ class Connection:
         return [f"{n} = {render(e)}" for n, e in self.aux_defs]
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     system: DESystem
     roles: tuple[str, ...]  # "reduced" | "integrability" per equation
     connection: Connection

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .equiv import is_zero
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, power,
@@ -47,8 +46,7 @@ def _solved_form_candidates(space: JetSpace, eq: Expr) -> Iterator[tuple[str, Ex
             yield v, mul(-1, b, power(a, -1))
 
 
-@dataclass(frozen=True)
-class DESystem:
+class DESystem(NamedTuple):
     """Equations (each an Expr required to vanish) with designated solved forms."""
 
     space: JetSpace
@@ -133,8 +131,7 @@ def reduce_on_manifold(sys: DESystem, e: Expr) -> tuple[Expr, bool]:
     return (e, False) if got is None else (got, True)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     verdict: str  # "symmetry" | "not-symmetry"
     residuals: tuple[Expr, ...]
 

@@ -1,7 +1,5 @@
 """Point-vs-nonlocal classification across reductions."""
 
-import dataclasses
-
 import pytest
 
 from liereduce import (ClassifyError, DESystem, JetSpace, PointTransformation,
@@ -51,7 +49,7 @@ class TestClassifyPushforward:
         # chart's canonical coordinate s.
         red = lie_reduce(SCALING_ODE, CHART2)
         pf = pushforward_field(X1, CHART2)
-        pf = dataclasses.replace(pf, coeffs={**pf.coeffs, "r": sym("a") * pf.coeffs["r"]})
+        pf = pf._replace(coeffs={**pf.coeffs, "r": sym("a") * pf.coeffs["r"]})
         got = classify_pushforward(pf, CHART2, red)
         assert (got.verdict, got.witness) == ("nonlocal", "s")
 

@@ -207,3 +207,27 @@ def test_advice_either_order(tmp_path):
     assert [(r.verdict, r.computed) for r in records] == [
         ("pass", "either"),
         ("fail", "[A,B] = 0: either order works; both directions inherit a point symmetry")]
+
+
+# Each check is decided as expected, but a value it reports holds a constant
+# past the interpreter's limit on int digits, which the report cannot write
+# out: it words the value by a placeholder and the verdict stands.
+TOO_LONG = {
+    "symmetry": ("[space]\nindependent = x\ndependent = y\norder = 2\n"
+                 "[equations]\ny'' = 3^19683*y\n[field X]\nx = x\ny = y\n"
+                 "[expect symmetry X]\ntag = oracle\nverdict = not-symmetry\n",
+                 "not-symmetry (residual <too long to render>)"),
+    "commutator": ("[space]\nindependent = x\ndependent = y\norder = 1\n"
+                   "[equations]\ny' = 0\n[field A]\nx = 1\n[field B]\nx = 3^20000*x\n"
+                   "[expect commutator A B]\ntag = oracle\nresult = 3^20000*A\n",
+                   "<too long to render>"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TOO_LONG))
+def test_value_too_long_to_render_does_not_fail_a_decided_check(tmp_path, op):
+    text, computed = TOO_LONG[op]
+    (tmp_path / "big.prob").write_text(text)
+    records, failed = run_corpus(tmp_path)
+    assert not failed
+    assert [(r.verdict, r.computed) for r in records] == [("pass", computed)]

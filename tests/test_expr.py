@@ -125,6 +125,21 @@ class TestParse:
             parse_expr(text, {"x"})
         assert exc.value.pos == pos
 
+    # A long text is quoted by the 80 characters around the error, each cut
+    # end marked by an ellipsis; the error keeps the whole text.
+    @pytest.mark.parametrize("text, quoted", [
+        ("1" * 5000 + "+", "'" + "1" * 80 + "'..."),
+        ("x + " * 1000 + "@", "...'" + " + x" * 19 + " + @'"),
+        ("x + " * 20 + "@ " + "+ x " * 20, "...'" + "x + " * 10 + "@ " + "+ x " * 9 + "+ '..."),
+    ])
+    def test_long_text_is_quoted_around_the_error(self, text, quoted):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, {"x"})
+        message = str(exc.value)
+        assert message.endswith(f" at position {exc.value.pos}: {quoted}")
+        assert len(message) < 200
+        assert exc.value.text == text
+
     def test_primed_names(self):
         e = parse_expr(" u''\t+ u' ", {"u'", "u''"})
         assert e == sym("u''") + sym("u'")
