@@ -92,10 +92,13 @@ class PointTransformation(Record):
     target coordinate that plays the translated role.  ``aux`` definitions
     (first-order source-jet expressions, e.g. the slope of the new dependent
     variable) travel with the chart for push-forwards and chained reductions.
+    The chart keeps its ``first_order_jets`` once solved, outside ``_fields``,
+    so they take no part in equality, hashing, repr or copies.
     """
 
-    __slots__ = _fields = ("source", "target_independent", "target_dependent",
-                           "canonical", "inverse", "aux")
+    _fields = ("source", "target_independent", "target_dependent", "canonical",
+               "inverse", "aux")
+    __slots__ = _fields + ("_first_order",)
 
     def __init__(self, source: JetSpace,
                  target_independent: tuple[tuple[str, Expr], ...],
@@ -104,6 +107,7 @@ class PointTransformation(Record):
                  inverse: Mapping[str, Expr] | None = None,
                  aux: tuple[tuple[str, Expr], ...] = ()):
         self._init(source, target_independent, target_dependent, canonical, inverse, aux)
+        object.__setattr__(self, "_first_order", None)
         src = self.source
         names = [n for n, _ in self.target_independent + self.target_dependent]
         names += [n for n, _ in self.aux]
@@ -201,15 +205,14 @@ def _mixed_total_derivative(T: PointTransformation, ts: JetSpace, e: Expr,
     return add(*parts)
 
 
-# What ``first_order_jets`` returns.
-FirstOrderJets = tuple[dict[tuple[int, int], Expr], dict[str, Expr]]
-
-
-def first_order_jets(T: PointTransformation) -> FirstOrderJets:
+def first_order_jets(T: PointTransformation
+                     ) -> tuple[dict[tuple[int, int], Expr], dict[str, Expr]]:
     """The chain-rule coefficients ``D_j r_i`` keyed by (j, i), and every
-    first-order source jet solved jointly in target jets.  A loaded problem
-    derives this once per chart and hands it to ``transform_de`` and
-    ``pushforward_field``."""
+    first-order source jet solved jointly in target jets.  Solved once per
+    chart, on first use, and kept on the chart for every later caller; a
+    solve that raises keeps nothing."""
+    if T._first_order is not None:
+        return T._first_order
     src = T.source
     ts = T.target_space(1)
     djr = {(j, i): total_derivative(src, T.target_independent[i - 1][1], j)
@@ -220,24 +223,23 @@ def first_order_jets(T: PointTransformation) -> FirstOrderJets:
                  for dep, e in T.target_dependent for j in range(1, src.p + 1)]
     src_first = [src.jet_name(d, (j,)) for d in src.dependent
                  for j in range(1, src.p + 1)]
-    return djr, dict(zip(src_first, solve_affine(relations, src_first)))
+    object.__setattr__(T, "_first_order",
+                       (djr, dict(zip(src_first, solve_affine(relations, src_first)))))
+    return T._first_order
 
 
-def jet_dictionaries(T: PointTransformation, order: int, exprs: Sequence[Expr],
-                     first_order: FirstOrderJets | None = None
-                     ) -> dict[str, Expr]:
+def jet_dictionaries(T: PointTransformation, exprs: Sequence[Expr]) -> dict[str, Expr]:
     """Source jets as expressions in source base coordinates and target jet
-    symbols: every first-order jet, and each jet of order 2 to ``order``
-    that ``exprs`` mention.
+    symbols: every first-order jet, and each jet of order 2 or more that
+    ``exprs`` mention.
 
-    ``first_order`` is the chart's ``first_order_jets``, solved here when
-    not given.  A jet u_{J,j} is the mixed total derivative along x_j of the
-    jet u_J with the first-order solved forms substituted, so the prefix
-    chain of a mentioned jet is derived with it, each link once.
+    A jet u_{J,j} is the mixed total derivative along x_j of the jet u_J
+    with the chart's ``first_order_jets`` substituted, so the prefix chain
+    of a mentioned jet is derived with it, each link once.
     """
     src = T.source
-    ts = T.target_space(max(order, 1))
-    djr, first = first_order if first_order is not None else first_order_jets(T)
+    ts = T.target_space(1)
+    djr, first = first_order_jets(T)
     backward = dict(first)
 
     def derive(dep: str, idx: tuple[int, ...]) -> Expr:
@@ -249,7 +251,7 @@ def jet_dictionaries(T: PointTransformation, order: int, exprs: Sequence[Expr],
 
     mentioned = {src.jet_info(v) for e in exprs for v in free_vars(e)}
     for dep, idx in sorted(info for info in mentioned
-                           if info is not None and 2 <= len(info[1]) <= order):
+                           if info is not None and len(info[1]) >= 2):
         derive(dep, idx)
     return backward
 
@@ -258,14 +260,13 @@ _ODE_ORDER_CAP = 3
 _PDE_ORDER_CAP = 2
 
 
-def transform_de(sys, T: PointTransformation,
-                 first_order: FirstOrderJets | None = None):
+def transform_de(sys, T: PointTransformation):
     """Rewrite a system in the chart's coordinates.
 
     Requires the chart to carry its inverse base map; orders are capped at
     three for one independent variable and two otherwise.  The jet
     dictionary is asked for the jets the equations mention, so a jet no
-    equation names is never derived; ``first_order`` is passed on to it.
+    equation names is never derived.
     """
     src = T.source
     if sys.space.base_names != src.base_names:
@@ -276,7 +277,7 @@ def transform_de(sys, T: PointTransformation,
         raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
-    backward = jet_dictionaries(T, n, sys.equations, first_order)
+    backward = jet_dictionaries(T, sys.equations)
     ts = T.target_space(n)
     out = []
     allowed = set(ts.base_names) | set(ts.params) | set(ts.jet_names(n))
@@ -328,17 +329,14 @@ def _leading_rational(e: Expr) -> Fraction | None:
     return c
 
 
-def pushforward_field(X: VectorField, T: PointTransformation,
-                      first_order: FirstOrderJets | None = None
-                      ) -> Pushforward:
+def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
     """Push X through the chart onto (targets, auxiliary variables).
 
     Each new coefficient is the prolonged field applied to the coordinate's
-    defining expression, re-expressed through the jet dictionary (given
-    ``first_order``, as ``transform_de`` is) and the inverse map.  Each
-    auxiliary definition, re-expressed the same way, must be one of the
-    chart's first-order target derivatives, so a wrong definition is
-    rejected rather than silently used.
+    defining expression, re-expressed through the jet dictionary and the
+    inverse map.  Each auxiliary definition, re-expressed the same way, must
+    be one of the chart's first-order target derivatives, so a wrong
+    definition is rejected rather than silently used.
     """
     src = T.source
     if X.space.base_names != src.base_names:
@@ -352,9 +350,7 @@ def pushforward_field(X: VectorField, T: PointTransformation,
     n_aux = max([src.jet_order(d) for _, d in T.aux], default=0)
     P = prolong(X, max(1, n_aux))
     raw = {n: P.apply_to(d) for n, d in coord_defs}
-    raw_order = max([src.jet_order(e) for e in raw.values()], default=0)
-    backward = jet_dictionaries(T, max(raw_order, 1),
-                                [d for _, d in T.aux] + list(raw.values()), first_order)
+    backward = jet_dictionaries(T, [d for _, d in T.aux] + list(raw.values()))
     target_first = T.target_space(1).jet_names(1)
     rename: dict[str, Expr] = {}
     for n, d in T.aux:

@@ -7,14 +7,16 @@ numeric fallback.
    constant (nonzero).  Neither gives a false verdict.
 2. **Exact.**  A *rational* d (no kernels, and only integer exponents) is
    evaluated exactly, in Python integers, at _EXACT_SAMPLES seeded points
-   whose coordinates are drawn uniformly from the 2^62 integers in
-   [-2^61, 2^61); a point where a denominator vanishes is skipped.  A
-   nonzero value proves d nonzero, and d is zero when every value is zero.
-   With deg the degree of d's cleared numerator, the Schwartz-Zippel lemma
-   (Schwartz 1980; Zippel 1979) bounds the chance of a false zero by
-   (deg/2^62)^_EXACT_SAMPLES, with no assumption on d's constants.  When
-   more than _MAX_ATTEMPTS points are skipped, or a power at a point is
-   beyond ``expr.MAX_POWER_BITS``, d takes the next path.
+   whose coordinates are drawn uniformly from the 2^b integers in
+   [-2^(b-1), 2^(b-1)); a point where a denominator vanishes is skipped.
+   b is 62, or less when d has an exponent n past 2^20/62 (about 16,900):
+   b = max(32, 2^20 // n), so that a variable's power stays within
+   ``expr.MAX_POWER_BITS``.  A nonzero value proves d nonzero, and d is zero
+   when every value is zero.  With deg the degree of d's cleared numerator,
+   the Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) bounds the chance
+   of a false zero by (deg/2^b)^_EXACT_SAMPLES, with no assumption on d's
+   constants.  When more than _MAX_ATTEMPTS points are skipped, or a power
+   at a point is beyond the bound after all, d takes the next path.
 3. **Cleared denominators.**  Term-level denominators are multiplied away,
    and a result of 0 is zero.
 4. **Numeric.**  d is evaluated in floats, at random rational sample points
@@ -52,10 +54,10 @@ import zlib
 from fractions import Fraction
 from typing import Callable
 
-from .expr import (Add, DomainError, Expr, ExprError, Mul, Pow, PowerBoundError,
-                   Rat, Sym, ZERO, check_power_bound, clear_denominators,
-                   eval_numeric, free_vars, numeric, positivity_constraints,
-                   render, substitute)
+from .expr import (Add, DomainError, Expr, ExprError, MAX_POWER_BITS, Mul, Pow,
+                   PowerBoundError, Rat, Sym, ZERO, check_power_bound,
+                   clear_denominators, eval_numeric, free_vars, numeric,
+                   positivity_constraints, render, substitute)
 
 
 class SamplingDomainError(ExprError):
@@ -73,9 +75,11 @@ _SEED = 20260809
 _MAX_ATTEMPTS = 80
 
 # Rational expressions are evaluated exactly at _EXACT_SAMPLES usable
-# integer points drawn uniformly from [-_EXACT_RANGE, _EXACT_RANGE).
+# integer points drawn uniformly from [-_EXACT_RANGE, _EXACT_RANGE), a range
+# narrowed for large exponents to no fewer than _EXACT_MIN_BITS bits.
 _EXACT_SAMPLES = 4
 _EXACT_RANGE = 2**61
+_EXACT_MIN_BITS = 32
 
 
 def _rng(text: str) -> random.Random:
@@ -126,11 +130,13 @@ def _sampled(rng: random.Random, draw, values, witness, needed: int) -> bool | N
     return False
 
 
-def _rational_names(exprs: list[Expr]) -> list[str] | None:
-    """The sorted variable names of the rational ``exprs``, or None when
-    some expression is not rational (it holds a kernel, or a non-integer or
+def _rational_names(exprs: list[Expr]) -> tuple[list[str], int] | None:
+    """The sorted variable names of the rational ``exprs`` and the largest
+    magnitude of their exponents (1 when they have none), or None when some
+    expression is not rational (it holds a kernel, or a non-integer or
     symbolic exponent)."""
     names: set[str] = set()
+    top = 1
     stack = list(exprs)
     while stack:
         n = stack.pop()
@@ -142,10 +148,13 @@ def _rational_names(exprs: list[Expr]) -> list[str] | None:
             stack.extend(n.factors)
         elif isinstance(n, Pow) and isinstance(n.exponent, Rat) \
                 and n.exponent.value.denominator == 1:
+            k = n.exponent.value.numerator
+            if k > top or -k > top:
+                top = abs(k)
             stack.append(n.base)
         elif not isinstance(n, Rat):
             return None
-    return sorted(names)
+    return sorted(names), top
 
 
 def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
@@ -181,15 +190,19 @@ def _value(e: Expr, pt: dict[str, int]) -> tuple[int, int]:
 
 def _exact(exprs: list[Expr], witness) -> bool | None:
     """Whether ``witness`` holds for the exact values of ``exprs`` (a list of
-    ``_value`` pairs) at some integer point drawn uniformly from
-    [-_EXACT_RANGE, _EXACT_RANGE), seeded from their variable names: True at
-    the first point where it does, and False when it holds at none of
-    _EXACT_SAMPLES usable points.  None when the expressions are not
-    rational, or more than _MAX_ATTEMPTS points hit a vanishing denominator;
-    PowerBoundError when a power at a point is beyond the bound."""
-    names = _rational_names(exprs)
-    if names is None:
+    ``_value`` pairs) at some integer point drawn uniformly from [-h, h),
+    seeded from their variable names: True at the first point where it
+    does, and False when it holds at none of _EXACT_SAMPLES usable points.
+    h is _EXACT_RANGE, or 2^(b-1) with b = max(_EXACT_MIN_BITS,
+    MAX_POWER_BITS // n) when that is smaller, n the largest exponent.  None
+    when the expressions are not rational, or more than _MAX_ATTEMPTS points
+    hit a vanishing denominator; PowerBoundError when a power at a point is
+    beyond the bound."""
+    found = _rational_names(exprs)
+    if found is None:
         return None
+    names, top = found
+    half = min(_EXACT_RANGE, 1 << (max(_EXACT_MIN_BITS, MAX_POWER_BITS // top) - 1))
 
     def values(pt):
         try:
@@ -198,8 +211,7 @@ def _exact(exprs: list[Expr], witness) -> bool | None:
             return None
 
     return _sampled(_rng(" ".join(names)),
-                    lambda r: {n: r.randrange(-_EXACT_RANGE, _EXACT_RANGE)
-                               for n in names},
+                    lambda r: {n: r.randrange(-half, half) for n in names},
                     values, witness, _EXACT_SAMPLES)
 
 

@@ -22,8 +22,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .algebra import AlgebraTable, structure_constants
 from .expr import ExprError
 from .jets import JetSpace, Record, VectorField
-from .charts import (ChartError, FirstOrderJets, PointTransformation, Pushforward,
-                     first_order_jets, pushforward_field, transform_de)
+from .charts import (ChartError, PointTransformation, Pushforward, pushforward_field,
+                     transform_de)
 from .classify import Classification, classify_pushforward
 from .reduction import (Connection, ReducedSystem, kind_mismatch, lie_aux_names,
                         reduce_pde)
@@ -70,11 +70,13 @@ class Expect(NamedTuple):
 
 
 class ProblemFile(Record):
-    """A loaded problem.  Derived artifacts (first-order jet solves,
-    transformed systems, reductions, push-forwards, structure constants)
-    are read through the accessors below, which compute each one once per
-    loaded problem and keep it for the problem's lifetime; a computation
-    that raises keeps nothing.  The memo takes no part in equality."""
+    """A loaded problem.  Derived artifacts (transformed systems,
+    reductions, push-forwards, structure constants) are read through the
+    accessors below, which compute each one once per loaded problem and
+    keep it for the problem's lifetime; a computation that raises keeps
+    nothing.  The memo takes no part in equality.  A chart's first-order
+    jets, which its transformed system and its push-forwards share, are
+    kept by the chart itself (``charts.first_order_jets``)."""
 
     _fields = ("path", "id", "title", "space", "system", "fields", "charts",
                "solutions", "expects", "parent")
@@ -102,17 +104,10 @@ class ProblemFile(Record):
         return ReducedSystem(self.system, ("reduced",) * len(self.system.equations),
                              self.parent)
 
-    def first_order(self, chart: str) -> FirstOrderJets:
-        """The named chart's ``first_order_jets``, which its transformed
-        system and its push-forwards share."""
-        return self._derived(("first-order", chart),
-                             lambda: first_order_jets(self.charts[chart]))
-
     def transformed(self, chart: str) -> DESystem:
         """The system rewritten in the named chart's coordinates."""
         return self._derived(("transform", chart),
-                             lambda: transform_de(self.system, self.charts[chart],
-                                                  self.first_order(chart)))
+                             lambda: transform_de(self.system, self.charts[chart]))
 
     def lie_reduction(self, chart: str, aux: Sequence[str] = ()) -> ReducedSystem:
         """``lie_reduce`` through the named chart, reusing its transformed
@@ -132,8 +127,7 @@ class ProblemFile(Record):
     def pushforward(self, name: str, chart: str) -> Pushforward:
         """The field ``name`` pushed through the named chart."""
         return self._derived(("pushforward", name, chart),
-                             lambda: pushforward_field(self.fields[name], self.charts[chart],
-                                                       self.first_order(chart)))
+                             lambda: pushforward_field(self.fields[name], self.charts[chart]))
 
     def classification(self, name: str, chart: str) -> Classification:
         """The field ``name`` classified on the named chart's Lie reduction

@@ -171,6 +171,57 @@ class TestSubcommands:
         assert (rc, capsys.readouterr().err) == (1, "error: need at least one generator\n")
 
 
+# Problems whose values hold a constant past the interpreter's limit on int
+# digits: 3^19683 and 3^20000 have over 9,000 digits.
+BIG_ODE = ("[space]\nindependent = x\ndependent = y\norder = 2\n"
+           "[equations]\ny'' = 3^19683*y'\n[field X]\nx = x\ny = y\n"
+           "[chart c]\nindependent = r\ndependent = s\nr = x\ns = y\ncanonical = s\n"
+           "inverse x = r\ninverse y = s\n")
+BIG_FIELDS = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
+              "[equations]\ny' = 0\n[field A]\nx = 1\n[field B]\nx = 3^20000*x\n")
+BIG_SCALE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
+             "[equations]\ny' = 0\n[field C]\nx = 3^(-20000)*x\n"
+             "[chart c]\nindependent = r\ndependent = s\nr = x\ns = y\ncanonical = s\n"
+             "inverse x = r\ninverse y = s\n")
+LONG = "<too long to render>"
+# (problem, arguments, exit code, human output, fields of the JSON record)
+TOO_LONG = {
+    "check-symmetry": (BIG_ODE, ["--field", "X"], 1,
+                       f"X: not-symmetry  residuals: {LONG}\n",
+                       {"verdict": "not-symmetry", "residuals": [LONG]}),
+    "transform": (BIG_ODE, ["--chart", "c"], 0, f"{LONG} = 0\n", {"equations": [LONG]}),
+    "reduce-ode": (BIG_ODE, [], 0,
+                   f"{LONG} = 0  [reduced]\nconnection: alpha = y'; y recovered by "
+                   "quadrature up to C\n",
+                   {"equations": [LONG], "connection": {"alpha": "y'"}}),
+    "prolong": (BIG_FIELDS, ["--field", "B"], 0, f"y': {LONG}\n",
+                {"coefficients": {"y'": LONG}}),
+    "commutator": (BIG_FIELDS, ["--fields", "A,B"], 0, f"[A,B] = {LONG}  ({LONG})\n",
+                   {"bracket": LONG, "in_span": LONG}),
+    "algebra": (BIG_FIELDS, [], 0,
+                f"[A,B] = {LONG}\nsolvable: True; derived series 2 -> 1 -> 0\n",
+                {"brackets": [f"[A,B] = {LONG}"], "solvable": True}),
+    "pushforward": (BIG_SCALE, ["--field", "C", "--chart", "c"], 0,
+                    f"r: {LONG}\n(common constant rescale suggestion: {LONG})\n",
+                    {"coefficients": {"r": LONG}, "suggested_scale": LONG}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOO_LONG))
+def test_value_too_long_to_render_does_not_hide_a_decided_verdict(tmp_path, capsys, command):
+    """Each subcommand words a value past the digit limit by the corpus
+    runner's placeholder, in human and JSON output, and exits by its
+    verdict."""
+    text, extra, code, human, fields = TOO_LONG[command]
+    (tmp_path / "big.prob").write_text(text)
+    argv = [command, "--problem", str(tmp_path / "big.prob")] + extra
+    assert (main(argv), capsys.readouterr()) == (code, (human, ""))
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert err == "" and {k: record[k] for k in fields} == fields
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -445,12 +445,19 @@ class TestExactPowerBound:
         for base in (-1, 0, 1):
             assert power(rat(base), rat(31**31)) == rat(base)
 
+    def test_zero_test_exact_past_the_widest_range(self):
+        # Past n = 2^20/62 the exact path draws its points from fewer bits,
+        # so that x^n stays within the bound: x^n is decided nonzero
+        # exactly, with no raise, up to about n = 33,000.
+        for n in [*range(20000, 20040), 33000]:
+            assert is_zero(parse_expr(f"x^{n}")) is False
+
     def test_zero_test_beyond_the_bound_never_says_zero(self):
-        # x^n with n near 20000 is beyond the bound at the integer points,
-        # and in floats it underflows to 0.0 or overflows at most points:
-        # the float path may prove it nonzero, or give up, but a zero
-        # verdict there would be wrong.
-        for n in range(20000, 20040):
+        # x^n with n near 40000 is beyond the bound at the integer points,
+        # even at 32 bits, and in floats it underflows to 0.0 or overflows
+        # at most points: the float path may prove it nonzero, or give up,
+        # but a zero verdict there would be wrong.
+        for n in range(40000, 40040):
             try:
                 assert is_zero(parse_expr(f"x^{n}")) is False
             except SamplingDomainError as exc:

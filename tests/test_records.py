@@ -10,7 +10,8 @@ import pytest
 
 from liereduce import (Advice, AlgebraTable, Classification, Connection, DESystem,
                        JetSpace, PointTransformation, ProlongedField, Pushforward,
-                       ReducedSystem, Report, SymmetryReport, VectorField, sym)
+                       ReducedSystem, Report, SymmetryReport, VectorField,
+                       first_order_jets, sym)
 from liereduce.expr import KERNELS, KernelRule
 from liereduce.problem import Expect, ProblemFile, Solution
 from fresh import SRC
@@ -81,10 +82,21 @@ def test_record_is_a_read_only_value(name):
 
 def test_problem_memo_takes_no_part_in_equality():
     a, b = RECORDS["ProblemFile"](), RECORDS["ProblemFile"]()
-    a.first_order("c")
+    a.pushforward("X", "c")
     assert a == b
     with pytest.raises(AttributeError):
         a._memo = {}
+
+
+def test_chart_first_order_jets_take_no_part_in_equality():
+    a, b = chart(), chart()
+    first = first_order_jets(a)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert copy.copy(a) == a and copy.deepcopy(a) == b
+    assert copy.copy(a)._first_order is None  # a copy solves afresh
+    assert first_order_jets(a) is first
+    with pytest.raises(AttributeError):
+        a._first_order = None
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

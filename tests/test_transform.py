@@ -1,5 +1,6 @@
 """Charts: canonical verification, change of variables, push-forwards."""
 
+import copy
 import importlib
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 
 from liereduce import (ChartError, DESystem, JetSpace, PointTransformation,
                        SingularMapError, VectorField, ZERO, charts, equiv,
-                       first_order_jets, free_vars, jet_dictionaries, parse_expr,
-                       pushforward_field, rat, solve_affine, sym, transform_de,
-                       verify_canonical)
+                       first_order_jets, free_vars, jet_dictionaries, lie_reduce,
+                       parse_expr, pushforward_field, rat, solve_affine, sym,
+                       transform_de, verify_canonical)
 from liereduce.corpus import corpus_dir, equation_matches
 from liereduce.equiv import echelon
 from liereduce.problem import load_problem
@@ -324,7 +325,7 @@ class TestJetDictionaries:
         monkeypatch.setattr(charts, "_mixed_total_derivative",
                             lambda *args: calls.append(args) or inner(*args))
         try:
-            return jet_dictionaries(T, 2, exprs), len(calls)
+            return jet_dictionaries(T, exprs), len(calls)
         finally:
             monkeypatch.undo()
 
@@ -340,21 +341,55 @@ class TestJetDictionaries:
         assert all(one[j].key() == full[j].key() for j in one)
 
     def test_first_order_only_when_nothing_of_order_two_is_named(self, monkeypatch, chart):
-        got, n = self._counted(monkeypatch, chart, [sym("u_1"), sym("u_111"), sym("x1")])
+        got, n = self._counted(monkeypatch, chart, [sym("u_1"), sym("x1")])
         assert n == 0 and set(got) == set(chart.source.jet_names(1))
+        # The jets mentioned bound the order: a third-order jet is derived,
+        # through its second-order prefix.
+        got, n = self._counted(monkeypatch, chart, [sym("u_111")])
+        assert n == 2 and set(got) == set(chart.source.jet_names(1)) | {"u_11", "u_111"}
 
     def test_given_first_order_jets_are_not_solved_again(self, monkeypatch, chart):
-        first = first_order_jets(chart)
+        """A chart solves its first-order jets once, whoever asks; an equal
+        chart built afresh solves them again, to the same result."""
         solves = []
         inner = charts.solve_affine
         monkeypatch.setattr(charts, "solve_affine",
                             lambda *args: solves.append(args) or inner(*args))
         every = [sym(j) for j in chart.source.jet_names(2)]
-        given = jet_dictionaries(chart, 2, every, first)
-        assert not solves
-        solved = jet_dictionaries(chart, 2, every)
+        first = jet_dictionaries(chart, every)
+        assert jet_dictionaries(chart, every) == first
+        assert first_order_jets(chart) is first_order_jets(chart)
         assert len(solves) == 1
-        assert {j: e.key() for j, e in given.items()} == {j: e.key() for j, e in solved.items()}
+        fresh = copy.copy(chart)  # rebuilt through the constructor
+        assert fresh == chart
+        again = jet_dictionaries(fresh, every)
+        assert len(solves) == 2
+        assert {j: e.key() for j, e in again.items()} == {j: e.key() for j, e in first.items()}
+
+    def test_a_failed_solve_keeps_nothing(self, monkeypatch, chart):
+        def singular(*args):
+            raise SingularMapError("refused")
+
+        monkeypatch.setattr(charts, "solve_affine", singular)
+        with pytest.raises(SingularMapError):
+            first_order_jets(chart)
+        monkeypatch.undo()
+        _, first = first_order_jets(chart)
+        assert set(first) == set(chart.source.jet_names(1))
+
+
+def test_one_chart_solves_its_first_order_jets_once(monkeypatch):
+    """``lie_reduce``, ``pushforward_field`` and ``transform_de`` on one
+    chart share one solve of its first-order jets."""
+    chart = copy.copy(CHART1)  # a chart no other test has solved
+    solves = []
+    inner = charts.solve_affine
+    monkeypatch.setattr(charts, "solve_affine",
+                        lambda *args: solves.append(args) or inner(*args))
+    lie_reduce(SCALING_ODE, chart)
+    pushforward_field(X2, chart)
+    transform_de(SCALING_ODE, chart)
+    assert len(solves) == 1
 
 
 class TestPushforward:
