@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import equiv
-from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
+from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul,
                    substitute, sym, _coerce)
 from .jets import JetSpace
 from .parse import parse_expr
@@ -46,9 +46,6 @@ class Connection(NamedTuple):
         """Each auxiliary name with the parent jet variable it stands for."""
         return tuple((a, sym(self.parent_space.jet_name(self.eliminated, (i,))))
                      for i, a in enumerate(self.aux, start=1))
-
-    def describe(self) -> list[str]:
-        return [f"{n} = {render(e)}" for n, e in self.aux_defs]
 
 
 class ReducedSystem(NamedTuple):
