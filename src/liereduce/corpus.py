@@ -179,7 +179,7 @@ def _ex_canonical(pf: ProblemFile, exp: Expect):
 def _matched(system: DESystem, exp: Expect):
     """(ok, computed, expected) for ``system`` against the expect's
     ``equation`` lines."""
-    expected = [_parse_equation(system.space, line) for line in exp.many("equation")]
+    expected = [_parse_equation(system.space, line) for line in exp.equations]
     return systems_match(system, expected), \
         "; ".join(_worded(render, e) for e in system.equations), \
         "; ".join(_worded(render, e) for e in expected)

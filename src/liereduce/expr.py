@@ -413,20 +413,28 @@ def check_power_bound(m: int, n: int) -> None:
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
-    if n < 0:
-        return None
+    """The integer k-th root of n, or None when n is no k-th power."""
     if n in (0, 1):
         return n
-    if k >= n.bit_length():  # 2**k > n, so no integer root
+    if n < 0 or k >= n.bit_length():  # 2**k > n, so no integer root
         return None
-    lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
+    x = _root_floor(n, k)
+    return x if x**k == n else None
+
+
+def _root_floor(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n > 0.  Newton's step lands at or above it from any
+    x > 0 and falls to it from above.  It starts from the root of n's top
+    bits, found the same way (as math.isqrt does), or from a float estimate
+    when the root has at most 50 bits."""
+    b = (n.bit_length() - 1) // k + 1  # the root has at most b bits
+    def step(x: int) -> int:
+        return ((k - 1) * x + n // x ** (k - 1)) // k
+    x = step(int(2 ** (math.log2(n) / k)) + 1 if b <= 50 else
+             _root_floor(n >> k * (b // 2), k) + 1 << b // 2)
+    while (y := step(x)) < x:
+        x = y
+    return x
 
 
 def _rat_pow(q: int | Fraction, e: int | Fraction) -> int | Fraction | None:

@@ -35,34 +35,26 @@ class ProblemError(ExprError):
 
 
 class Solution(NamedTuple):
-    name: str
     kind: str  # "parent" | "reduced"
     values: Mapping[str, str]
     antiderivative: str | None = None
 
 
 class Expect(NamedTuple):
-    index: int
     op: str
     args: tuple[str, ...]
     tag: str
-    body: Mapping[str, tuple[str, ...]]  # only ``equation`` repeats
+    body: Mapping[str, str]  # every key but ``tag``, ``note`` and ``equation``
+    equations: tuple[str, ...] = ()  # the ``equation`` lines, the one repeated key
     note: str = ""
 
     def one(self, key: str, default: str | None = None) -> str | None:
-        return self.body.get(key, (default,))[0]
-
-    def many(self, key: str) -> tuple[str, ...]:
-        return self.body.get(key, ())
+        return self.body.get(key, default)
 
     def prefixed(self, prefix: str) -> list[tuple[str, str]]:
         """(rest-of-key, value) pairs for keys like 'coeff y'' or 'bracket X1 X5'."""
-        out = []
-        for k, vals in self.body.items():
-            if k == prefix or k.startswith(prefix + " "):
-                rest = k[len(prefix):].strip()
-                out.extend((rest, v) for v in vals)
-        return out
+        return [(k[len(prefix):].strip(), v) for k, v in self.body.items()
+                if k == prefix or k.startswith(prefix + " ")]
 
     @property
     def label(self) -> str:
@@ -333,7 +325,7 @@ def load_problem(path) -> ProblemFile:
             stray = [k for k in kv if k not in space.dependent]
             if kind == "parent" and stray:
                 raise ProblemError(f"{stray[0]!r} is not a dependent variable")
-            solutions[name] = Solution(name, kind, kv, anti)
+            solutions[name] = Solution(kind, kv, anti)
 
     declared = {"field": fields, "chart": charts, "solution": solutions,
                 "target": space.dependent}
@@ -345,27 +337,25 @@ def load_problem(path) -> ProblemFile:
 
     # Each expect is checked as it is built, against its operation's row.
     expects: list[Expect] = []
-    for i, (words, lines) in enumerate(raw_expects):
+    for words, lines in raw_expects:
         with at(" ".join(words)):
             kv = _kv(lines)
             # Only ``equation`` repeats, one line per expected equation.
             one = _unique({k: v for k, v in kv.items() if k != "equation"})
-            tag = one.get("tag", "literature")
+            tag, note = one.pop("tag", "literature"), one.pop("note", "")
             if tag not in ("literature", "oracle"):
                 raise ProblemError("tag must be literature or oracle")
-            e = Expect(i, words[1], tuple(words[2:]), tag,
-                       {k: tuple(v) for k, v in kv.items() if k not in ("tag", "note")},
-                       one.get("note", ""))
+            e = Expect(words[1], tuple(words[2:]), tag, one, tuple(kv.get("equation", ())), note)
             op = OPERATIONS[e.op]
             given = set()
-            for k in e.body:
+            for k in kv:  # in file order, so the first bad key is the one reported
                 head, _, rest = k.partition(" ")
                 key = f"{head} *" if rest else k
-                if key not in op.keys and key != "stated":
+                if key not in op.keys and key not in ("stated", "tag", "note"):
                     raise ProblemError(f"unknown key {k!r}")
                 allowed = op.keys.get(key)
-                if allowed and e.one(k) not in allowed:
-                    raise ProblemError(f"{k} must be {' or '.join(allowed)}, got {e.one(k)!r}")
+                if allowed and one[k] not in allowed:
+                    raise ProblemError(f"{k} must be {' or '.join(allowed)}, got {one[k]!r}")
                 given.add(key)
             # Only a target is optional.
             if not len(op.args) - op.args.count("target") <= len(e.args) <= len(op.args):

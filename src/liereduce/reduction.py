@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import equiv
-from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul,
-                   substitute, sym, _coerce)
+from .expr import Expr, ExprError, add, diff, free_vars, mul, substitute, sym, _coerce
 from .jets import JetSpace
 from .parse import parse_expr
 from .systems import DESystem, verify_solution
@@ -144,7 +143,7 @@ def reduce_pde(sys: DESystem, target: str | None = None,
             roles.append("integrability")
     new_space = names.with_order(max(names.jet_order(e) for e in eqs))
     reduced = DESystem.build(new_space, eqs) if new_space.order > 0 else \
-        DESystem(new_space, tuple(eqs), ("",) * len(eqs), (ZERO,) * len(eqs))
+        DESystem(new_space, tuple(eqs), (), ())
     return ReducedSystem(reduced, tuple(roles), Connection(space, target, aux_names))
 
 
@@ -171,12 +170,11 @@ def lie_aux_names(T: PointTransformation,
     return tuple(aux_names or [n for n, _ in T.aux])
 
 
-def lie_reduce(sys: DESystem, T: PointTransformation,
-               aux_names: Sequence[str] | None = None) -> ReducedSystem:
+def lie_reduce(sys: DESystem, T: PointTransformation) -> ReducedSystem:
     """Full reduction step: rewrite in canonical coordinates, then reduce with
-    respect to the translated variable.  No or empty auxiliary names mean
-    the chart's, else the defaults."""
-    aux = lie_aux_names(T, aux_names)
+    respect to the translated variable, under the chart's auxiliary names,
+    else the defaults."""
+    aux = lie_aux_names(T)  # before the transform: its refusal comes first
     return reduce_pde(transform_de(sys, T), T.canonical, aux)
 
 

@@ -47,7 +47,8 @@ def _solved_form_candidates(space: JetSpace, eq: Expr) -> Iterator[tuple[str, Ex
 
 
 class DESystem(NamedTuple):
-    """Equations (each an Expr required to vanish) with designated solved forms."""
+    """Equations (each an Expr required to vanish) with designated solved
+    forms, one per equation; an algebraic system (order zero) has none."""
 
     space: JetSpace
     equations: tuple[Expr, ...]

@@ -177,6 +177,10 @@ class TestStructureConstants:
         assert not tab.closed
         res = tab.brackets[(0, 1)]
         assert equiv(res.coeff("x"), ODE.expr("2*x"))
+        with pytest.raises(AlgebraError, match="table is not closed"):
+            tab.jacobi_ok()
+        with pytest.raises(AlgebraError, match="bracket leaves the span"):
+            reduction_order_advice(tab, 0, 1)
 
 
 class TestSolvable:

@@ -303,6 +303,12 @@ MALFORMED = {
     "symmetry-misspelt-verdict-key":
         (BASE + "[expect symmetry T]\ntag = oracle\nverdic = not-symmetry\n",
          "load", "bad.prob [expect symmetry T]: unknown key 'verdic'"),
+    "field-line-without-equals":
+        (BASE.replace("[field T]\nx = 1\n", "[field T]\nx 1\n"),
+         "load", "bad.prob [field T]: expected 'key = value', got 'x 1'"),
+    "chart-name-without-definition":
+        (BASE + CHART.replace("v = y\n", ""),
+         "load", "bad.prob [chart c]: no defining expression for ['v']"),
     "field-duplicate-key":
         (BASE.replace("[field T]\nx = 1\n", "[field T]\nx = 1\nx = 2\n"),
          "load", "bad.prob [field T]: duplicate key 'x'"),

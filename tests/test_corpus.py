@@ -14,7 +14,7 @@ from liereduce.problem import load_problem
 
 PATHS = sorted(corpus_dir().glob("*.prob"))
 # Every shipped check as (file, expect index), in run_corpus's record order.
-CHECKS = [(path, exp.index) for path in PATHS for exp in load_problem(path).expects]
+CHECKS = [(path, i) for path in PATHS for i in range(len(load_problem(path).expects))]
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,8 @@ from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
 from liereduce.equiv import sampled_nonsingular
-from liereduce.expr import KERNELS, PowerBoundError, numeric, positivity_constraints
+from liereduce.expr import (KERNELS, PowerBoundError, _int_nth_root, numeric,
+                            positivity_constraints)
 from fresh import fresh
 from genexpr import random_expr, small_rat
 
@@ -256,6 +257,17 @@ class TestNormalForm:
         assert kernel("exp", x) * kernel("exp", -x) == ONE
         assert kernel("exp", x) * kernel("exp", y) == kernel("exp", x + y)
 
+    def test_merged_exponential_that_folds_is_multiplied_in(self):
+        # A hand-built exp(log(x)) skips the constructor's fold; merged with
+        # the other exponentials of a product it folds to x, a plain factor.
+        unfolded = Kernel("exp", kernel("log", x))
+        assert mul(unfolded, y) == x * y
+        assert mul(unfolded, kernel("exp", x), x) == x**2 * kernel("exp", x)
+
+    def test_unknown_kernel(self):
+        with pytest.raises(ExprError, match="unknown kernel 'erf'"):
+            kernel("erf", x)
+
     def test_log_of_exp_collapses(self):
         assert kernel("log", kernel("exp", x)) == x
         assert kernel("exp", kernel("log", x)) == x
@@ -417,10 +429,13 @@ BEYOND = "PowerBoundError exact power beyond 1048576 bits"
 
 class TestExactPowerBound:
     # No exact power beyond MAX_POWER_BITS is built, except of 0 and +-1.
-    # Each of these hung before the bound, so each runs in a fresh
-    # interpreter.
+    # Each of these hung before the bound, or before roots were found by
+    # Newton's iteration, so each runs in a fresh interpreter.
     @pytest.mark.parametrize("code, printed", [
         ("parse_expr('3^31^31')", BEYOND),
+        # A cube root of 100,000 bits (14.8 s by bisection).
+        ("substitute(parse_expr('y^(1/3)', {'y'}), {'y': parse_expr('2^99999')})"
+         " == parse_expr('2^33333')", "True"),
         ("parse_expr('3^-31^31')", BEYOND),
         ("parse_expr('4^(31^31/2)')", BEYOND),
         # A root of too high a degree is no integer.
@@ -475,6 +490,38 @@ class TestExactPowerBound:
                 assert sampled_nonsingular([[parse_expr(f"x^{n}")]])
             except SamplingDomainError as exc:
                 assert "sampling domain empty" in str(exc)
+
+
+def _bisected_root(n: int, k: int) -> int | None:
+    """``_int_nth_root`` by bisection, one ``mid**k`` per bit of the root:
+    the reference its Newton iteration is checked against."""
+    if n < 0:
+        return None
+    if n in (0, 1):
+        return n
+    if k >= n.bit_length():
+        return None
+    lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**k == n else None
+
+
+def test_int_nth_root_agrees_with_bisection():
+    rng = random.Random(29)
+    cases = [(n, k) for n in range(-2, 300) for k in range(2, 10)]
+    for _ in range(300):
+        k, r = rng.randint(2, 40), rng.randint(1, 10 ** rng.randint(1, 60))
+        cases += [(r**k - 1, k), (r**k, k), (r**k + 1, k)]
+    for n, k in cases:
+        assert _int_nth_root(n, k) == _bisected_root(n, k), (n, k)
+    # A root of few bits and a high degree, which a start at 2^ceil(bits/k)
+    # reaches only after about k steps.
+    assert _int_nth_root(3**5000 * 2**100000, 5000) == 3 * 2**20
 
 
 def _features(s):

@@ -1,7 +1,8 @@
-"""Seeded fuzz: texts with large constants and exponents through the parser,
-``render``, ``diff``, ``substitute``, ``DESystem.build`` and ``prolong``.  An
-operation may refuse its input, but only with an ``ExprError``, which the
-loader locates; a raw Python exception would escape unlocated."""
+"""Seeded fuzz: texts with large constants, their radicals and large
+exponents through the parser, ``render``, ``diff``, ``substitute``,
+``DESystem.build`` and ``prolong``.  An operation may refuse its input, but
+only with an ``ExprError``, which the loader locates; a raw Python exception
+would escape unlocated."""
 
 import random
 
@@ -14,19 +15,20 @@ SPACE = JetSpace(("x",), ("y",), 2)
 # a literal past it.
 ATOMS = ["x", "y", "y'", "y''", "2", "7", "1/3", "3^19683", "3^(-19683)", "10^5000",
          "2^99999", "1" * 5000]
-# Exponents, up to past the exact power bound.  A fractional exponent applies
-# only to y, y' or a small constant, and only x is substituted: a radical of
-# a constant of thousands of digits takes seconds to minutes.
+# Exponents, up to past the exact power bound.
 EXPONENTS = ["2", "3", "-1", "-2", "20000", "-33000", "2^20 + 1", "10^6", "3^19683"]
-RADICALS = ["1/2", "1/3", "-4/3"]
-SMALL = ["y", "y'", "2", "7"]
+# Radicals of y, y' and small constants, and of constants past the digit
+# limit: three of powers, (3^19683)^(1/3) = 3^6561 among them, and one of a
+# non-power.
+RADICALS = [f"{b}^({e})" for b in ("y", "y'", "2", "7") for e in ("1/2", "1/3", "-4/3")] + \
+    ["(3^19683)^(1/3)", "(2^99999)^(1/3)", "(7^30001)^(1/7)", "(3^19683 + 1)^(1/3)"]
 
 
 def random_text(rng: random.Random, depth: int = 3) -> str:
     """A seeded random expression text over SPACE's coordinates."""
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.2:
-            return f"{rng.choice(SMALL)}^({rng.choice(RADICALS)})"
+            return rng.choice(RADICALS)
         return rng.choice(ATOMS)
     kind = rng.randrange(5)
     a, b = random_text(rng, depth - 1), random_text(rng, depth - 1)
@@ -67,6 +69,7 @@ def test_only_expr_errors_escape():
             (diff, e, "x"),
             (diff, e, "y'"),
             (substitute, e, {"x": other}),
+            (substitute, e, {"y": other}),
             (DESystem.build, SPACE,
              [f"y'' = {texts[0]}", f"y' = {texts[1]}"][:1 + rng.randrange(2)]),
             (lambda a, b: prolong(VectorField.parse(SPACE, {"x": a, "y": b}), 2),

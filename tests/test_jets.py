@@ -34,6 +34,12 @@ class TestJetSpace:
     def test_unknown_names(self):
         assert PDE.resolve("w_1") is None
         assert PDE.resolve("q") is None
+        with pytest.raises(JetError, match="'w' is not a dependent variable"):
+            PDE.jet_name("w", (1,))
+
+    def test_negative_order(self):
+        with pytest.raises(JetError, match="order must be nonnegative"):
+            JetSpace(("x",), ("y",), -1)
 
     def test_name_validation(self):
         with pytest.raises(JetError, match="prime"):

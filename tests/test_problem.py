@@ -76,6 +76,11 @@ class TestLoadProblem:
         with pytest.raises(ProblemError, match="unknown field 'Q'"):
             load_problem(write(tmp_path, bad))
 
+    def test_reduced_view_needs_parent(self, tmp_path):
+        pf = load_problem(write(tmp_path, GOOD))
+        with pytest.raises(ProblemError, match="demo: no \\[parent\\] section declared"):
+            pf.reduced_view()
+
     def test_lift_needs_parent(self, tmp_path):
         bad = GOOD + "\n[expect lift T]\ntag = oracle\nverdict = point\n"
         with pytest.raises(ProblemError, match="parent"):

@@ -49,8 +49,8 @@ RECORDS = {
     "Report": lambda: Report("p", "symmetry X", "symmetry", "pass", "symmetry", "symmetry"),
     "KernelRule": lambda: KernelRule(KERNELS["exp"].deriv, KERNELS["exp"].fn),
     "ProlongedField": lambda: ProlongedField(field(), 1, {"y'": y}),
-    "Solution": lambda: Solution("s", "parent", {"y": "exp(x)"}),
-    "Expect": lambda: Expect(0, "symmetry", ("X",), "oracle", {"verdict": ("symmetry",)}),
+    "Solution": lambda: Solution("parent", {"y": "exp(x)"}),
+    "Expect": lambda: Expect("symmetry", ("X",), "oracle", {"verdict": "symmetry"}),
     "Connection": connection,
     "ReducedSystem": lambda: ReducedSystem(system(), ("reduced",), connection()),
     "DESystem": system,

@@ -7,7 +7,7 @@ import pytest
 from liereduce import (DESystem, JetSpace, PointTransformation, ReductionError,
                        VectorField, check_point_symmetry, diff, free_vars,
                        lie_reduce, parse_expr, reduce_ode, reduce_pde, render,
-                       substitute, sym, verify_connection)
+                       substitute, sym, verify_connection, verify_solution)
 from liereduce.corpus import equation_matches, systems_match
 from genexpr import random_polynomial
 
@@ -65,6 +65,22 @@ class TestReduceOde:
         assert red.system.space.order == 0
         assert equation_matches(red.system.equations[0],
                                 parse_expr("1 + R*(1-R)*omega", {"R", "omega"}))
+
+    def test_algebraic_system_has_no_solved_forms(self):
+        # Reducing y leaves an algebraic system in alpha and z, which z's
+        # translation leaves invariant and which cannot be reduced again.
+        sys_ = DESystem.build(JetSpace(("x",), ("y", "z"), 1), ["y' = x"])
+        red = reduce_pde(sys_, "y")
+        assert red.system.space.dependent == ("alpha", "z")
+        assert red.system.order == 0
+        assert (red.system.leads, red.system.rhss) == ((), ())
+        assert verify_solution(red.system, {"alpha": "x"})
+        Z = VectorField.parse(red.system.space, {"z": "1"})
+        assert check_point_symmetry(red.system, Z).is_symmetry
+        with pytest.raises(ReductionError, match="nothing to reduce: system has order zero"):
+            reduce_pde(red.system, "z")
+        with pytest.raises(ReductionError, match="no candidate supplied for 'y'"):
+            verify_connection(sys_, red, parent_solution={"z": "x"})
 
     def test_undifferentiated_target_rejected(self):
         sys_ = DESystem.build(ODE, ["y'' = y"])
@@ -129,6 +145,11 @@ class TestReducePde:
         red = reduce_pde(sys_, "u")
         # the mixed derivative goes through the first gradient component
         assert red.system.equations[0] == red.system.space.expr("alpha_2 - alpha")
+
+    def test_unknown_target(self):
+        sys_ = DESystem.build(PDE, ["u_2 = u_1^(-4/3)*u_11"])
+        with pytest.raises(ReductionError, match="'w' is not a dependent variable"):
+            reduce_pde(sys_, "w")
 
     def test_eliminated_variable_absent(self):
         sys_ = DESystem.build(PDE, ["u_2 = u_1^(-4/3)*u_11"])

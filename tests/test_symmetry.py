@@ -41,6 +41,10 @@ class TestSolvedForms:
         with pytest.raises(SystemError_, match="affine"):
             build(ODE, ["y''^2 + y = 0"])
 
+    def test_needs_an_equation(self):
+        with pytest.raises(SystemError_, match="at least one equation"):
+            build(ODE, [])
+
     def test_substituting_solved_form_vanishes(self):
         sys_ = build(ODE, ["x*y^2*y'' + x*y' - y = 0"])
         from liereduce import substitute, is_zero
@@ -133,6 +137,13 @@ class TestCheckPointSymmetry:
 
 
 class TestVerifySolution:
+    def test_unknown_or_missing_variable(self):
+        sys_ = build(JetSpace(("x",), ("y", "z"), 1), ["y' = z"])
+        with pytest.raises(SystemError_, match="'w' is not a dependent variable"):
+            verify_solution(sys_, {"w": "x"})
+        with pytest.raises(SystemError_, match="no candidate supplied for 'z'"):
+            verify_solution(sys_, {"y": "x"})
+
     def test_bernoulli_particular(self):
         sp = JetSpace(("x",), ("alpha",), 1)
         sys_ = build(sp, ["alpha' = (1+x)*alpha^2 + alpha"])

@@ -162,6 +162,20 @@ class TestPointTransformation:
             PointTransformation.parse(PDE, independent={"r1": "x1"},
                                       dependent={"s": "u"})
 
+    def test_duplicate_target_names(self):
+        with pytest.raises(ChartError, match="duplicate target names"):
+            PointTransformation.parse(ODE, independent={"r": "x"}, dependent={"s": "y"},
+                                      aux={"r": "y'"})
+
+    def test_system_and_field_over_other_source_coordinates(self):
+        chart = PointTransformation.parse(ODE, independent={"r": "x"}, dependent={"s": "y"},
+                                          inverse={"x": "r", "y": "s"})
+        other = JetSpace(("t",), ("y",), 2)
+        with pytest.raises(ChartError, match="system and chart live over different"):
+            transform_de(DESystem.build(other, ["y'' = y"]), chart)
+        with pytest.raises(ChartError, match="field and chart live over different"):
+            pushforward_field(VectorField.parse(other, {"t": "1"}), chart)
+
     def test_name_collision(self):
         with pytest.raises(ChartError, match="collide"):
             PointTransformation.parse(ODE, independent={"x": "y/x"},
