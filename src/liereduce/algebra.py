@@ -201,19 +201,19 @@ def is_solvable(table: AlgebraTable) -> tuple[bool, tuple[int, ...]]:
 
 
 class Advice(NamedTuple):
-    """Recommended reduction order for a two-generator solvable pattern."""
+    """Recommended reduction order for a two-generator solvable pattern: by
+    ``first``, inheriting ``second`` as a point symmetry, or ``either``."""
 
     first: int
     second: int
     either: bool = False
-    point_inherited: int | None = None  # index inherited as a point symmetry
 
     def describe(self, names: Sequence[str]) -> str:
         first = names[self.first]
         if self.either:
             return (f"[{first},{names[self.second]}] = 0: either order works; "
                     f"both directions inherit a point symmetry")
-        return (f"reduce by {first} first; {names[self.point_inherited]} is "
+        return (f"reduce by {first} first; {names[self.second]} is "
                 f"inherited as a point symmetry, while the reverse order "
                 f"inherits {first} only as a nonlocal symmetry")
 
@@ -232,8 +232,8 @@ def reduction_order_advice(table: AlgebraTable, i: int, j: int) -> Advice:
     if not nonzero:
         return Advice(first=i, second=j, either=True)
     if nonzero == [i]:
-        return Advice(first=i, second=j, point_inherited=j)
+        return Advice(first=i, second=j)
     if nonzero == [j]:
-        return Advice(first=j, second=i, point_inherited=i)
+        return Advice(first=j, second=i)
     raise AlgebraError(
         "bracket is not proportional to either generator; no two-step advice")

@@ -24,9 +24,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .equiv import equiv, is_zero, sampled_nonsingular
 from .expr import (Add, Expr, ExprError, ONE, ZERO, add, clear_denominators,
-                   diff, free_vars, mul, power, render, substitute, sym,
+                   diff, free_vars, mul, power, substitute, sym,
                    _coeff_monomial)
-from .jets import JetSpace, Record, VectorField, prolong, total_derivative
+from .jets import JetSpace, Record, VectorField, describe_field, prolong, total_derivative
 from .parse import parse_expr
 from .systems import DESystem
 
@@ -256,25 +256,17 @@ def jet_dictionaries(T: PointTransformation, exprs: Sequence[Expr]) -> dict[str,
     return backward
 
 
-_ODE_ORDER_CAP = 3
-_PDE_ORDER_CAP = 2
-
-
 def transform_de(sys, T: PointTransformation):
     """Rewrite a system in the chart's coordinates.
 
-    Requires the chart to carry its inverse base map; orders are capped at
-    three for one independent variable and two otherwise.  The jet
-    dictionary is asked for the jets the equations mention, so a jet no
-    equation names is never derived.
+    Requires the chart to carry its inverse base map.  The jet dictionary is
+    asked for the jets the equations mention, so a jet no equation names is
+    never derived.
     """
     src = T.source
     if sys.space.base_names != src.base_names:
         raise ChartError("system and chart live over different source coordinates")
     n = sys.order
-    cap = _ODE_ORDER_CAP if src.p == 1 else _PDE_ORDER_CAP
-    if n > cap:
-        raise ChartError(f"order {n} exceeds the transformation cap {cap}")
     if T.inverse is None:
         raise ChartError("transform_de needs the chart's inverse base map")
     backward = jet_dictionaries(T, sys.equations)
@@ -300,25 +292,26 @@ def transform_de(sys, T: PointTransformation):
 class Pushforward(NamedTuple):
     """A generator's coefficients on chart targets and auxiliary variables.
 
-    When re-expression in the target coordinates fails, ``flagged`` is set and
-    the coefficients are the raw source-coordinate expressions instead.
+    When re-expression in the target coordinates leaves ``residual_vars``, it
+    is ``flagged`` and the coefficients are the raw source expressions.
     Any common constant is reported as ``suggested_scale`` metadata and never
     applied.
     """
 
     coords: tuple[str, ...]
     coeffs: Mapping[str, Expr]
-    flagged: bool = False
     residual_vars: tuple[str, ...] = ()
     suggested_scale: Fraction | None = None
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.residual_vars)
 
     def coeff(self, name: str) -> Expr:
         return self.coeffs.get(name, ZERO)
 
     def describe(self) -> str:
-        bits = [f"({render(self.coeff(n))}) d/d{n}" for n in self.coords
-                if self.coeff(n) != ZERO]
-        return " + ".join(bits) if bits else "0"
+        return describe_field((n, self.coeff(n)) for n in self.coords)
 
 
 def _leading_rational(e: Expr) -> Fraction | None:
@@ -374,8 +367,7 @@ def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
         residual |= set(free_vars(e)) - allowed
         expressed[n] = e
     if residual:
-        return Pushforward(coords, raw, flagged=True,
-                           residual_vars=tuple(sorted(residual)))
+        return Pushforward(coords, raw, residual_vars=tuple(sorted(residual)))
     scale = None
     for n in coords:
         lead = _leading_rational(expressed[n])

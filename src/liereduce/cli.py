@@ -3,8 +3,8 @@
 Every subcommand reads a problem file, runs one operation, and prints a
 human-readable summary (or one JSON record per check with ``--json``).
 Exit status: 0 on success, 1 when a check fails, 2 on usage errors.
-Values are worded as the corpus runner words them: one too long to render
-prints as a placeholder, so a decided verdict is always printed.
+Values are worded by ``expr.render``, which writes every constant, so a
+decided verdict is always printed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 from .algebra import is_solvable
 from .charts import verify_canonical
 from .classify import lift_test
-from .corpus import _worded, corpus_dir, reports_json, run_corpus
+from .corpus import corpus_dir, reports_json, run_corpus
 from .expr import ExprError, _render_number, render
 from .jets import prolong
 from .problem import load_problem
@@ -37,7 +37,7 @@ def cmd_prolong(args) -> int:
     X = pf.fields[args.field]
     order = pf.space.order if args.order is None else args.order
     P = prolong(X, order)
-    coeffs = {n: _worded(render, c) for n, c in sorted(P.jet_coeffs.items())}
+    coeffs = {n: render(c) for n, c in sorted(P.jet_coeffs.items())}
     _emit(args, {"operation": "prolong", "field": args.field, "order": order,
                  "coefficients": coeffs},
           "\n".join(f"{n}: {c}" for n, c in coeffs.items()))
@@ -47,7 +47,7 @@ def cmd_prolong(args) -> int:
 def cmd_check_symmetry(args) -> int:
     pf = load_problem(args.problem)
     rep = check_point_symmetry(pf.system, pf.fields[args.field])
-    residuals = [_worded(render, r) for r in rep.residuals]
+    residuals = [render(r) for r in rep.residuals]
     _emit(args, {"operation": "check-symmetry", "field": args.field,
                  "verdict": rep.verdict, "residuals": residuals},
           f"{args.field}: {rep.verdict}" +
@@ -67,7 +67,7 @@ def cmd_canonical_verify(args) -> int:
 def cmd_transform(args) -> int:
     pf = load_problem(args.problem)
     out = pf.transformed(args.chart)
-    eqs = [_worded(render, e) for e in out.equations]
+    eqs = [render(e) for e in out.equations]
     _emit(args, {"operation": "transform", "chart": args.chart, "equations": eqs},
           "\n".join(f"{e} = 0" for e in eqs))
     return 0
@@ -79,9 +79,9 @@ def cmd_reduce(args) -> int:
     if why:
         raise ReductionError(why)
     red = pf.gradient_reduction(args.target, args.aux or ())
-    eqs = [_worded(render, e) for e in red.system.equations]
+    eqs = [render(e) for e in red.system.equations]
     conn = red.connection
-    defs = {n: _worded(render, e) for n, e in conn.aux_defs}
+    defs = {n: render(e) for n, e in conn.aux_defs}
     _emit(args, {"operation": "reduce", "equations": eqs,
                  "roles": list(red.roles), "connection": defs,
                  "eliminated": conn.eliminated, "constant": "C"},
@@ -94,8 +94,8 @@ def cmd_reduce(args) -> int:
 def cmd_pushforward(args) -> int:
     pf = load_problem(args.problem)
     out = pf.pushforward(args.field, args.chart)
-    coeffs = {n: _worded(render, out.coeff(n)) for n in out.coords}
-    scale = _worded(_render_number, out.suggested_scale) if out.suggested_scale else None
+    coeffs = {n: render(out.coeff(n)) for n in out.coords}
+    scale = _render_number(out.suggested_scale) if out.suggested_scale else None
     _emit(args, {"operation": "pushforward", "field": args.field,
                  "chart": args.chart, "coefficients": coeffs,
                  "flagged": out.flagged, "suggested_scale": scale},
@@ -134,8 +134,8 @@ def cmd_commutator(args) -> int:
     index = {n: k for k, n in enumerate(sorted(pf.fields))}
     i, j = index[names[0]], index[names[1]]
     all_names, tab = pf.algebra_table()
-    span = _worded(tab.describe_entry, i, j, all_names)
-    Z = _worded(tab.bracket(i, j).describe)
+    span = tab.describe_entry(i, j, all_names)
+    Z = tab.bracket(i, j).describe()
     _emit(args, {"operation": "commutator", "fields": names,
                  "bracket": Z, "in_span": span},
           f"[{names[0]},{names[1]}] = {span}  ({Z})")
@@ -146,7 +146,7 @@ def cmd_algebra(args) -> int:
     pf = load_problem(args.problem)
     names = [n.strip() for n in args.fields.split(",")] if args.fields else None
     names, tab = pf.algebra_table(names)
-    lines = [f"[{names[i]},{names[j]}] = {_worded(tab.describe_entry, i, j, names)}"
+    lines = [f"[{names[i]},{names[j]}] = {tab.describe_entry(i, j, names)}"
              for i in range(len(names)) for j in range(i + 1, len(names))]
     rec = {"operation": "algebra", "fields": names, "closed": tab.closed,
            "brackets": list(lines)}

@@ -118,16 +118,6 @@ def _parse_combo(text: str, names: list[str]) -> list[Fraction] | None:
 # None when the computation could not decide the check
 
 
-def _worded(show: Callable[..., str], *args) -> str:
-    """``show(*args)``, a report's wording of a computed or expected value, or
-    a placeholder when ``show`` refuses the value (a constant past the
-    interpreter's limit on int digits): the wording never decides a check."""
-    try:
-        return show(*args)
-    except ExprError:
-        return "<too long to render>"
-
-
 def _reduced(pf: ProblemFile, exp: Expect, target: Sequence[str]):
     """The gradient reduction of the target named in ``target`` (zero or one
     words), with the expect's ``aux =`` names; the loader has checked that
@@ -146,8 +136,8 @@ def _ex_prolong(pf: ProblemFile, exp: Expect):
         expect_e = parse_expr(text.strip(), pf.space)
         got = P.coeff(name)
         oks.append(got == expect_e)
-        shown.append(f"{name}: {_worded(render, got)}")
-        want.append(f"{name}: {_worded(render, expect_e)}")
+        shown.append(f"{name}: {render(got)}")
+        want.append(f"{name}: {render(expect_e)}")
     return all(oks), "; ".join(shown), "; ".join(want)
 
 
@@ -161,7 +151,7 @@ def _ex_symmetry(pf: ProblemFile, exp: Expect):
         ok = ok and equiv(rep.residuals[0], parse_expr(res, pf.space))
     shown = rep.verdict
     if rep.verdict == "not-symmetry":
-        shown += " (residual " + "; ".join(_worded(render, r) for r in rep.residuals) + ")"
+        shown += " (residual " + "; ".join(render(r) for r in rep.residuals) + ")"
     return ok, shown, want + (f" residual {res}" if res else "")
 
 
@@ -181,8 +171,8 @@ def _matched(system: DESystem, exp: Expect):
     ``equation`` lines."""
     expected = [_parse_equation(system.space, line) for line in exp.equations]
     return systems_match(system, expected), \
-        "; ".join(_worded(render, e) for e in system.equations), \
-        "; ".join(_worded(render, e) for e in expected)
+        "; ".join(render(e) for e in system.equations), \
+        "; ".join(render(e) for e in expected)
 
 
 def _ex_transform(pf: ProblemFile, exp: Expect):
@@ -212,9 +202,9 @@ def _ex_pushforward(pf: ProblemFile, exp: Expect):
     for name, text in exp.prefixed("coeff"):
         e = parse_expr(text.strip(), vocab)
         oks.append(equiv(out.coeff(name), e))
-        shown.append(f"{name}: {_worded(render, out.coeff(name))}")
-        want.append(f"{name}: {_worded(render, e)}")
-    return all(oks), "; ".join(shown) or _worded(out.describe), "; ".join(want)
+        shown.append(f"{name}: {render(out.coeff(name))}")
+        want.append(f"{name}: {render(e)}")
+    return all(oks), "; ".join(shown) or out.describe(), "; ".join(want)
 
 
 def _ex_classify(pf: ProblemFile, exp: Expect):
@@ -246,7 +236,7 @@ def _ex_commutator(pf: ProblemFile, exp: Expect):
     if want is None:
         raise ProblemError(f"{pf.id}: cannot parse expected combination {want_text!r}")
     ok = got is not None and list(got) == want
-    return ok, _worded(tab.describe_entry, i, j, names), want_text
+    return ok, tab.describe_entry(i, j, names), want_text
 
 
 def _ex_algebra(pf: ProblemFile, exp: Expect):
@@ -263,7 +253,7 @@ def _ex_algebra(pf: ProblemFile, exp: Expect):
         got = tab.coords(i, j)
         expect_v = _parse_combo(text.strip(), names)
         oks.append(got is not None and expect_v is not None and list(got) == expect_v)
-        shown.append(f"[{a},{b}]={_worded(tab.describe_entry, i, j, names)}")
+        shown.append(f"[{a},{b}]={tab.describe_entry(i, j, names)}")
         want.append(f"[{a},{b}]={text.strip()}")
     solv_want = exp.one("solvable")
     series_want = exp.one("series")

@@ -897,14 +897,29 @@ def clear_denominators(e: Expr) -> Expr:
 # Rendering (inverse of the parser's grammar)
 
 
+# An int too long to write as text (the interpreter's limit is 4,300 digits)
+# is written as a parenthesized sum of chunks c*2^k, each c below 2^13000
+# (3,914 digits) and each 2^k a product of powers within MAX_POWER_BITS; the
+# parser folds the sum back into the int.
+_CHUNK_BITS = 13000
+
+
+def _render_int(n: int) -> str:
+    m, mask = abs(n), (1 << _CHUNK_BITS) - 1
+    if m.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    terms = [f"{c}" + f"*2^{MAX_POWER_BITS}" * (k // MAX_POWER_BITS) + f"*2^{k % MAX_POWER_BITS}"
+             for k in range(0, m.bit_length(), _CHUNK_BITS) if (c := m >> k & mask)]
+    return "-" * (n < 0) + f"({' + '.join(terms)})"
+
+
 def _render_number(v: int | Fraction) -> str:
-    """A constant's text; ExprError past the interpreter's limit on the
-    digits of an int written as text, which ``parse_expr`` cannot read
-    either."""
+    """A constant's text, written in chunks when it is too long for str."""
     try:
         return str(v)
     except ValueError:
-        raise ExprError("constant has too many digits to render") from None
+        n, d = v.numerator, v.denominator
+        return _render_int(n) if d == 1 else f"{_render_int(n)}/{_render_int(d)}"
 
 
 def _render_factor(f: Expr) -> str:

@@ -11,7 +11,7 @@ so differentiation never errors on order.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, render,
                    sym, _coerce)
@@ -228,13 +228,13 @@ class VectorField(Record):
         return not self.coeffs
 
     def describe(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for n in self.space.base_names:
-            if n in self.coeffs:
-                bits.append(f"({render(self.coeffs[n])}) d/d{n}")
-        return " + ".join(bits)
+        return describe_field((n, self.coeff(n)) for n in self.space.base_names)
+
+
+def describe_field(coeffs: Iterable[tuple[str, Expr]]) -> str:
+    """A field's wording from its (coordinate, coefficient) pairs: each
+    nonzero coefficient c of n as '(c) d/dn', joined by ' + ', or '0'."""
+    return " + ".join(f"({render(c)}) d/d{n}" for n, c in coeffs if c != ZERO) or "0"
 
 
 class ProlongedField(NamedTuple):

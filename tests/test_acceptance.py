@@ -290,7 +290,7 @@ def test_criterion_11_cross_module_consistency():
             tab = structure_constants([pf.fields[n] for n in names])
             adv = reduction_order_advice(tab, names.index(n1), names.index(n2))
             assert names[adv.first] == n1
-            assert names[adv.point_inherited] == n2
+            assert names[adv.second] == n2
             red = lie_reduce(pf.system, pf.charts[chart_first])
             got = classify_pushforward(pushforward_field(pf.fields[n2], pf.charts[chart_first]),
                                        pf.charts[chart_first], red)

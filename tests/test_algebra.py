@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liereduce import (AlgebraError, AlgebraTable, JetSpace, VectorField,
+from liereduce import (AlgebraError, AlgebraTable, JetError, JetSpace, VectorField,
                        commutator, equiv, eval_numeric, is_solvable, rat,
                        reduction_order_advice, structure_constants)
 from liereduce.corpus import corpus_dir
@@ -21,6 +21,13 @@ def fields_equal(A, B):
 
 
 class TestCommutator:
+    def test_fields_over_different_base_coordinates(self):
+        X, Y = VectorField.parse(ODE, {"x": "1"}), VectorField.parse(PDE, {"x1": "1"})
+        with pytest.raises(JetError, match="fields live over different base coordinates"):
+            commutator(X, Y)
+        with pytest.raises(JetError, match="generators live over different base coordinates"):
+            structure_constants([X, Y])
+
     def test_translated_pair(self):
         X1 = VectorField.parse(ODE, {"y": "1"})
         X2 = VectorField.parse(ODE, {"x": "x", "y": "-y"})
@@ -174,6 +181,7 @@ class TestStructureConstants:
              VectorField.parse(ODE, {"x": "x^2"})]
         tab = structure_constants(g)
         assert tab.entries[(0, 1)] is None
+        assert tab.describe_entry(0, 1, ["A", "B"]) == "not in span"
         assert not tab.closed
         res = tab.brackets[(0, 1)]
         assert equiv(res.coeff("x"), ODE.expr("2*x"))
@@ -223,18 +231,18 @@ class TestAdvice:
         g = [VectorField.parse(ODE, {"y": "1"}),
              VectorField.parse(ODE, {"x": "x", "y": "-y"})]
         adv = reduction_order_advice(structure_constants(g), 0, 1)
-        assert adv.first == 0 and adv.point_inherited == 1 and not adv.either
+        assert adv.first == 0 and adv.second == 1 and not adv.either
 
     def test_power_law_pair(self):
         tab = structure_constants(power_law_fields())
         adv = reduction_order_advice(tab, 0, 1)
-        assert adv.first == 0 and adv.point_inherited == 1
+        assert adv.first == 0 and adv.second == 1
 
     def test_proportional_to_second(self):
         # [X1, X2] = -X2 for X1 = x d/dx, X2 = d/dx ... actually [x d/dx, d/dx] = -d/dx
         g = [VectorField.parse(ODE, {"x": "x"}), VectorField.parse(ODE, {"x": "1"})]
         adv = reduction_order_advice(structure_constants(g), 0, 1)
-        assert adv.first == 1 and adv.point_inherited == 0
+        assert adv.first == 1 and adv.second == 0
 
     def test_abelian_either(self):
         g = [VectorField.parse(ODE, {"x": "1"}), VectorField.parse(ODE, {"y": "1"})]

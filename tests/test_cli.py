@@ -7,6 +7,8 @@ import pytest
 from liereduce.classify import Classification
 from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus
+from liereduce.expr import render
+from liereduce.parse import parse_expr
 from liereduce.problem import load_problem
 
 
@@ -172,7 +174,8 @@ class TestSubcommands:
 
 
 # Problems whose values hold a constant past the interpreter's limit on int
-# digits: 3^19683 and 3^20000 have over 9,000 digits.
+# digits: 3^19683 and 3^20000 have over 9,000 digits, which render writes as a
+# sum of chunks.
 BIG_ODE = ("[space]\nindependent = x\ndependent = y\norder = 2\n"
            "[equations]\ny'' = 3^19683*y'\n[field X]\nx = x\ny = y\n"
            "[chart c]\nindependent = r\ndependent = s\nr = x\ns = y\ncanonical = s\n"
@@ -183,43 +186,57 @@ BIG_SCALE = ("[space]\nindependent = x\ndependent = y\norder = 1\n"
              "[equations]\ny' = 0\n[field C]\nx = 3^(-20000)*x\n"
              "[chart c]\nindependent = r\ndependent = s\nr = x\ns = y\ncanonical = s\n"
              "inverse x = r\ninverse y = s\n")
-LONG = "<too long to render>"
-# (problem, arguments, exit code, human output, fields of the JSON record)
+# A reduced symmetry whose lift is refused with a witness holding the constant.
+BIG_LIFT = ("[space]\nindependent = x\ndependent = alpha\norder = 1\n"
+            "[parent]\nindependent = x\ndependent = y\norder = 2\nkind = ode\n"
+            "target = y\naux = alpha\n"
+            "[equations]\nalpha' = 0\n[field Y]\nalpha = 3^20000*alpha^2\n")
+# (problem, arguments, exit code, the constant, human output, fields of the
+# JSON record), with {c} in the outputs standing for the constant's text.
 TOO_LONG = {
-    "check-symmetry": (BIG_ODE, ["--field", "X"], 1,
-                       f"X: not-symmetry  residuals: {LONG}\n",
-                       {"verdict": "not-symmetry", "residuals": [LONG]}),
-    "transform": (BIG_ODE, ["--chart", "c"], 0, f"{LONG} = 0\n", {"equations": [LONG]}),
-    "reduce-ode": (BIG_ODE, [], 0,
-                   f"{LONG} = 0  [reduced]\nconnection: alpha = y'; y recovered by "
-                   "quadrature up to C\n",
-                   {"equations": [LONG], "connection": {"alpha": "y'"}}),
-    "prolong": (BIG_FIELDS, ["--field", "B"], 0, f"y': {LONG}\n",
-                {"coefficients": {"y'": LONG}}),
-    "commutator": (BIG_FIELDS, ["--fields", "A,B"], 0, f"[A,B] = {LONG}  ({LONG})\n",
-                   {"bracket": LONG, "in_span": LONG}),
-    "algebra": (BIG_FIELDS, [], 0,
-                f"[A,B] = {LONG}\nsolvable: True; derived series 2 -> 1 -> 0\n",
-                {"brackets": [f"[A,B] = {LONG}"], "solvable": True}),
-    "pushforward": (BIG_SCALE, ["--field", "C", "--chart", "c"], 0,
-                    f"r: {LONG}\n(common constant rescale suggestion: {LONG})\n",
-                    {"coefficients": {"r": LONG}, "suggested_scale": LONG}),
+    "check-symmetry": (BIG_ODE, ["--field", "X"], 1, "3^19683",
+                       "X: not-symmetry  residuals: -{c}*y'\n",
+                       {"verdict": "not-symmetry", "residuals": ["-{c}*y'"]}),
+    "transform": (BIG_ODE, ["--chart", "c"], 0, "3^19683", "-{c}*s' + s'' = 0\n",
+                  {"equations": ["-{c}*s' + s''"]}),
+    "reduce-ode": (BIG_ODE, [], 0, "3^19683",
+                   "-{c}*alpha + alpha' = 0  [reduced]\nconnection: alpha = y'; y recovered "
+                   "by quadrature up to C\n",
+                   {"equations": ["-{c}*alpha + alpha'"], "connection": {"alpha": "y'"}}),
+    "prolong": (BIG_FIELDS, ["--field", "B"], 0, "3^20000", "y': -{c}*y'\n",
+                {"coefficients": {"y'": "-{c}*y'"}}),
+    "commutator": (BIG_FIELDS, ["--fields", "A,B"], 0, "3^20000",
+                   "[A,B] = {c}*A  (({c}) d/dx)\n",
+                   {"bracket": "({c}) d/dx", "in_span": "{c}*A"}),
+    "algebra": (BIG_FIELDS, [], 0, "3^20000",
+                "[A,B] = {c}*A\nsolvable: True; derived series 2 -> 1 -> 0\n",
+                {"brackets": ["[A,B] = {c}*A"], "solvable": True}),
+    "pushforward": (BIG_SCALE, ["--field", "C", "--chart", "c"], 0, "3^20000",
+                    "r: 1/{c}*r\n(common constant rescale suggestion: {c})\n",
+                    {"coefficients": {"r": "1/{c}*r"}, "suggested_scale": "{c}"}),
+    "lift-test": (BIG_LIFT, ["--field", "Y"], 0, "3^20000",
+                  "Y: nonlocal witness={c}*alpha^2 by matching system inconsistent: "
+                  "quadratic row unmatched\n",
+                  {"verdict": "nonlocal", "witness": "{c}*alpha^2"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(TOO_LONG))
 def test_value_too_long_to_render_does_not_hide_a_decided_verdict(tmp_path, capsys, command):
-    """Each subcommand words a value past the digit limit by the corpus
-    runner's placeholder, in human and JSON output, and exits by its
-    verdict."""
-    text, extra, code, human, fields = TOO_LONG[command]
+    """Each subcommand words a value holding a constant past the digit limit
+    in full, in human and JSON output, and exits by its verdict; the
+    constant is written in chunks that parse back to it."""
+    text, extra, code, constant, human, fields = TOO_LONG[command]
+    c = render(parse_expr(constant))
+    assert c.startswith("(") and parse_expr(c) == parse_expr(constant)
     (tmp_path / "big.prob").write_text(text)
     argv = [command, "--problem", str(tmp_path / "big.prob")] + extra
-    assert (main(argv), capsys.readouterr()) == (code, (human, ""))
+    assert (main(argv), capsys.readouterr()) == (code, (human.replace("{c}", c), ""))
     assert main(argv + ["--json"]) == code
     out, err = capsys.readouterr()
     record = json.loads(out)
-    assert err == "" and {k: record[k] for k in fields} == fields
+    want = json.loads(json.dumps(fields).replace("{c}", c))
+    assert err == "" and {k: record[k] for k in fields} == want
 
 
 class TestUsageErrors:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from liereduce import DESystem, ExprError, algebra, corpus, lie_reduce, problem, render
+from liereduce import (DESystem, ExprError, algebra, corpus, lie_reduce, parse_expr, problem,
+                       render)
 from liereduce import charts as charts_module
 from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus, run_expect, systems_match
@@ -209,25 +210,34 @@ def test_advice_either_order(tmp_path):
         ("fail", "[A,B] = 0: either order works; both directions inherit a point symmetry")]
 
 
-# Each check is decided as expected, but a value it reports holds a constant
-# past the interpreter's limit on int digits, which the report cannot write
-# out: it words the value by a placeholder and the verdict stands.
+# Each check is decided as expected, and a value it reports holds a constant
+# past the interpreter's limit on int digits: the report writes the constant
+# in chunks that parse back to it ({c} below), and the verdict stands.
 TOO_LONG = {
     "symmetry": ("[space]\nindependent = x\ndependent = y\norder = 2\n"
                  "[equations]\ny'' = 3^19683*y\n[field X]\nx = x\ny = y\n"
                  "[expect symmetry X]\ntag = oracle\nverdict = not-symmetry\n",
-                 "not-symmetry (residual <too long to render>)"),
+                 "2*3^19683", "not-symmetry (residual -{c}*y)"),
     "commutator": ("[space]\nindependent = x\ndependent = y\norder = 1\n"
                    "[equations]\ny' = 0\n[field A]\nx = 1\n[field B]\nx = 3^20000*x\n"
                    "[expect commutator A B]\ntag = oracle\nresult = 3^20000*A\n",
-                   "<too long to render>"),
+                   "3^20000", "{c}*A"),
+    "lift": ("[space]\nindependent = x\ndependent = alpha\norder = 1\n"
+             "[parent]\nindependent = x\ndependent = y\norder = 2\nkind = ode\n"
+             "target = y\naux = alpha\n"
+             "[equations]\nalpha' = 0\n[field Y]\nalpha = 3^20000*alpha^2\n"
+             "[expect lift Y]\ntag = oracle\nverdict = nonlocal\n",
+             "3^20000", "nonlocal witness={c}*alpha^2 by matching system inconsistent: "
+                        "quadratic row unmatched"),
 }
 
 
 @pytest.mark.parametrize("op", sorted(TOO_LONG))
 def test_value_too_long_to_render_does_not_fail_a_decided_check(tmp_path, op):
-    text, computed = TOO_LONG[op]
+    text, constant, computed = TOO_LONG[op]
+    c = render(parse_expr(constant))
+    assert c.startswith("(") and parse_expr(c) == parse_expr(constant)
     (tmp_path / "big.prob").write_text(text)
     records, failed = run_corpus(tmp_path)
     assert not failed
-    assert [(r.verdict, r.computed) for r in records] == [("pass", computed)]
+    assert [(r.verdict, r.computed) for r in records] == [("pass", computed.replace("{c}", c))]

@@ -18,8 +18,8 @@ from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
 from liereduce.equiv import sampled_nonsingular
-from liereduce.expr import (KERNELS, PowerBoundError, _int_nth_root, numeric,
-                            positivity_constraints)
+from liereduce.expr import (KERNELS, PowerBoundError, _int_nth_root, _render_number,
+                            numeric, positivity_constraints)
 from fresh import fresh
 from genexpr import random_expr, small_rat
 
@@ -443,6 +443,10 @@ class TestExactPowerBound:
          "3^(1/17069174130723235958610643029059314756044734431)"),
         # The exact zero test leaves such a power to the float path.
         ("is_zero(parse_expr('x^1000000000000 - y'))", "False"),
+        # A constant of 1.58 million bits is written with chunk weights that
+        # are products of powers of 2 within the bound.
+        ("parse_expr(render(parse_expr('3^1000000*x'))) == parse_expr('3^1000000*x')",
+         "True"),
     ])
     def test_reproducer(self, code, printed):
         assert fresh(code) == printed
@@ -854,6 +858,11 @@ class TestEquiv:
         # interpreter's limit on writing an int as text; no text is made.
         assert not equiv(parse_expr("(x+1)^(1/3)^(10^5)", {"x"}), y)
 
+    def test_empty_domain_with_a_constant_past_the_digit_limit(self):
+        # The error words the difference in full, so its type is kept.
+        with pytest.raises(SamplingDomainError, match="sampling domain empty"):
+            equiv(parse_expr("log(-1 - x^2) + 3^20000", {"x"}), ZERO)
+
     def test_renders_only_to_raise(self, monkeypatch):
         # Sample points are seeded from variable names, so a verdict never
         # depends on rendered text: render runs only to word an error.
@@ -1028,11 +1037,44 @@ class TestRender:
             assert parse_expr(render(e), vocab) == e
 
     # 3^19683 has 9392 digits, past the interpreter's limit on the digits of
-    # an int written as text, wherever the constant stands.
+    # an int written as text, wherever the constant stands: it is written in
+    # chunks, and the text parses back to the same expression.
     @pytest.mark.parametrize("text", ["3^(-19683)", "x^(3^(-19683))", "3^19683*x + y"])
     def test_constant_past_the_digit_limit(self, text):
-        with pytest.raises(ExprError, match="too many digits to render"):
-            render(parse_expr(text, {"x", "y"}))
+        e = parse_expr(text, {"x", "y"})
+        assert parse_expr(render(e), {"x", "y"}) == e
+
+    def test_constants_past_the_digit_limit_round_trip(self):
+        # Seeded ints and Fractions with the numerator, the denominator or
+        # both past the limit, of either sign, some with all-zero middle
+        # chunks; alone, as a coefficient, as a power's base or exponent and
+        # inside a kernel.
+        rng = random.Random(30)
+
+        def big() -> int:
+            bits = rng.randrange(14000, 80000)
+            n = rng.getrandbits(bits) | 1 << bits
+            if rng.random() < 0.4:  # only the lowest and highest bits set
+                n = n >> (bits - 50) << (bits - 50) | rng.getrandbits(50)
+            return n
+
+        small = lambda: rng.randrange(1, 10**6)
+        assert _render_number(Fraction(2, 1)) == "2"
+        for _ in range(40):
+            num, den = rng.choice([(big, lambda: 1), (big, small), (small, big), (big, big)])
+            v = Fraction(num(), den()) * rng.choice([1, -1])
+            text = _render_number(v)
+            assert all(len(d) < 4300 for d in re.findall(r"\d+", text))
+            assert parse_expr(text) == Rat(v)
+            c = Rat(v)
+            for e in (c, c * x + y, y - c * x, power(Rat(abs(v)), x), power(x, c),
+                      kernel("sin", c * x), power(c, 2) * x):
+                assert parse_expr(render(e), {"x", "y"}) == e
+
+    def test_repr_past_the_digit_limit(self):
+        e = parse_expr("10^5000*x", {"x"})
+        assert repr(e) == f"<{render(e)}>"
+        assert parse_expr(repr(e)[1:-1], {"x"}) == e
 
 
 class TestClearDenominators:

@@ -106,6 +106,10 @@ class TestVectorField:
         Z = X + rat(2) * Y
         assert Z.coeff("x") == sym("x") and Z.coeff("y") == 2 * sym("y")
 
+    def test_sum_over_different_spaces(self):
+        with pytest.raises(JetError, match="cannot add fields over different spaces"):
+            VectorField.parse(ODE, {"x": "1"}) + VectorField.parse(PDE, {"x1": "1"})
+
 
 class TestProlong:
     def test_half_scaling(self):

@@ -50,6 +50,11 @@ class TestLoadProblem:
         assert len(pf.expects) == 1
         assert pf.expects[0].op == "symmetry"
 
+    def test_unknown_expect_operation(self, tmp_path):
+        bad = GOOD + "\n[expect frobnicate T]\ntag = oracle\n"
+        with pytest.raises(ProblemError, match=r"case.prob: \[expect\] needs an operation from"):
+            load_problem(write(tmp_path, bad))
+
     def test_empty_equations(self, tmp_path):
         bad = GOOD.replace("y'' = (1+x)*y'^2 + y'\n", "")
         with pytest.raises(ProblemError, match="empty equations"):

@@ -43,7 +43,7 @@ def chart():
 # equal arguments.
 RECORDS = {
     "AlgebraTable": lambda: AlgebraTable((field(),), {}, {}),
-    "Advice": lambda: Advice(0, 1, point_inherited=1),
+    "Advice": lambda: Advice(0, 1),
     "Pushforward": lambda: Pushforward(("r", "s"), {"r": r}, suggested_scale=2),
     "Classification": lambda: Classification("nonlocal", "s", "witness"),
     "Report": lambda: Report("p", "symmetry X", "symmetry", "pass", "symmetry", "symmetry"),
@@ -69,7 +69,9 @@ def test_record_is_a_read_only_value(name):
     assert type(a).__name__ == name
     with pytest.raises(AttributeError):
         setattr(a, a._fields[0], None)
-    assert a == b and not a != b
+    with pytest.raises(AttributeError):
+        delattr(a, a._fields[0])
+    assert a == b and not a != b and a != object()
     assert copy.deepcopy(a) == a
     try:
         hash(tuple(getattr(a, f) for f in a._fields))
@@ -78,6 +80,13 @@ def test_record_is_a_read_only_value(name):
             hash(a)
     else:
         assert hash(a) == hash(b)
+
+
+def test_pushforward_is_flagged_exactly_when_source_coordinates_remain():
+    # The flag is read from residual_vars, so the two cannot disagree.
+    assert "flagged" not in Pushforward._fields
+    assert not RECORDS["Pushforward"]().flagged
+    assert Pushforward(("r",), {"r": x}, residual_vars=("x",)).flagged
 
 
 def test_problem_memo_takes_no_part_in_equality():

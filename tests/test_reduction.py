@@ -31,6 +31,11 @@ def reduce_ode_both(sys_, target=None, aux_name=None):
 
 
 class TestReduceOde:
+    def test_needs_one_independent_variable(self):
+        sys_ = DESystem.build(PDE, ["u_11 = u_2"])
+        with pytest.raises(ReductionError, match="reduce-ode needs exactly one independent"):
+            reduce_ode(sys_)
+
     def test_bernoulli(self):
         sys_ = DESystem.build(ODE, ["y'' = (1+x)*y'^2 + y'"])
         red = reduce_ode_both(sys_)

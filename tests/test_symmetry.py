@@ -2,7 +2,7 @@
 
 import pytest
 
-from liereduce import (DESystem, JetSpace, SystemError_, VectorField, equiv,
+from liereduce import (DESystem, JetError, JetSpace, SystemError_, VectorField, equiv,
                        check_point_symmetry, parse_expr, reduce_on_manifold,
                        verify_solution)
 
@@ -60,6 +60,11 @@ class TestSolvedForms:
 
 
 class TestCheckPointSymmetry:
+    def test_field_over_other_base_coordinates(self):
+        sys_ = build(ODE, ["y'' = 0"])
+        with pytest.raises(JetError, match="field and system live over different base"):
+            check_point_symmetry(sys_, VectorField.parse(PDE, {"x1": "1"}))
+
     def test_translation(self):
         sys_ = build(ODE, ["y'' = (1+x)*y'^2 + y'"])
         X = VectorField.parse(ODE, {"y": "1"})

@@ -9,8 +9,8 @@ import pytest
 from liereduce import (ChartError, DESystem, JetSpace, PointTransformation,
                        SingularMapError, VectorField, ZERO, charts, equiv,
                        first_order_jets, free_vars, jet_dictionaries, lie_reduce,
-                       parse_expr, pushforward_field, rat, solve_affine, sym,
-                       transform_de, verify_canonical)
+                       parse_expr, pushforward_field, rat, solve_affine, substitute,
+                       sym, transform_de, verify_canonical, verify_solution)
 from liereduce.corpus import corpus_dir, equation_matches
 from liereduce.equiv import echelon
 from liereduce.problem import load_problem
@@ -282,14 +282,41 @@ class TestTransformDE:
         again = transform_de(out, back)
         assert equation_matches(again.equations[0], SCALING_ODE.equations[0])
 
-    def test_order_cap(self):
-        sp4 = JetSpace(("x",), ("y",), 4)
-        sys_ = DESystem.build(sp4, ["y'''' = y"])
+    # Systems of order 4 and 5 in one variable, and of order 3 in two: each
+    # candidate solves the transformed system exactly when it solves the
+    # source one.
+    @pytest.mark.parametrize("equation", ["y'''' = 24", "y'''' = y", "y''''' = 0"])
+    def test_high_order_ode(self, equation):
+        sp = JetSpace(("x",), ("y",), 5)
+        sys_ = DESystem.build(sp, [equation])
         chart = PointTransformation.parse(
-            sp4, independent={"r": "x"}, dependent={"s": "y"},
-            inverse={"x": "r", "y": "s"})
-        with pytest.raises(ChartError, match="cap"):
-            transform_de(sys_, chart)
+            sp, independent={"r": "log(x)"}, dependent={"s": "y/x"},
+            inverse={"x": "exp(r)", "y": "exp(r)*s"})
+        out = transform_de(sys_, chart)
+        assert out.order == sys_.order
+        x_of_r = {"x": parse_expr("exp(r)")}
+        verdicts = set()
+        for text in ("x^4", "exp(x)", "sin(x)"):
+            s = substitute(parse_expr(f"({text})/x"), x_of_r)
+            verdict = verify_solution(sys_, {"y": text})
+            assert verify_solution(out, {"s": s}) == verdict, text
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        assert substitute(parse_expr("x^3"), x_of_r) == parse_expr("exp(3*r)")
+
+    def test_order_three_pde(self):
+        sp = JetSpace(("x", "t"), ("u",), 3)
+        sys_ = DESystem.build(sp, ["u_222 = u_1*u_11"])
+        chart = PointTransformation.parse(
+            sp, independent={"a": "x + t", "b": "x - t"}, dependent={"v": "u"},
+            inverse={"x": "(a + b)/2", "t": "(a - b)/2", "u": "v"})
+        out = transform_de(sys_, chart)
+        assert out.order == 3
+        x_t = {"x": parse_expr("(a + b)/2"), "t": parse_expr("(a - b)/2")}
+        for text, solves in (("x*t^2", True), ("t^2", True), ("x^4", False),
+                             ("exp(x)", False), ("sin(x)", False), ("x*t^3", False)):
+            assert verify_solution(sys_, {"u": text}) is solves, text
+            assert verify_solution(out, {"v": substitute(parse_expr(text), x_t)}) is solves, text
 
     def test_tiny_scaling_chart(self):
         sys_ = DESystem.build(ODE, ["y'' = y"])
@@ -490,6 +517,10 @@ class TestPushforward:
 
 
 class TestSolveAffine:
+    def test_count_mismatch(self):
+        with pytest.raises(ChartError, match="1 equations for 2 unknowns"):
+            solve_affine([sym("a") - 1], ["a", "b"])
+
     def test_small_system(self):
         a, b = sym("a"), sym("b")
         e1 = a + b - sym("x")
