@@ -70,27 +70,32 @@ def corpus_dir() -> Path:
 # Comparison helpers
 
 
-def equation_matches(eqA: Expr, eqB: Expr) -> bool:
-    """Same zero set up to a nonvanishing factor, decided by cross-multiplying
-    the two solved forms for a shared affine variable."""
-    if equiv(eqA, eqB):
+def equation_matches(eqA: Expr, eqB: Expr, first: str | None = None) -> bool:
+    """Same zero set up to a nonvanishing factor.  Structurally equal
+    equations match.  Otherwise the first shared variable v, ``first`` ahead
+    of the sorted rest, in which both are affine with coefficients that are
+    not zero decides: eqA = cA*v + dA matches eqB = cB*v + dB exactly when
+    cA*dB and cB*dA are equivalent.  A factor between them that depends on v
+    is a Moebius function of v, with a zero, so any one such v gives the
+    verdict of all.  When no variable decides, ``equiv`` does."""
+    if eqA == eqB:
         return True
-    for v in sorted(free_vars(eqA) & free_vars(eqB)):
+    for v in sorted(free_vars(eqA) & free_vars(eqB), key=lambda v: (v != first, v)):
         splitA = affine_split(eqA, v)
         splitB = splitA and affine_split(eqB, v)
-        if splitB:
+        if splitB and not is_zero(splitA[0]) and not is_zero(splitB[0]):
             (cA, dA), (cB, dB) = splitA, splitB
-            if equiv(mul(cA, dB), mul(cB, dA)) and not is_zero(cA) and not is_zero(cB):
-                return True
-    return False
+            return equiv(mul(cA, dB), mul(cB, dA))
+    return equiv(eqA, eqB)
 
 
 def systems_match(computed: DESystem, expected: list[Expr]) -> bool:
     """True when the equations pair one-to-one, in any order, under
-    ``equation_matches``.  Each pair is compared at most once, and each set
-    of expected equations left unpaired is searched once."""
-    eqs = computed.equations
-    pair = cache(lambda i, j: equation_matches(eqs[i], expected[j]))
+    ``equation_matches``, each computed equation tried at its lead first
+    (an order-zero system has none).  Each pair is compared at most once,
+    and each set of expected equations left unpaired is searched once."""
+    eqs, leads = computed.equations, computed.leads or (None,) * len(computed.equations)
+    pair = cache(lambda i, j: equation_matches(eqs[i], expected[j], leads[i]))
 
     @cache
     def pairs(free: frozenset[int]) -> bool:

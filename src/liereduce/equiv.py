@@ -57,7 +57,7 @@ from typing import Callable
 from .expr import (Add, DomainError, Expr, ExprError, MAX_POWER_BITS, Mul, Pow,
                    PowerBoundError, Rat, Sym, ZERO, check_power_bound,
                    clear_denominators, eval_numeric, free_vars, numeric,
-                   positivity_constraints, render, substitute)
+                   positivity_constraints, quoted, render, substitute)
 
 
 class SamplingDomainError(ExprError):
@@ -226,7 +226,7 @@ def _floating(exprs: list[Expr], values, witness) -> bool:
                      values, witness, _SAMPLES)
     if found is None:
         raise SamplingDomainError(
-            f"sampling domain empty for {'; '.join(map(render, exprs))!r}")
+            f"sampling domain empty for {quoted('; '.join(map(render, exprs)))}")
     return found
 
 
@@ -252,10 +252,10 @@ def equiv(a: Expr, b: Expr) -> bool:
             return abs(eval_numeric(d, {})) <= _TOLERANCE
         except DomainError:
             raise SamplingDomainError(
-                f"constant expression {render(d)!r} leaves the real domain")
+                f"constant expression {quoted(render(d))} leaves the real domain")
         except OverflowError:
             raise SamplingDomainError(
-                f"constant expression {render(d)!r} overflows a double")
+                f"constant expression {quoted(render(d))} overflows a double")
 
     at = numeric(d)
 
@@ -270,7 +270,7 @@ def equiv(a: Expr, b: Expr) -> bool:
         return False
     if beyond:
         raise SamplingDomainError(
-            f"{render(d)!r} is too large to evaluate exactly, and a float "
+            f"{quoted(render(d))} is too large to evaluate exactly, and a float "
             "zero may be an underflow")
     return True
 

@@ -32,6 +32,19 @@ class PowerBoundError(DomainError):
     """An exact power beyond MAX_POWER_BITS was asked for."""
 
 
+# The most characters of a text that an error message quotes.
+_QUOTED = 80
+
+
+def quoted(text: str, pos: int = 0, word=repr) -> str:
+    """``word(text)``, or, for a longer text, ``word`` of the ``_QUOTED``
+    characters around ``pos`` with an ellipsis at each cut end, so a
+    message's length does not grow with the text."""
+    start = max(0, min(pos - _QUOTED // 2, len(text) - _QUOTED))
+    end = start + _QUOTED
+    return ("..." if start else "") + word(text[start:end]) + ("..." if end < len(text) else "")
+
+
 def _name_of(v) -> str:
     if isinstance(v, Sym):
         return v.name

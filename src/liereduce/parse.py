@@ -18,24 +18,15 @@ import re
 from fractions import Fraction
 
 from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, ZERO, Rat, add, kernel,
-                   mul, power, rat, sym)
-
-
-# The most characters of its text a ParseError quotes.
-_QUOTED = 80
+                   mul, power, quoted, rat, sym)
 
 
 class ParseError(ExprError):
-    """A located parse error.  The message quotes the text, or, for a longer
-    one, the ``_QUOTED`` characters around ``pos`` with an ellipsis at each
-    cut end, so its length does not grow with the text."""
+    """A located parse error.  The message quotes the text around ``pos``
+    (``expr.quoted``)."""
 
     def __init__(self, message: str, text: str, pos: int):
-        start = max(0, min(pos - _QUOTED // 2, len(text) - _QUOTED))
-        end = start + _QUOTED
-        quoted = ("..." if start else "") + repr(text[start:end]) + \
-            ("..." if end < len(text) else "")
-        super().__init__(f"{message} at position {pos}: {quoted}")
+        super().__init__(f"{message} at position {pos}: {quoted(text, pos)}")
         self.text = text
         self.pos = pos
 

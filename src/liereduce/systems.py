@@ -7,7 +7,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .equiv import is_zero
 from .expr import (Expr, ExprError, ZERO, add, diff, free_vars, mul, power,
-                   render, substitute, _coerce)
+                   quoted, render, substitute, _coerce)
 from .jets import JetError, JetSpace, VectorField, prolong, total_derivative
 from .parse import parse_expr
 
@@ -157,7 +157,8 @@ def check_point_symmetry(sys: DESystem, X: VectorField) -> SymmetryReport:
         r, ok = reduce_on_manifold(sys, P.apply_to(eq))
         if not ok:
             forms = ", ".join(f"{v} = {render(f)}" for v, f in zip(sys.leads, sys.rhss))
-            raise SystemError_(f"residual {render(r)} meets a cycle among the solved forms {forms}")
+            raise SystemError_(f"residual {quoted(render(r), word=str)} meets a cycle among "
+                               f"the solved forms {quoted(forms, word=str)}")
         residuals.append(r)
     good = all(is_zero(r) for r in residuals)
     return SymmetryReport("symmetry" if good else "not-symmetry", tuple(residuals))

@@ -1,18 +1,21 @@
 """Corpus runner: a record does not depend on which checks ran before it on
 the same loaded problem, each derived artifact is computed once, and an
-expected system matches in any order with each equation pair compared once."""
+expected system matches in any order with each equation pair compared once,
+and each pair is decided by one cross test, at the computed lead first."""
 
 import sys
 
 import pytest
 
-from liereduce import (DESystem, ExprError, algebra, corpus, lie_reduce, parse_expr, problem,
-                       render)
+from liereduce import (DESystem, ExprError, JetSpace, algebra, corpus, lie_reduce, parse_expr,
+                       problem, render)
 from liereduce import charts as charts_module
 from liereduce.cli import main
 from liereduce.corpus import corpus_dir, run_corpus, run_expect, systems_match
 from liereduce.problem import load_problem
+from liereduce.systems import _parse_equation
 
+equiv_module = sys.modules["liereduce.equiv"]
 PATHS = sorted(corpus_dir().glob("*.prob"))
 # Every shipped check as (file, expect index), in run_corpus's record order.
 CHECKS = [(path, i) for path in PATHS for i in range(len(load_problem(path).expects))]
@@ -185,6 +188,77 @@ def test_systems_match_needs_a_one_to_one_pairing(monkeypatch):
     doubled[0] = doubled[1]  # every expected equation matches, one of them twice
     assert not systems_match(SIX, doubled)
     assert len(calls) <= 6 ** 2
+
+
+def _cross_tests(monkeypatch) -> list:
+    """For each later ``equation_matches`` call, its arguments and the number
+    of ``equiv`` calls it makes that are not ``is_zero`` calls: its cross
+    tests, with the ``equiv`` it falls back to."""
+    equivs = _calls(monkeypatch, "equiv", equiv_module)
+    zeros = _calls(monkeypatch, "is_zero", equiv_module)
+    pairs, orig = [], corpus.equation_matches
+
+    def counted(*args):
+        before = len(equivs) - len(zeros)
+        result = orig(*args)
+        pairs.append((args, len(equivs) - len(zeros) - before))
+        return result
+
+    monkeypatch.setattr(corpus, "equation_matches", counted)
+    return pairs
+
+
+def test_each_pair_is_decided_by_one_cross_test(monkeypatch):
+    pf = load_problem(corpus_dir() / "power-diffusion-gradient.prob")
+    system = pf.transformed("further")
+    exp = next(e for e in pf.expects if e.op == "transform" and "further" in e.args)
+    expected = [_parse_equation(system.space, line) for line in exp.equations]
+    pairs = _cross_tests(monkeypatch)
+    assert systems_match(system, expected)
+    assert pairs and all(n <= 1 for _, n in pairs)
+    assert {args[2] for args, _ in pairs} == set(system.leads) == {"s1_1", "s1_2"}
+
+
+ODE = JetSpace(("x",), ("y",), 2)
+
+
+def test_different_solved_forms_fail_after_one_cross_test(monkeypatch):
+    pairs = _cross_tests(monkeypatch)
+    eqA, eqB = ODE.expr("x*y'' + y' - y"), ODE.expr("2*x*y'' + 2*y' + y")
+    assert not corpus.equation_matches(eqA, eqB, "y''")
+    assert pairs == [((eqA, eqB, "y''"), 1)]
+
+
+def test_coefficient_zero_as_a_function_does_not_decide(monkeypatch):
+    # Both equations are affine in the lead y'' with the coefficient
+    # sin(x)^2 + cos(x)^2 - 1, zero everywhere although not structurally:
+    # its cross test would call any two such equations equal.  The walk
+    # moves on to y', whose cross test tells y' from y' + y.
+    zeros = _calls(monkeypatch, "is_zero", equiv_module)
+    pairs = _cross_tests(monkeypatch)
+    eqA = ODE.expr("(sin(x)^2 + cos(x)^2 - 1)*y'' + y'")
+    eqB = ODE.expr("(sin(x)^2 + cos(x)^2 - 1)*y'' + y' + y")
+    assert not corpus.equation_matches(eqA, eqB, "y''")
+    assert pairs == [((eqA, eqB, "y''"), 1)]
+    assert zeros[0] == (ODE.expr("sin(x)^2 + cos(x)^2 - 1"),)
+    assert corpus.equation_matches(eqA, ODE.expr("(sin(x)^2 + cos(x)^2 - 1)*y'' + 3*y'"), "y''")
+
+
+def test_order_zero_system_pairs_without_a_lead(monkeypatch):
+    # An algebraic system has no leads: its equations are walked in sorted
+    # order, and a pair that no variable decides falls back to equiv.
+    pf = load_problem(corpus_dir() / "two-scalings-reduced.prob")
+    system = pf.lie_reduction("further", ["omega"]).system
+    assert system.order == 0 and system.leads == ()
+    pairs = _cross_tests(monkeypatch)
+    assert systems_match(system, [_parse_equation(system.space, "1 + R*(1-R)*omega = 0")])
+    assert [(args[2], n) for args, n in pairs] == [(None, 1)]
+    pairs.clear()
+    unaffine = DESystem(system.space, (system.space.expr("sin(omega)^2 + cos(omega)^2 - R^2"),),
+                        (), ())
+    assert systems_match(unaffine, [system.space.expr("1 - R^2")])
+    assert not systems_match(unaffine, [system.space.expr("2 - R^2")])
+    assert [(args[2], n) for args, n in pairs] == [(None, 1), (None, 1)]
 
 
 def test_reversed_expected_system_passes(tmp_path, capsys):

@@ -859,9 +859,24 @@ class TestEquiv:
         assert not equiv(parse_expr("(x+1)^(1/3)^(10^5)", {"x"}), y)
 
     def test_empty_domain_with_a_constant_past_the_digit_limit(self):
-        # The error words the difference in full, so its type is kept.
+        # The error words the difference, so its type is kept.
         with pytest.raises(SamplingDomainError, match="sampling domain empty"):
             equiv(parse_expr("log(-1 - x^2) + 3^20000", {"x"}), ZERO)
+
+    # An error quotes at most 80 characters of the difference it words, as
+    # a ParseError quotes its text, so its length does not grow with it.
+    @pytest.mark.parametrize("text, head, tail", [
+        ("log(-1 - x^2) + 3^20000", "sampling domain empty for '", "'..."),
+        ("exp(1000) - 3^20000", "constant expression '", "'... overflows a double"),
+        ("log(-2) + 3^200/2^317", "constant expression '", "'... leaves the real domain"),
+        ("3^200/2^317*x^40000", "'", "'... is too large to evaluate exactly, and a float "
+                                     "zero may be an underflow"),
+    ])
+    def test_error_quotes_a_long_difference_in_part(self, text, head, tail):
+        with pytest.raises(SamplingDomainError) as exc:
+            is_zero(parse_expr(text, {"x"}))
+        message = str(exc.value)
+        assert message.startswith(head) and message.endswith(tail) and len(message) <= 200
 
     def test_renders_only_to_raise(self, monkeypatch):
         # Sample points are seeded from variable names, so a verdict never

@@ -118,6 +118,13 @@ class TestCheckPointSymmetry:
             check_point_symmetry(sys_, VectorField.parse(sp, {"u": "u"}))
         # A residual free of principal jets needs no reduction.
         assert check_point_symmetry(sys_, VectorField.parse(sp, {"x": "1"})).is_symmetry
+        # The message quotes at most 80 characters of a long solved form.
+        sys_ = build(sp, ["u' - v' + 3^300*x", "v' - u'"])
+        with pytest.raises(SystemError_) as exc:
+            check_point_symmetry(sys_, VectorField.parse(sp, {"u": "u"}))
+        message = str(exc.value)
+        assert message.startswith("residual u' meets a cycle among the solved forms u' = v' - ")
+        assert message.endswith("...") and len(message) <= 200
 
     def test_right_hand_side_above_its_lead_is_refused(self):
         # A hand-built solved form u' = u'' would make every u^(k) principal;
