@@ -55,7 +55,7 @@ def solve_affine(eqs: Sequence[Expr], unknowns: Sequence[str]) -> list[Expr]:
         row = []
         for u in unknowns:
             a = diff(eq, u)
-            if set(free_vars(a)) & unk:
+            if free_vars(a) & unk:
                 raise ChartError(f"system is not affine in {u!r}")
             row.append(a)
         row.append(mul(-1, substitute(eq, zeros)))
@@ -122,7 +122,7 @@ class PointTransformation(Record):
             raise ChartError(f"canonical coordinate {self.canonical!r} is not a target")
         allowed = set(src.base_names) | set(src.params)
         for n, e in self.target_independent + self.target_dependent:
-            extra = set(free_vars(e)) - allowed
+            extra = free_vars(e) - allowed
             if extra:
                 raise ChartError(f"target {n!r} depends on non-base coordinates {sorted(extra)}")
         if self.inverse is not None:
@@ -276,7 +276,7 @@ def transform_de(sys, T: PointTransformation):
     for eq in sys.equations:
         e = substitute(eq, backward)
         e = substitute(e, T.inverse)
-        leftover = set(free_vars(e)) - allowed
+        leftover = free_vars(e) - allowed
         if leftover:
             raise ChartError(f"untransformed coordinates remain: {sorted(leftover)}")
         out.append(clear_denominators(e))
@@ -364,7 +364,7 @@ def pushforward_field(X: VectorField, T: PointTransformation) -> Pushforward:
         e = substitute(e, rename)
         if T.inverse is not None:
             e = substitute(e, T.inverse)
-        residual |= set(free_vars(e)) - allowed
+        residual |= free_vars(e) - allowed
         expressed[n] = e
     if residual:
         return Pushforward(coords, raw, residual_vars=tuple(sorted(residual)))

@@ -63,7 +63,7 @@ def gradient_poly(e: Expr, names) -> dict[tuple[int, ...], Expr] | None:
                     return None
                 degs[names.index(b.name)] += int(x.value)
             else:
-                if set(free_vars(f)) & nameset:
+                if free_vars(f) & nameset:
                     return None
                 rest.append(f)
         out.setdefault(tuple(degs), []).append(mul(*rest))
@@ -82,7 +82,7 @@ def classify_pushforward(pf: Pushforward, T: PointTransformation,
     local = set(space.base_names) | set(space.params)
     foreign: set[str] = set()
     for c in pf.coeffs.values():
-        foreign |= set(free_vars(c)) - local
+        foreign |= free_vars(c) - local
     if foreign:
         witness = T.canonical if T.canonical in foreign else sorted(foreign)[0]
         return Classification("nonlocal", witness=witness,
@@ -136,7 +136,7 @@ def lift_test(Y: VectorField, reduced: ReducedSystem) -> Classification:
 
     a = [Y.coeff(xj) for xj in indep]
     for xj, aj in zip(indep, a):
-        if set(free_vars(aj)) & set(aux_names):
+        if free_vars(aj) & set(aux_names):
             return Classification(
                 "nonlocal", witness=xj,
                 criterion="base component depends on a gradient variable")

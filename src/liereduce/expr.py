@@ -129,7 +129,9 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if type(value) is not int:
+        if type(value) is int:
+            self._key = (0, (value, 1))
+        else:
             if isinstance(value, Fraction):
                 if value.denominator == 1:
                     value = value.numerator
@@ -137,8 +139,8 @@ class Rat(Expr):
                 value = int(value)
             else:
                 raise TypeError(f"not an exact rational: {value!r}")
+            self._key = (0, (value.numerator, value.denominator))
         self.value = value
-        self._key = (0, (value.numerator, value.denominator))
         self._hash = hash(self._key)
 
 
@@ -172,20 +174,38 @@ class Kernel(Expr):
 
 
 class Mul(Expr):
+    """A product.  Its key is ``(4, keys)``, where ``keys`` are its factors'
+    keys in order; a normalized product's factors are its rational
+    coefficient, if any, first, then its monomial, so a monomial's key is
+    ``keys`` or ``keys[1:]`` and the bookkeeping reads it from there."""
+
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         self.factors = factors
-        self._key = (4, tuple(f._key for f in factors))
+        self._key = (4, tuple([f._key for f in factors]))
         self._hash = hash(self._key)
 
 
+def _product(factors: tuple, keys: tuple) -> Mul:
+    """``Mul(factors)`` given the factors' keys, which the caller already
+    holds: the one path that builds a product without reading them again."""
+    m = Mul.__new__(Mul)
+    m.factors = factors
+    m._key = (4, keys)
+    m._hash = hash(m._key)
+    return m
+
+
 class Add(Expr):
+    """A sum.  Its key is ``(5, keys)``, where ``keys`` are its terms' keys in
+    order; a normalized sum's terms are sorted by their monomial keys."""
+
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple):
         self.terms = terms
-        self._key = (5, tuple(t._key for t in terms))
+        self._key = (5, tuple([t._key for t in terms]))
         self._hash = hash(self._key)
 
 
@@ -233,30 +253,44 @@ def _coeff_monomial(t: Expr) -> tuple[int | Fraction, tuple[Expr, ...]]:
     return 1, (t,)
 
 
-def _term_from(coeff: int | Fraction, mono: tuple[Expr, ...]) -> Expr:
+def _term_from(coeff: int | Fraction, mono: tuple[Expr, ...], keys: tuple) -> Expr:
+    """The term ``coeff`` times the monomial ``mono``, whose factors' keys
+    are ``keys``."""
     if not mono:
         return Rat(coeff)
     if coeff == 1:
-        return mono[0] if len(mono) == 1 else Mul(mono)
-    return Mul((Rat(coeff),) + mono)
+        return mono[0] if len(mono) == 1 else _product(mono, keys)
+    c = Rat(coeff)
+    return _product((c,) + mono, (c._key,) + keys)
 
 
 def _collect(parts, acc: dict, scale=1) -> dict:
     """Fold terms, each times ``scale``, into ``acc`` (monomial key ->
     [coefficient, factors, term]), flattening sums; the key is the tuple of
     the factors' keys, and term is the input term as long as no like term
-    and no scale other than 1 changed it."""
+    and no scale other than 1 changed it.  The monomial key is read from the
+    term's own key, never rebuilt: that rests on every node's key being its
+    tag and its children's keys in order (see ``Mul``), which every
+    constructor keeps."""
     stack = list(parts)
     while stack:
         t = stack.pop()
-        if isinstance(t, Add):
+        if isinstance(t, Mul):
+            fs = t.factors
+            if isinstance(fs[0], Rat):
+                c, mono, k = fs[0].value, fs[1:], t._key[1][1:]
+            else:
+                c, mono, k = 1, fs, t._key[1]
+        elif isinstance(t, Add):
             stack.extend(t.terms)
             continue
-        c, mono = _coeff_monomial(t)
+        elif isinstance(t, Rat):
+            c, mono, k = t.value, (), ()
+        else:
+            c, mono, k = 1, (t,), (t._key,)
         if scale != 1:
             c *= scale
             t = None
-        k = tuple(f._key for f in mono)
         slot = acc.get(k)
         if slot is None:
             acc[k] = [c, mono, t]
@@ -268,17 +302,18 @@ def _collect(parts, acc: dict, scale=1) -> dict:
 
 def _sum(acc: dict) -> Expr:
     """The normalized sum of the terms collected by ``_collect``."""
-    out = [(k, t if t is not None else _term_from(c, mono))
+    out = [(k, t if t is not None else _term_from(c, mono, k))
            for k, (c, mono, t) in acc.items() if c != 0]
     if not out:
         return ZERO
-    out.sort(key=lambda km: km[0])
-    terms = tuple(t for _, t in out)
-    return terms[0] if len(terms) == 1 else Add(terms)
+    if len(out) == 1:
+        return out[0][1]
+    out.sort()  # the keys are distinct, so no two terms are compared
+    return Add(tuple([t for _, t in out]))
 
 
 def add(*parts) -> Expr:
-    return _sum(_collect(map(_coerce, parts), {}))
+    return _sum(_collect([p if isinstance(p, Expr) else _coerce(p) for p in parts], {}))
 
 
 def _base_exp(f: Expr) -> tuple[Expr, Expr]:
@@ -287,16 +322,18 @@ def _base_exp(f: Expr) -> tuple[Expr, Expr]:
     return f, ONE
 
 
-def _monomial(slots: dict) -> tuple[Expr, ...]:
-    """The sorted factors of a base map: an exponent sum of 0 drops the
-    base, and a sum of 1 leaves it bare."""
-    out = []
+def _monomial(slots: dict) -> tuple[tuple[Expr, ...], tuple]:
+    """The sorted factors of a base map, and their keys: an exponent sum of
+    0 drops the base, and a sum of 1 leaves it bare."""
+    out, keys = [], []
     for k in sorted(slots):
         b, q, f = slots[k]
         if q == 0:
             continue
-        out.append(f if f is not None else b if q == 1 else Pow(b, Rat(q)))
-    return tuple(out)
+        f = f if f is not None else b if q == 1 else Pow(b, Rat(q))
+        out.append(f)
+        keys.append(f._key)
+    return tuple(out), tuple(keys)
 
 
 def _distribute(terms, sums) -> Expr:
@@ -306,11 +343,11 @@ def _distribute(terms, sums) -> Expr:
     acc = _collect(terms, {})
     for a in sums:
         nxt: dict[tuple, list] = {}
-        for c, mono, t in acc.values():
+        for k, (c, mono, t) in acc.items():
             if c == 0:
                 continue
             if mono:
-                t = t if t is not None else _term_from(c, mono)
+                t = t if t is not None else _term_from(c, mono, k)
                 _collect([mul(t, s) for s in a.terms], nxt)
             else:
                 _collect(a.terms, nxt, c)
@@ -330,7 +367,7 @@ def mul(*parts) -> Expr:
     # returned for it.  Sums are bases too, so B * B^(-1) cancels before any
     # distribution happens.
     slots: dict[tuple, tuple] = {}
-    queue = [_coerce(p) for p in parts]
+    queue = [p if isinstance(p, Expr) else _coerce(p) for p in parts]
     settle = False  # whether some slot may still need ``power``
     guard = 0
     while True:
@@ -406,7 +443,7 @@ def mul(*parts) -> Expr:
                     continue
                 slots[ek._key] = (ek, 1, ek)
         break
-    term = _term_from(coeff, _monomial(slots))
+    term = _term_from(coeff, *_monomial(slots))
     return _distribute([term], sums) if sums else term
 
 
@@ -578,7 +615,8 @@ def _log_multiple(t: Expr) -> tuple[Expr, Expr] | None:
         logs = [f for f in t.factors if isinstance(f, Kernel) and f.name == "log"]
         if len(logs) == 1:
             rest = tuple(f for f in t.factors if f is not logs[0])
-            return _term_from(1, rest) if rest else ONE, logs[0].arg
+            k = rest[0] if len(rest) == 1 else Mul(rest) if rest else ONE
+            return k, logs[0].arg
     return None
 
 

@@ -195,7 +195,7 @@ class VectorField(Record):
             if name not in space.base_names:
                 raise JetError(f"{name!r} is not a base coordinate of the space")
             c = _coerce(c)
-            extra = set(free_vars(c)) - allowed
+            extra = free_vars(c) - allowed
             if extra:
                 raise JetError(
                     f"coefficient of {name!r} depends on non-base coordinates {sorted(extra)}")

@@ -177,7 +177,7 @@ def verify_solution(sys: DESystem, candidate: Mapping[str, Expr | str]) -> bool:
         if dep not in space.dependent:
             raise SystemError_(f"{dep!r} is not a dependent variable")
         v = parse_expr(val, space) if isinstance(val, str) else _coerce(val)
-        extra = set(free_vars(v)) - allowed
+        extra = free_vars(v) - allowed
         if extra:
             raise SystemError_(f"candidate for {dep!r} mentions {sorted(extra)}")
         cand[dep] = v

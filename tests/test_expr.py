@@ -13,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from liereduce import (Add, DomainError, ExprError, Kernel, Mul, ParseError, Pow, Rat,
+from liereduce import (Add, DomainError, Expr, ExprError, Kernel, Mul, ParseError, Pow, Rat,
                        SamplingDomainError, Sym, ZERO, ONE, add, clear_denominators, diff,
                        equiv, eval_numeric, free_vars, is_zero, kernel, mul, normalize,
                        parse_expr, power, rat, render, substitute, sym)
+from liereduce.corpus import corpus_dir
 from liereduce.equiv import sampled_nonsingular
 from liereduce.expr import (KERNELS, PowerBoundError, _int_nth_root, _render_number,
                             numeric, positivity_constraints)
+from liereduce.problem import load_problem
 from fresh import fresh
 from genexpr import random_expr, small_rat
 
@@ -612,6 +614,108 @@ class TestSubtraction:
         (kernel("exp", x) - 1, kernel("exp", x), "-1")])
     def test_rows(self, p, q, want):
         assert (p - q).key() == self.reference(p, q) == parse_expr(want).key()
+
+
+def _children(e):
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, Kernel):
+        return (e.arg,)
+    return getattr(e, "factors", None) or getattr(e, "terms", ())
+
+
+def _rebuilt_key(e):
+    """``e``'s key rebuilt from its value or name and its children's keys."""
+    if isinstance(e, Rat):
+        return (0, (e.value.numerator, e.value.denominator))
+    if isinstance(e, Sym):
+        return (1, e.name)
+    if isinstance(e, Pow):
+        return (2, e.base.key(), e.exponent.key())
+    if isinstance(e, Kernel):
+        return (3, e.name, e.arg.key())
+    return (4 if isinstance(e, Mul) else 5, tuple(c.key() for c in _children(e)))
+
+
+def _nodes(roots):
+    """Every node reachable from ``roots``, each object once."""
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(_children(e))
+    return list(seen.values())
+
+
+def _held(obj, seen=None):
+    """Every expression a record, a mapping or a sequence holds, and the
+    records inside it."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, Expr):
+        yield obj
+        return
+    if id(obj) in seen or isinstance(obj, (str, int, Fraction)) or obj is None:
+        return
+    seen.add(id(obj))
+    if hasattr(obj, "_fields"):
+        parts = [getattr(obj, f) for f in obj._fields]
+    elif isinstance(obj, dict):
+        parts = obj.values()
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        parts = obj
+    else:
+        return
+    for p in parts:
+        yield from _held(p, seen)
+
+
+class TestKeyInvariant:
+    """The bookkeeping reads a term's monomial key out of the term's own key
+    (``expr._collect``), so every normalized node's key must be its tag and
+    its children's keys in order, its hash the hash of that key, and the
+    node its own normal form."""
+
+    @staticmethod
+    def check(roots, least):
+        nodes = _nodes(roots)
+        assert len(nodes) >= least
+        for e in nodes:
+            assert e.key() == _rebuilt_key(e), e
+            assert hash(e) == hash(e.key())
+            assert normalize(e) == e
+
+    def test_zero_test_texts(self, monkeypatch):
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+        workloads = importlib.import_module("workloads")
+        texts = [t for p in workloads.zero_test_pairs(1) for t in (p["a"], p["b"])]
+        self.check(map(parse_expr, texts), 60000)
+
+    def test_shipped_problems(self):
+        roots, made = [], collections.Counter()
+        for path in sorted(corpus_dir().glob("*.prob")):
+            pf = load_problem(path)
+            for chart in sorted(pf.charts):
+                made["chart"] += 1
+                roots += _held((pf.transformed(chart), pf.lie_reduction(chart)))
+                for name in sorted(pf.fields):
+                    made["push-forward"] += 1
+                    roots += _held(pf.pushforward(name, chart))
+        assert made == {"chart": 11, "push-forward": 25}
+        self.check(roots, 800)
+
+    def test_hand_built_nodes_collect_as_before(self):
+        # A hand-built product or sum is read as it stands: x*x is not x^2,
+        # and only a leading constant is a coefficient.
+        xx, x2 = Mul((x, x)), Mul((x, rat(2)))
+        assert add(xx, xx).key() == Mul((rat(2), x, x)).key()
+        assert add(xx, power(x, rat(2))).key() == Add((xx, power(x, rat(2)))).key()
+        assert add(x2, x2).key() == Mul((rat(2), x, rat(2))).key()
+        assert add(Mul((rat(3), x)), x).key() == (4 * x).key()
+        assert add(Add((x, x)), y).key() == (2 * x + y).key()
+        assert add(Add((y, x)), -y).key() == x.key()
+        built = [add(xx, xx), add(x2, x2), add(Add((x, x)), y)]
+        assert all(e.key() == _rebuilt_key(e) for e in _nodes(built))
 
 
 class TestDiff:
