@@ -264,6 +264,47 @@ def _term_from(coeff: int | Fraction, mono: tuple[Expr, ...], keys: tuple) -> Ex
     return _product((c,) + mono, (c._key,) + keys)
 
 
+def plain_term(coeff: int | Fraction, factors) -> Expr | None:
+    """``mul(coeff, *factors)`` for a nonzero ``coeff`` when every factor is
+    a plain power and no two share a base, else None.  A plain power is a
+    Sym or a non-exp Kernel, bare or raised to a Rat, as ``power`` builds
+    it; such a factor is final as it enters ``mul``, so factors with
+    pairwise distinct bases, sorted by base key, are already a normal
+    monomial, and the term is built from the keys they hold."""
+    by_base = {}
+    for f in factors:
+        b = f
+        if isinstance(f, Pow):
+            if not isinstance(f.exponent, Rat):
+                return None
+            b = f.base
+        if not isinstance(b, Sym) and (not isinstance(b, Kernel) or b.name == "exp"):
+            return None
+        by_base[b._key] = f
+    if len(by_base) != len(factors):
+        return None
+    mono = tuple([by_base[k] for k in sorted(by_base)])
+    return _term_from(coeff, mono, tuple([f._key for f in mono]))
+
+
+def _scaled(a: Add, c: int | Fraction) -> Add:
+    """``c * a`` for a nonzero constant ``c``: each term's coefficient
+    scaled, the terms in their order, since no monomial key changes."""
+    out = []
+    for t in a.terms:
+        if isinstance(t, Mul):
+            fs = t.factors
+            if isinstance(fs[0], Rat):
+                out.append(_term_from(fs[0].value * c, fs[1:], t._key[1][1:]))
+            else:
+                out.append(_term_from(c, fs, t._key[1]))
+        elif isinstance(t, Rat):
+            out.append(Rat(t.value * c))
+        else:
+            out.append(_term_from(c, (t,), (t._key,)))
+    return Add(tuple(out))
+
+
 def _collect(parts, acc: dict, scale=1) -> dict:
     """Fold terms, each times ``scale``, into ``acc`` (monomial key ->
     [coefficient, factors, term]), flattening sums; the key is the tuple of
@@ -443,7 +484,10 @@ def mul(*parts) -> Expr:
                     continue
                 slots[ek._key] = (ek, 1, ek)
         break
-    term = _term_from(coeff, *_monomial(slots))
+    mono, keys = _monomial(slots)
+    if len(sums) == 1 and not mono:
+        return sums[0] if coeff == 1 else _scaled(sums[0], coeff)
+    term = _term_from(coeff, mono, keys)
     return _distribute([term], sums) if sums else term
 
 

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .expr import (Expr, ExprError, KERNELS, MINUS_ONE, ZERO, Rat, add, kernel,
-                   mul, power, quoted, rat, sym)
+                   mul, plain_term, power, quoted, rat, sym)
 
 
 class ParseError(ExprError):
@@ -118,8 +118,9 @@ class _Parser:
 
     def term(self) -> Expr:
         """A product.  Its rational constant operands fold into one
-        coefficient, so only the other factors go through ``mul``; dividing
-        by a zero constant still goes through ``power``, which raises."""
+        coefficient, and the other factors are a plain monomial
+        (``expr.plain_term``) or go through ``mul``; dividing by a zero
+        constant still goes through ``power``, which raises."""
         tokens = self.tokens
         u = self.unary()
         if tokens[self.i] not in ("*", "/"):
@@ -139,7 +140,44 @@ class _Parser:
             return ZERO
         if not rest:
             return Rat(coeff)
+        t = plain_term(coeff, rest)
+        if t is not None:
+            return t
         return mul(*rest) if coeff == 1 else mul(Rat(coeff), *rest)
+
+    def constant_group(self) -> Rat | None:
+        """The constant of a group whose content after its ``(``, from
+        token ``self.i`` on, is ``[-] int [/ int] )``, with ``self.i``
+        moved past the ``)``.  Any other group (a decimal, more signs, a
+        zero denominator, a literal past the interpreter's digit limit)
+        gives None and leaves ``self.i`` where it was, so the general path
+        reads it and raises its errors as before.  The caller asks only
+        when the content is within the depth limit."""
+        tokens = self.tokens
+        i = self.i
+        negative = tokens[i] == "-"
+        num = tokens[i + negative]
+        if not num[:1].isdecimal() or "." in num:
+            return None
+        i += negative + 1
+        den = "1"
+        if tokens[i] == "/":
+            den = tokens[i + 1]
+            if not den[:1].isdecimal() or "." in den:
+                return None
+            i += 2
+        if tokens[i] != ")":
+            return None
+        try:
+            n, d = int(num), int(den)
+        except ValueError:  # past the interpreter's limit on digits read
+            return None
+        if d == 0:
+            return None
+        self.i = i + 1
+        if negative:
+            n = -n
+        return Rat(n if d == 1 else Fraction(n, d))
 
     def unary(self) -> Expr:
         """Signs, then an atom (a number, a name, a kernel call or a
@@ -159,8 +197,10 @@ class _Parser:
             val = tokens[i]
         self.i = i + 1
         if val == "(":
-            e = self.expr()
-            self.expect_op(")")
+            e = self.constant_group() if self.depth < _MAX_DEPTH else None
+            if e is None:
+                e = self.expr()
+                self.expect_op(")")
         elif val[:1] in _NAME_START:
             if tokens[i + 1] == "(":
                 if val != "sqrt" and val not in KERNELS:

@@ -97,6 +97,8 @@ class TestParse:
         ("( " * 101 + "x" + ")" * 101, "nested deeper than 100 levels at position 200"),
         ("x^" * 101 + "x", "nested deeper than 100 levels at position 200"),
         ("-exp(" * 101 + "x" + ")" * 101, "nested deeper than 100 levels at position 500"),
+        # A constant group's content counts as a level of its own.
+        ("(" * 99 + "(2/3)" + ")" * 99, "nested deeper than 100 levels at position 100"),
     ])
     def test_tokenizer_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
@@ -122,6 +124,8 @@ class TestParse:
         ("1" * 5000, 0),
         ("x + 2*" + "1" * 5000, 6),
         ("1." + "2" * 5000 + " + x", 0),
+        ("(" + "1" * 5000 + "/3)*x", 1),
+        ("(3/" + "1" * 5000 + ")", 3),
     ])
     def test_number_past_the_digit_limit(self, text, pos):
         with pytest.raises(ParseError, match="characters is too long") as exc:
@@ -160,11 +164,22 @@ class TestParse:
         ("10^(12)*x", lambda: mul(10**12, x)),
         ("1.5*x/3", lambda: mul(rat(1, 2), x)),
         ("0*x", lambda: ZERO),
+        ("(2/3)*y*x", lambda: mul(rat(2, 3), x, y)),
+        ("(2/3)*x*x", lambda: mul(rat(2, 3), power(x, rat(2)))),
+        ("(2/3)*x*x^(-1)", lambda: rat(2, 3)),
+        ("(2/3)*x*exp(y)", lambda: mul(rat(2, 3), x, kernel("exp", y))),
+        ("(2/3)*exp(x)*y*exp(y)", lambda: mul(rat(2, 3), y, kernel("exp", add(x, y)))),
+        ("(2.5/3)*x", lambda: mul(rat(5, 6), x)),
+        ("(- 2 / 3)", lambda: rat(-2, 3)),
+        ("(2/-3)", lambda: rat(-2, 3)),
+        ("(-1)*(x - y)", lambda: add(y, mul(-1, x))),
+        ("(2/3)*(x + y)", lambda: add(mul(rat(2, 3), x), mul(rat(2, 3), y))),
+        ("(1/2)*(x+y)^(-1)*(x+y)", lambda: rat(1, 2)),
     ])
     def test_constant_factors_fold(self, text, built):
         assert parse_expr(text, {"x", "y"}).key() == built().key()
 
-    @pytest.mark.parametrize("text", ["0*x/0", "x/(1-1)"])
+    @pytest.mark.parametrize("text", ["0*x/0", "x/(1-1)", "(1/0)*x", "(0/0)"])
     def test_division_by_zero_constant(self, text):
         with pytest.raises(DomainError, match="zero raised to a negative power"):
             parse_expr(text, {"x"})
