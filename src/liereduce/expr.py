@@ -747,8 +747,27 @@ def _nonzero_sum(parts: list) -> Expr:
     return parts[0] if len(parts) == 1 else add(*parts)
 
 
+def _lowered(f: Expr, name: str) -> tuple | None:
+    """For ``f`` the variable ``name``, bare or to a Rat power q, the triple
+    (q, x^(q-1) as a tuple of no factor or one, their keys), so that
+    d f/d name is q times that tuple's product; None for any other factor.
+    The lowered factor has the base key of ``f``, so it keeps ``f``'s place
+    in a monomial sorted by base key."""
+    if isinstance(f, Sym):
+        return (1, (), ()) if f.name == name else None
+    if not (isinstance(f, Pow) and isinstance(f.base, Sym) and f.base.name == name
+            and isinstance(f.exponent, Rat)):
+        return None
+    q = f.exponent.value
+    g = f.base if q == 2 else Pow(f.base, Rat(q - 1))
+    return q, (g,), (g._key,)
+
+
 def diff(e: Expr, v) -> Expr:
-    """Partial derivative treating every other variable as constant."""
+    """Partial derivative treating every other variable as constant.  A
+    factor that is the variable, bare or to a Rat power, is differentiated
+    in place (``_lowered``): the term is its monomial with that exponent
+    lowered, built from the keys it holds, without ``mul``."""
     name = _name_of(v)
 
     def go(e: Expr) -> Expr:
@@ -760,9 +779,16 @@ def diff(e: Expr, v) -> Expr:
             return _nonzero_sum([d for d in map(go, e.terms) if d != ZERO])
         if isinstance(e, Mul):
             parts = []
-            fs = e.factors
+            fs, keys = e.factors, e._key[1]
+            c, start = (fs[0].value, 1) if isinstance(fs[0], Rat) else (1, 0)
             for i, f in enumerate(fs):
                 if isinstance(f, Rat):
+                    continue
+                low = _lowered(f, name)
+                if low is not None:
+                    q, g, gk = low
+                    parts.append(_term_from(c * q, fs[start:i] + g + fs[i + 1:],
+                                            keys[start:i] + gk + keys[i + 1:]))
                     continue
                 df = go(f)
                 if df == ZERO:
@@ -770,6 +796,9 @@ def diff(e: Expr, v) -> Expr:
                 parts.append(mul(*fs[:i], df, *fs[i + 1:]))
             return _nonzero_sum(parts)
         if isinstance(e, Pow):
+            low = _lowered(e, name)
+            if low is not None:
+                return _term_from(*low)
             db = go(e.base)
             if isinstance(e.exponent, Rat):
                 if db == ZERO:

@@ -118,9 +118,10 @@ class _Parser:
 
     def term(self) -> Expr:
         """A product.  Its rational constant operands fold into one
-        coefficient, and the other factors are a plain monomial
-        (``expr.plain_term``) or go through ``mul``; dividing by a zero
-        constant still goes through ``power``, which raises."""
+        coefficient.  One other factor times 1 is returned as it is, since
+        a normalized factor is its own product; other factors are a plain
+        monomial (``expr.plain_term``) or go through ``mul``; dividing by a
+        zero constant still goes through ``power``, which raises."""
         tokens = self.tokens
         u = self.unary()
         if tokens[self.i] not in ("*", "/"):
@@ -140,6 +141,8 @@ class _Parser:
             return ZERO
         if not rest:
             return Rat(coeff)
+        if coeff == 1 and len(rest) == 1:
+            return rest[0]
         t = plain_term(coeff, rest)
         if t is not None:
             return t

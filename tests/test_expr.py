@@ -30,6 +30,16 @@ yp = sym("y'")
 
 # The module itself: the package's ``equiv`` attribute is the function.
 equiv_module = importlib.import_module("liereduce.equiv")
+expr_module = importlib.import_module("liereduce.expr")
+parse_module = importlib.import_module("liereduce.parse")
+
+
+def _zero_test_texts(monkeypatch, seeds, stride=1):
+    """The texts of every ``stride``-th zero-test pair of each seed."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+    workloads = importlib.import_module("workloads")
+    return [t for seed in seeds for p in workloads.zero_test_pairs(seed)[::stride]
+            for t in (p["a"], p["b"])]
 
 
 class TestParse:
@@ -54,6 +64,20 @@ class TestParse:
 
     def test_sqrt_sugar(self):
         assert parse_expr("sqrt(x)", {"x"}) == power(x, rat(1, 2))
+
+    def test_single_factor_is_its_own_product(self, monkeypatch):
+        # 1/(x+y) is one factor times 1: power builds it, and mul does not
+        # settle it again.
+        calls = collections.Counter()
+        for module in (parse_module, expr_module):
+            for name in ("mul", "power"):
+                f = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, f=f, name=name: calls.update([name]) or f(*a))
+        e = parse_expr("1/(x+y)")
+        assert calls == {"power": 1}
+        monkeypatch.undo()
+        assert e.key() == mul(1, power(x + y, -1)).key()
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -701,10 +725,7 @@ class TestKeyInvariant:
             assert normalize(e) == e
 
     def test_zero_test_texts(self, monkeypatch):
-        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
-        workloads = importlib.import_module("workloads")
-        texts = [t for p in workloads.zero_test_pairs(1) for t in (p["a"], p["b"])]
-        self.check(map(parse_expr, texts), 60000)
+        self.check(map(parse_expr, _zero_test_texts(monkeypatch, [1])), 60000)
 
     def test_shipped_problems(self):
         roots, made = [], collections.Counter()
@@ -775,6 +796,42 @@ class TestDiff:
         for _ in range(40):
             e = random_expr(rng, ["x", "y"], depth=3)
             assert equiv(diff(diff(e, "x"), "y"), diff(diff(e, "y"), "x"))
+
+    # A factor that is the variable, bare or to a Rat power, is
+    # differentiated in place, without mul; every other factor goes through
+    # mul.  Either way each derivative, and its derivative by x, must be
+    # key for key what the product and power rules through mul give
+    # (``_full_diff``).
+    @staticmethod
+    def check_direct_route(e, names):
+        for v in names:
+            d = diff(e, v)
+            assert d.key() == _full_diff(e, v).key(), (render(e), v)
+            assert diff(d, "x").key() == _full_diff(d, "x").key(), (render(e), v)
+
+    @pytest.mark.parametrize("text", ["x*y", "x^2*y", "(3/2)*x^(1/2)", "x^(-1)*(x+y)^(-1)",
+                                      "exp(x)*x", "sin(x)*x", "x^n", "x^3*y^(-2)*n"])
+    def test_direct_route_rows(self, text):
+        self.check_direct_route(parse_expr(text), ["x", "y", "n"])
+
+    def test_direct_route_zero_test_texts(self, monkeypatch):
+        # Every 25th pair of seeds 1-3 keeps this near a second; all 9000
+        # texts agree as well (54,000 derivatives, about 45 s).
+        texts = _zero_test_texts(monkeypatch, [1, 2, 3], stride=25)
+        assert len(texts) == 360
+        for t in texts:
+            self.check_direct_route(parse_expr(t), ["x", "y", "z"])
+
+    def test_powers_of_the_variable_skip_mul(self, monkeypatch):
+        e = parse_expr("(3/2)*x^(1/2)*y + x^3 - 2*x*y^2*u + x^(-1)*u")
+        want = parse_expr("(3/4)*x^(-1/2)*y + 3*x^2 - 2*y^2*u - x^(-2)*u")
+        s = parse_expr("sin(x)*x")
+        calls = []
+        monkeypatch.setattr(expr_module, "mul", lambda *a: calls.append(a) or mul(*a))
+        assert diff(e, "x") == want
+        assert calls == []
+        diff(s, "x")
+        assert len(calls) == 2  # cos(x)*1, then times x; the x factor takes none
 
 
 class TestKernels:
@@ -852,7 +909,8 @@ def _full_rebuild(e, m):
 
 
 def _full_diff(e, name):
-    """Reference derivative: ``add`` over every part, zero parts included."""
+    """Reference derivative: the product and power rules through ``mul`` for
+    every factor, and ``add`` over every part, zero parts included."""
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, Sym):
